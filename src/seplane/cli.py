@@ -38,7 +38,7 @@ from .params import (
     slope_potential_min,
     stationary_abscissa,
 )
-from .periods import period_positive, period_positive_p1
+from .periods import monotonicity, period_sample, require_family
 from .schemas import SCHEMA_VERSION
 from .solutions import build_solution_set, sector_exists
 
@@ -60,11 +60,10 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _add_common(sub: argparse.ArgumentParser, *, needs_pq: bool = True) -> None:
-    if needs_pq:
-        sub.add_argument("-p", type=float, required=True, help="diffusion exponent, p >= 1")
-        sub.add_argument("-q", type=float, required=True, help="source exponent, q > p - 1")
-        sub.add_argument("-c", type=float, default=0.0, help="potential coefficient")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("-p", type=float, required=True, help="diffusion exponent, p >= 1")
+    sub.add_argument("-q", type=float, required=True, help="source exponent, q > p - 1")
+    sub.add_argument("-c", type=float, default=0.0, help="potential coefficient")
     sub.add_argument("--tol-rel", type=float, default=None)
     sub.add_argument("--tol-abs", type=float, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default=None)
@@ -153,11 +152,11 @@ def _orbit_rows(traj, n: int = 800):
     return taus, states
 
 
-def _p1_circle_meta(w0, y0, rp, nl, meta) -> bool:
+def _p1_circle_meta(w0, y0, rp, meta) -> bool:
     """Only the circle of radius b+1 crosses the singular line w = 0 at
     p = 1, d = 0 (it is the zero level of the first integral); starts on it
     are continued in closed form."""
-    if nl.power != 1.0 or rp.b <= -1.0:
+    if rp.b <= -1.0:
         return False
     radius = rp.b + 1.0
     on_circle = rp.d == 0.0 and abs(math.hypot(w0, y0) - radius) <= 1e-9 * radius
@@ -190,17 +189,26 @@ def _p1_circle_samples(w0, y0, rp, span, meta, n: int = 800):
     return taus, np.column_stack([w, y])
 
 
-def _finish_orbit(args, taus, states, rp, nl, meta) -> None:
+def _finish_orbit(args, taus, states, rp, nl, meta) -> int:
+    """Record the sample count and the drift of the conserved quantity these
+    parameters have, if any, then write the orbit."""
     meta["n_samples"] = len(taus)
     drift_vals = []
-    for w, u_y in states:
-        if w > 1e-9:
-            xi = u_y / w
-            drift_vals.append(first_integral_p1(
-                (w, xi / math.sqrt(1.0 + xi * xi)), rp, nl))
+    if rp.p > 1.0 and abs(rp.b - 1.0) <= 1e-12:
+        drift_vals = [first_integral((w, y), rp, nl) for w, y in states]
+    elif rp.p == 2.0:
+        drift_vals = [y * y / 2.0 - (rp.b + rp.d) * w * w / 2.0 + nl.F(w)
+                      for w, y in states]
+    elif rp.p == 1.0:
+        for w, y in states:
+            if w > 1e-9:
+                xi = y / w
+                drift_vals.append(first_integral_p1(
+                    (w, xi / math.sqrt(1.0 + xi * xi)), rp, nl))
     if drift_vals:
         meta["first_integral_drift"] = float(max(drift_vals) - min(drift_vals))
     _write_orbit(args, taus, states, meta)
+    return 0
 
 
 def cmd_orbit(args) -> int:
@@ -216,61 +224,42 @@ def cmd_orbit(args) -> int:
     }
     if args.homoclinic:
         orb = shoot_homoclinic(rp, nl, cfg)
-        taus, states = orb.trajectory.taus, orb.trajectory.states
         meta["homoclinic"] = {
             "m_d": orb.witness["m"], "m_initial": orb.m_initial,
             "apex_w": orb.apex_w, "offset": orb.witness["offset"],
         }
         meta["orbit_class"] = "homoclinic"
-    else:
-        if args.start is None:
-            raise DomainError("orbit needs --start W Y or --homoclinic")
-        w0, y0 = args.start
-        if rp.p == 1.0 and _p1_circle_meta(w0, y0, rp, nl, meta):
-            taus, states = _p1_circle_samples(w0, y0, rp, args.span, meta)
-            _finish_orbit(args, taus, states, rp, nl, meta)
+        return _finish_orbit(args, orb.trajectory.taus, orb.trajectory.states,
+                             rp, nl, meta)
+    if args.start is None:
+        raise DomainError("orbit needs --start W Y or --homoclinic")
+    w0, y0 = args.start
+    if rp.p == 1.0 and _p1_circle_meta(w0, y0, rp, meta):
+        taus, states = _p1_circle_samples(w0, y0, rp, args.span, meta)
+        return _finish_orbit(args, taus, states, rp, nl, meta)
+    if rp.p > 1.0:
+        fv = field_cartesian((w0, y0), rp, nl)
+        if math.hypot(fv.d1, fv.d2) < 1e-12:
+            meta["orbit_class"] = "closed-around-P0"
+            meta["stationary"] = True
+            _write_orbit(args, np.array([0.0]), np.array([[w0, y0]]), meta)
             return 0
-        rhs = p1_cartesian_rhs(rp, nl) if rp.p == 1.0 else cartesian_rhs(rp, nl)
-        if rp.p > 1.0:
-            fv = field_cartesian((w0, y0), rp, nl)
-            if math.hypot(fv.d1, fv.d2) < 1e-12:
-                meta["orbit_class"] = "closed-around-P0"
-                meta["stationary"] = True
-                _write_orbit(args, np.array([0.0]), np.array([[w0, y0]]), meta)
-                return 0
-        traj = integrate(rhs, (w0, y0), (0.0, args.span),
-                         events=[EventSpec("w=0", lambda t, s: s[0]),
-                                 EventSpec("y=0", lambda t, s: s[1])],
-                         cfg=cfg, dense=True)
-        taus, states = _orbit_rows(traj)
-        meta["events"] = [{"tau": e.tau, "kind": e.kind,
-                           "state": [float(x) for x in e.state]}
-                          for e in traj.events]
-        if rp.p > 1.0 and (w0 > 0.0 or y0 > 0.0):
-            try:
-                meta["orbit_class"] = classify_orbit((w0, y0), rp, nl, cfg).tag
-            except SeplaneError as exc:
-                meta["orbit_class"] = None
-                meta["classification_note"] = str(exc)
-    meta["n_samples"] = len(taus)
-
-    drift_vals = None
-    if rp.p > 1.0 and abs(rp.b - 1.0) <= 1e-12:
-        drift_vals = [first_integral((w, y), rp, nl) for w, y in states]
-    elif rp.p == 2.0:
-        drift_vals = [y * y / 2.0 - (rp.b + rp.d) * w * w / 2.0 + nl.F(w)
-                      for w, y in states]
-    elif rp.p == 1.0:
-        drift_vals = []
-        for w, y in states:
-            if w > 1e-9:
-                xi = y / w
-                drift_vals.append(first_integral_p1(
-                    (w, xi / math.sqrt(1.0 + xi * xi)), rp, nl))
-    if drift_vals:
-        meta["first_integral_drift"] = float(max(drift_vals) - min(drift_vals))
-    _write_orbit(args, taus, states, meta)
-    return 0
+    rhs = p1_cartesian_rhs(rp, nl) if rp.p == 1.0 else cartesian_rhs(rp, nl)
+    traj = integrate(rhs, (w0, y0), (0.0, args.span),
+                     events=[EventSpec("w=0", lambda t, s: s[0]),
+                             EventSpec("y=0", lambda t, s: s[1])],
+                     cfg=cfg, dense=True)
+    taus, states = _orbit_rows(traj)
+    meta["events"] = [{"tau": e.tau, "kind": e.kind,
+                       "state": [float(x) for x in e.state]}
+                      for e in traj.events]
+    if rp.p > 1.0 and (w0 > 0.0 or y0 > 0.0):
+        try:
+            meta["orbit_class"] = classify_orbit((w0, y0), rp, nl, cfg).tag
+        except SeplaneError as exc:
+            meta["orbit_class"] = None
+            meta["classification_note"] = str(exc)
+    return _finish_orbit(args, taus, states, rp, nl, meta)
 
 
 def _write_orbit(args, taus, states, meta) -> None:
@@ -306,39 +295,19 @@ def cmd_period_scan(args) -> int:
     rp = reduce_params(params)
     nl = reduced_nonlinearity(params)
     grid = _parse_grid(args.grid)
+    require_family(args.kind, rp)
     rows, failed = [], False
-    samples = []
     for amp in grid:
         try:
-            if args.kind == "sign-changing":
-                from .periods import period_sign_changing
-
-                s = period_sign_changing(float(amp), rp, nl, cfg,
-                                         method="event-timing")
-            elif rp.p == 1.0:
-                s = period_positive_p1(float(amp), rp, nl, cfg)
-            else:
-                s = period_positive(float(amp), rp, nl, cfg)
-            samples.append(s)
+            s = period_sample(args.kind, float(amp), rp, nl, cfg)
             rows.append((amp, s.period, s.method, s.est_error, ""))
         except SeplaneError as exc:
             failed = True
             rows.append((amp, math.nan, "", math.nan, str(exc).replace(",", ";")))
     periods = [r[1] for r in rows if r[4] == ""]
-    verdict = "insufficient data"
-    violation = math.nan
+    verdict, violation = "insufficient data", math.nan
     if len(periods) >= 2:
-        diffs = np.diff(periods)
-        spread = max(periods) - min(periods)
-        if spread <= 1e-8 * max(abs(p_) for p_ in periods):
-            verdict, violation = "constant", spread
-        elif np.all(diffs < 0.0):
-            verdict, violation = "decreasing", 0.0
-        elif np.all(diffs > 0.0):
-            verdict, violation = "increasing", 0.0
-        else:
-            verdict = "none"
-            violation = float(np.max(np.abs(diffs)))
+        verdict, violation = monotonicity(periods)
     if (args.format or "csv") == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,

@@ -115,10 +115,10 @@ def integrate(
     events: Sequence[EventSpec] = (),
     cfg: IntegratorConfig | None = None,
     *,
-    chart: str = "wy",
     dense: bool = False,
 ) -> Trajectory:
-    """Advance the state over tau_span, localizing events to event_tol.
+    """Advance the state over tau_span, localizing events to event_tol; the
+    trajectory is tagged with the chart name "wy".
 
     Stops at the span end, at the first terminal event, or with an error at
     the step budget / step underflow.
@@ -127,7 +127,7 @@ def integrate(
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     y0 = np.atleast_1d(np.asarray(start, dtype=float)).copy()
     if t1 == t0:
-        return Trajectory(chart, np.array([t0]), y0[None, :], [], "completed", None)
+        return Trajectory("wy", np.array([t0]), y0[None, :], [], "completed", None)
 
     solver = RK45(rhs, t0, y0, t1, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                   max_step=cfg.max_step)
@@ -188,7 +188,7 @@ def integrate(
     sol = OdeSolution(np.asarray(taus), interps) if (dense and interps) else None
     for ev in recorded:
         ev.state.flags.writeable = False
-    return Trajectory(chart, np.asarray(taus), np.asarray(states), recorded,
+    return Trajectory("wy", np.asarray(taus), np.asarray(states), recorded,
                       status, sol)
 
 

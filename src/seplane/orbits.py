@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DegenerateCriticalError,
@@ -221,13 +220,12 @@ def shoot_homoclinic(
     cfg: IntegratorConfig | None = None,
     *,
     offset: float = 1e-8,
-    n_samples: int = 2000,
 ) -> HomoclinicOrbit:
     """Construct the homoclinic orbit by launching off the saddle of the
     regularized chart along its unstable eigenvector.
 
-    The ascent is integrated to the apex (u = 0) and mirrored across the
-    w-axis for the descent.
+    The ascent is integrated to the apex (u = 0), sampled at 2000 points, and
+    mirrored across the w-axis for the descent.
     """
     p, q = rp.p, rp.q
     sd = saddle_data(rp, nl)
@@ -248,7 +246,7 @@ def shoot_homoclinic(
     v_apex = float(traj.events[-1].state[0])
 
     e = 1.0 / (q + 1.0 - p)
-    taus = np.linspace(0.0, tau_apex, n_samples)
+    taus = np.linspace(0.0, tau_apex, 2000)
     vu = traj.sample(taus)
     w = np.maximum(vu[:, 0], 0.0) ** e
     xi = np.array([slope_map_inv(float(u), p) for u in vu[:, 1]])
@@ -280,19 +278,12 @@ def first_integral(pt, rp: ReducedParams, nl: Nonlinearity) -> float:
         - d * abs(w) ** p / p + nl.F(w)
 
 
-def _s1_and_r(w: float, b: float, d: float, nl: Nonlinearity) -> tuple[float, float]:
+def _s1_and_r(w: float, b: float, nl: Nonlinearity) -> tuple[float, float]:
+    """Primitives of s^(b-1) f(s) and s^(b-1) at w for the power source."""
     if w <= 0.0:
         raise DomainError("the p = 1 integral needs w > 0")
-    if nl.power == 1.0:
-        s1 = math.log(w) if b == -1.0 else w ** (b + 1.0) / (b + 1.0)
-    else:
-        if b > -1.0:
-            s1, _ = quad(lambda s: s ** (b - 1.0) * nl.f(s), 0.0, w, epsabs=1e-12)
-        elif b < -1.0:
-            s1 = quad(lambda s: s ** (b - 1.0) * nl.f(s), 1.0, w, epsabs=1e-12)[0] \
-                + 1.0 / (b + 1.0)
-        else:
-            s1, _ = quad(lambda s: nl.f(s) / s**2, 1.0, w, epsabs=1e-12)
+    e = b + nl.power
+    s1 = math.log(w) if e == 0.0 else w**e / e
     r = math.log(w) if b == 0.0 else w**b / b
     return s1, r
 
@@ -304,7 +295,7 @@ def first_integral_p1(st, rp: ReducedParams, nl: Nonlinearity) -> float:
     w, u = float(st[0]), float(st[1])
     if abs(u) >= 1.0:
         raise DomainError("the p = 1 slope chart needs |u| < 1")
-    s1, r = _s1_and_r(w, rp.b, rp.d, nl)
+    s1, r = _s1_and_r(w, rp.b, nl)
     return w**rp.b * math.sqrt(1.0 - u * u) - s1 + rp.d * r
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -114,46 +113,33 @@ class ReducedParams:
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Source term bundle: f, its derivative, antiderivative F with F(0)=0,
-    the ratio h(s) = f(s)/|s|^(p-2)s, and the inverse of h on (0, inf).
+    """The pure power source f(s) = |s|^(q-1) s, q = ``power``, with its
+    antiderivative F (F(0) = 0), the ratio h(s) = f(s)/|s|^(p-2)s, and the
+    inverse of h on (0, inf)."""
 
-    ``power`` carries the exponent when f is a pure power (None otherwise);
-    ``h_tilde`` is h read in the regularized variable v = w^(q+1-p).
-    """
+    p: float
+    power: float
 
-    f: Callable[[float], float]
-    fprime: Callable[[float], float]
-    F: Callable[[float], float]
-    h: Callable[[float], float]
-    h_inverse: Callable[[float], float]
-    h_tilde: Callable[[float], float] | None = None
-    power: float | None = None
+    def __post_init__(self):
+        _require(self.power > self.p - 1.0,
+                 f"need q > p - 1, got p={self.p}, q={self.power}")
+
+    def f(self, s):
+        return odd_power(s, self.power)
+
+    def F(self, s):
+        return abs(s) ** (self.power + 1.0) / (self.power + 1.0)
+
+    def h(self, s):
+        return odd_power(s, self.power + 1.0 - self.p)
+
+    def h_inverse(self, t):
+        return odd_power(t, 1.0 / (self.power + 1.0 - self.p))
 
 
 def power_nonlinearity(p: float, q: float) -> Nonlinearity:
     """The pure power source |s|^(q-1) s with its derived functions."""
-    _require(q > p - 1.0, f"need q > p - 1, got p={p}, q={q}")
-    e = q + 1.0 - p
-
-    def f(s):
-        return odd_power(s, q)
-
-    def fprime(s):
-        if s == 0.0:
-            return 0.0 if q > 1.0 else (1.0 if q == 1.0 else math.inf)
-        return q * abs(s) ** (q - 1.0)
-
-    def F(s):
-        return abs(s) ** (q + 1.0) / (q + 1.0)
-
-    def h(s):
-        return odd_power(s, e)
-
-    def h_inverse(t):
-        return odd_power(t, 1.0 / e)
-
-    return Nonlinearity(f=f, fprime=fprime, F=F, h=h, h_inverse=h_inverse,
-                        h_tilde=lambda v: v, power=q)
+    return Nonlinearity(p, q)
 
 
 def reduce_params(params: ProblemParams) -> ReducedParams:
@@ -231,7 +217,7 @@ def slope_potential_min(p: float, b: float) -> tuple[float, float] | None:
     return eta, emin
 
 
-def invert_slope_potential(value: float, p: float, b: float, *, xtol: float = 1e-12) -> float:
+def invert_slope_potential(value: float, p: float, b: float) -> float:
     """Root of the slope potential on its increasing branch (xi > eta when an
     interior minimum exists)."""
     mn = slope_potential_min(p, b) if p > 1.0 else None
@@ -241,7 +227,7 @@ def invert_slope_potential(value: float, p: float, b: float, *, xtol: float = 1e
         raise DomainError(f"value {value} below the minimum {floor} of the slope potential")
     if value <= floor:
         return lo
-    return invert_increasing(lambda x: slope_potential(x, p, b), value, lo, xtol=xtol)
+    return invert_increasing(lambda x: slope_potential(x, p, b), value, lo)
 
 
 def slope_map(xi, p: float):
@@ -257,7 +243,7 @@ def slope_map_deriv(xi, p: float):
     return float(val) if val.ndim == 0 else val
 
 
-def slope_map_inv(u: float, p: float, *, xtol: float = 1e-12) -> float:
+def slope_map_inv(u: float, p: float) -> float:
     """Slope xi recovering u under the slope map; closed form at p in {1, 2},
     monotone root-find otherwise."""
     if u == 0.0:
@@ -269,7 +255,7 @@ def slope_map_inv(u: float, p: float, *, xtol: float = 1e-12) -> float:
     if p == 1.0:
         _require(a < 1.0, f"the p=1 slope map has range (-1, 1); got |u| = {a}")
         return sign * a / math.sqrt(1.0 - a * a)
-    return sign * invert_increasing(lambda x: slope_map(x, p), a, 0.0, xtol=xtol)
+    return sign * invert_increasing(lambda x: slope_map(x, p), a, 0.0)
 
 
 def slope_map_primitive(u: float, p: float) -> float:
@@ -300,7 +286,7 @@ def damping_coefficient(xi, p: float, q: float, b: float):
     return float(val) if val.ndim == 0 else val
 
 
-def mode_threshold(params: ProblemParams, *, abs_tol: float = QUAD_ABS_TOL) -> float:
+def mode_threshold(params: ProblemParams) -> float:
     """Lower mode threshold for sign-changing profiles when c <= c_q.
 
     Computed as pi*beta^(1-p) / (2 I) with I the quadrature of the angular
@@ -322,7 +308,8 @@ def mode_threshold(params: ProblemParams, *, abs_tol: float = QUAD_ABS_TOL) -> f
         return (1.0 + (p - 1.0) * t * t) / (
             bp * (p - 1.0) * t * t + cq - c * math.cos(theta) ** (p - 2.0))
 
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=abs_tol, epsrel=1e-12, limit=400)
+    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL, epsrel=1e-12,
+                  limit=400)
     return math.pi * beta ** (1.0 - p) / (2.0 * val)
 
 

@@ -8,20 +8,23 @@ timing; the p = 1 periods from the first-integral quadratures.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DomainError, OutOfRangeError
 from .fields import cartesian_rhs
 from .integrate import EventSpec, IntegratorConfig, integrate
+from .orbits import first_integral_p1
 from .params import (
     Nonlinearity,
     ReducedParams,
+    invert_slope_potential,
     slope_potential_min,
     stationary_abscissa,
 )
@@ -37,12 +40,16 @@ __all__ = [
     "period_positive_p1",
     "period_infimum_p1",
     "p1_turning_from_amplitude",
+    "require_family",
+    "period_sample",
+    "monotonicity",
     "period_scan",
     "find_amplitude_for_period",
     "period_limits",
 ]
 
 QUAD_ABS_TOL = 1e-10
+P1_QUAD_ABS_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -102,13 +109,13 @@ def period_sign_changing(
     cfg: IntegratorConfig | None = None,
     *,
     method: str = "both",
-    n_interp: int = 1500,
 ) -> PeriodSample:
     """Least period of the sign-changing orbit through (0, nu).
 
     Event timing measures a quarter and multiplies by four; the quadrature
     route integrates the angular time element over the same quarter, with the
-    orbit radius interpolated monotonically in the polar angle.
+    orbit radius interpolated monotonically in the polar angle from 1500
+    samples.
     """
     if rp.p <= 1.0:
         raise DomainError("sign-changing periods run the p > 1 phase plane")
@@ -121,7 +128,7 @@ def period_sign_changing(
     if method == "event-timing":
         return PeriodSample(nu, period_ev, "event-timing", err_ev)
 
-    taus = np.linspace(0.0, tau_q, n_interp)
+    taus = np.linspace(0.0, tau_q, 1500)
     wy = traj.sample(taus)
     theta = np.arctan2(wy[:, 1], wy[:, 0])
     w = wy[:, 0]
@@ -149,13 +156,7 @@ def period_sign_changing(
     spots = None
     mn = slope_potential_min(p, b)
     if b + d > 0.0 or (mn is not None and mn[1] < d <= -b):
-        from .params import invert_slope_potential
-
         spots = [math.atan(invert_slope_potential(d, p, b))]
-    import warnings
-
-    from scipy.integrate import IntegrationWarning
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         val, est = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
@@ -201,7 +202,7 @@ def period_positive(
     return PeriodSample(mu, 2.0 * half, "event-timing", err)
 
 
-def period_zero_amplitude_limit(rp: ReducedParams, *, abs_tol: float = QUAD_ABS_TOL):
+def period_zero_amplitude_limit(rp: ReducedParams):
     """Zero-amplitude limit of the sign-changing period; finite iff b+d < 0,
     +inf at b+d = 0, valid when the slope potential is increasing or d sits
     below its minimum."""
@@ -223,7 +224,7 @@ def period_zero_amplitude_limit(rp: ReducedParams, *, abs_tol: float = QUAD_ABS_
         return (1.0 + (p - 1.0) * t * t) / _theta_form_denominator(
             t, math.cos(th), p, b, d, 0.0)
 
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=abs_tol,
+    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
                   epsrel=1e-12, limit=400)
     return 4.0 * val
 
@@ -288,8 +289,6 @@ def period_positive_p1(
     rp: ReducedParams,
     nl: Nonlinearity,
     cfg: IntegratorConfig | None = None,
-    *,
-    abs_tol: float = 1e-11,
 ) -> PeriodSample:
     """Least period of the p = 1 positive orbit through (mu, 0) by quadrature
     of the first integral; b = 1 uses the symmetric reduction, other b invert
@@ -315,11 +314,11 @@ def period_positive_p1(
             a_root = math.sqrt(1.0 - s * math.sin(phi) ** 2)
             return math.sqrt((a_root + root_s) / (2.0 * d + a_root + root_s))
 
-        val, est = quad(integrand, 0.0, math.pi / 2.0, epsabs=abs_tol,
+        val, est = quad(integrand, 0.0, math.pi / 2.0, epsabs=P1_QUAD_ABS_TOL,
                         epsrel=1e-12, limit=400)
         return PeriodSample(mu, 4.0 * val, "quadrature", 4.0 * est + 1e-10)
 
-    period = _p1_two_branch_period(mu, rp, nl, abs_tol)
+    period = _p1_two_branch_period(mu, rp, nl)
     return PeriodSample(mu, period, "quadrature", 1e-8)
 
 
@@ -329,17 +328,17 @@ def _transit_minus_one(z: float, b: float) -> float:
                       + math.log1p(b * z) / (b + 1.0))
 
 
-def _invert_transit(qm1: float, b: float, branch: int) -> float:
-    """z > 0 with G(sgn z) - 1 = qm1 on the requested monotone branch
-    (branch 1 is the z < 0 side, returned as |z|)."""
-    sgn = -1.0 if branch == 1 else 1.0
+def _invert_transit(qm1: float, b: float, left: bool) -> float:
+    """z > 0 with G(z) - 1 = qm1 on the branch left of the peak
+    (w = base (1 - z)), or G(-z) - 1 = qm1 on the right one."""
+    sgn = 1.0 if left else -1.0
     g = lambda s: _transit_minus_one(sgn * s, b)
     if qm1 == 0.0:
         return 0.0
     if b > 0.0:
-        zmax = 1.0 / b if branch == 1 else 1.0
+        zmax = 1.0 if left else 1.0 / b
     else:
-        zmax = math.inf if branch == 1 else min(1.0, -1.0 / b)
+        zmax = min(1.0, -1.0 / b) if left else math.inf
     hi = 0.5 if not math.isfinite(zmax) else 0.5 * zmax
     for _ in range(200):
         gh = g(hi)
@@ -351,121 +350,76 @@ def _invert_transit(qm1: float, b: float, branch: int) -> float:
     return brentq(lambda s: g(s) - qm1, 0.0, hi, xtol=1e-15)
 
 
-def _p1_two_branch_period(mu: float, rp: ReducedParams, nl: Nonlinearity,
-                          abs_tol: float) -> float:
-    """General-b p = 1 period from the two monotone inverse branches."""
+def _branch_root(G, top: float, peak: float, drop: float, left: bool) -> float:
+    """w on the requested side of the peak of G with top - G(w) = drop > 0."""
+    f = lambda w: (top - G(w)) - drop
+    if left:
+        return brentq(f, 1e-300, peak, xtol=1e-15)
+    hi = 2.0 * peak
+    while top - G(hi) < drop:
+        hi *= 2.0
+    return brentq(f, peak, hi, xtol=1e-15)
+
+
+def _p1_two_branch_period(mu: float, rp: ReducedParams, nl: Nonlinearity) -> float:
+    """General-b p = 1 period from the two monotone inverse branches.
+
+    After lam = sin(phi), each level a = sqrt(1 - lam^2 u*^2) meets the orbit
+    left and right of base = d + b a, and the transit time is one quadrature
+    over phi in (0, pi/2) per side. At b = 0 and b = -1 the first integral
+    reads G(w) = top - drop with a logarithmic G; other b invert the transit
+    function G(z) of w = base (1 - z).
+    """
     b, d = rp.b, rp.d
-
-    if b == 0.0:
-        H = lambda w: 1.0 + d * math.log(w) - w
-        ustar_sq = 1.0 - (1.0 + H(mu) - H(d)) ** 2
+    logarithmic = b == 0.0 or b == -1.0
+    if logarithmic:
+        if b == 0.0:
+            G = lambda w: 1.0 + d * math.log(w) - w
+            peak, top = d, G(d)
+            ustar_sq = 1.0 - (1.0 + G(mu) - top) ** 2
+        else:
+            if d <= 1.0:
+                raise DomainError("b = -1 positive orbits need d > 1")
+            # first integral: d - sqrt(1-u^2) = (B+1) w - w ln w with B = -(C+1)
+            B = -(first_integral_p1((mu, 0.0), rp, nl) + 1.0)
+            G = lambda w: (B + 1.0) * w - w * math.log(w)
+            peak = top = math.exp(B)
+            ustar_sq = 1.0 - (d - peak) ** 2
         if not 0.0 < ustar_sq <= 1.0:
             raise DomainError("amplitude outside the admissible interval")
         ustar = math.sqrt(ustar_sq)
-        root_s = math.sqrt(1.0 - ustar_sq)
+    else:
+        ustar = _p1_ustar_general(mu, rp, nl)
+        ustar_sq = ustar * ustar
+    root_s = math.sqrt(1.0 - ustar_sq)
 
-        def w_branch(drop, left):
-            # solve H(d) - H(w) = drop > 0 on the requested side of d
-            f = lambda w: (H(d) - H(w)) - drop
-            if left:
-                return brentq(f, 1e-300, d, xtol=1e-15)
-            hi = 2.0 * d
-            while H(d) - H(hi) < drop:
-                hi *= 2.0
-            return brentq(f, d, hi, xtol=1e-15)
-
-        def integrand(phi, left):
-            lam = math.sin(phi)
-            a_root = math.sqrt(1.0 - lam * lam * ustar_sq)
-            # H(d) - xi, written without cancellation
-            drop = ustar_sq * math.cos(phi) ** 2 / (a_root + root_s)
-            if drop <= 0.0:
-                return 2.0 * ustar / math.sqrt(2.0 * d * ustar_sq / (2.0 * root_s))
-            wv = w_branch(drop, left)
-            return 2.0 * ustar * math.cos(phi) / abs(d - wv)
-
-        t1, _ = quad(lambda ph: integrand(ph, True), 0.0, math.pi / 2.0,
-                     epsabs=abs_tol, limit=300)
-        t2, _ = quad(lambda ph: integrand(ph, False), 0.0, math.pi / 2.0,
-                     epsabs=abs_tol, limit=300)
-        return t1 + t2
-
-    if b == -1.0:
-        # first integral: d - sqrt(1-u^2) = (B+1) w - w ln w with B = -(C+1)
-        if d <= 1.0:
-            raise DomainError("b = -1 positive orbits need d > 1")
-        c_val = first_integral_p1_value(mu, rp, nl)
-        B = -(c_val + 1.0)
-        wpeak = math.exp(B)
-        ustar_sq = 1.0 - (d - wpeak) ** 2
-        if not 0.0 < ustar_sq <= 1.0:
-            raise DomainError("amplitude outside the admissible interval")
-        ustar = math.sqrt(ustar_sq)
-        root_s = math.sqrt(1.0 - ustar_sq)
-        HB = lambda w: (B + 1.0) * w - w * math.log(w)
-
-        def w_branch(drop, left):
-            f = lambda w: (wpeak - HB(w)) - drop
-            if left:
-                return brentq(f, 1e-300, wpeak, xtol=1e-15)
-            hi = 2.0 * wpeak
-            while wpeak - HB(hi) < drop:
-                hi *= 2.0
-            return brentq(f, wpeak, hi, xtol=1e-15)
-
-        def integrand(phi, left):
-            lam = math.sin(phi)
-            a_root = math.sqrt(1.0 - lam * lam * ustar_sq)
-            # wpeak - (d - a_root) without cancellation
-            drop = ustar_sq * math.cos(phi) ** 2 / (a_root + root_s)
-            if drop <= 0.0:
-                return 2.0 * math.sqrt(root_s / wpeak)
-            wv = w_branch(drop, left)
-            xi = d - a_root
-            return 2.0 * ustar * math.cos(phi) / abs(xi - wv)
-
-        t1, _ = quad(lambda ph: integrand(ph, True), 0.0, math.pi / 2.0,
-                     epsabs=abs_tol, limit=300)
-        t2, _ = quad(lambda ph: integrand(ph, False), 0.0, math.pi / 2.0,
-                     epsabs=abs_tol, limit=300)
-        return t1 + t2
-
-    # b not in {0, -1}
-    ustar = _p1_ustar_general(mu, rp, nl)
-    s = ustar * ustar
-    root_s = math.sqrt(1.0 - s)
-    amp = d + b * root_s
-
-    def integrand(phi, branch):
+    def integrand(phi, left):
         lam = math.sin(phi)
-        a_root = math.sqrt(1.0 - lam * lam * s)
+        a_root = math.sqrt(1.0 - lam * lam * ustar_sq)
         base = d + b * a_root
-        # Q - 1 = (amp - base)/base without cancellation
-        qm1 = -b * s * math.cos(phi) ** 2 / (base * (a_root + root_s))
-        z = _invert_transit(qm1, b, branch)
-        if z == 0.0:
-            # analytic endpoint limit of cos(phi)/z
-            return 2.0 * ustar / (base * math.sqrt(2.0 * s / (base * (a_root + root_s))))
-        return 2.0 * ustar * math.cos(phi) / (base * z)
+        if logarithmic:
+            # top - G(w), written without cancellation
+            drop = ustar_sq * math.cos(phi) ** 2 / (a_root + root_s)
+            gap = abs(base - _branch_root(G, top, peak, drop, left)) if drop > 0.0 else 0.0
+        else:
+            # Q - 1 = (d + b sqrt(1 - u*^2) - base)/base without cancellation
+            qm1 = -b * ustar_sq * math.cos(phi) ** 2 / (base * (a_root + root_s))
+            gap = base * _invert_transit(qm1, b, left)
+        if gap == 0.0:
+            # analytic endpoint limit of cos(phi)/gap
+            return 2.0 * ustar / (base * math.sqrt(2.0 * ustar_sq / (base * (a_root + root_s))))
+        return 2.0 * ustar * math.cos(phi) / gap
 
-    t1, _ = quad(lambda ph: integrand(ph, 1), 0.0, math.pi / 2.0,
-                 epsabs=abs_tol, limit=300)
-    t2, _ = quad(lambda ph: integrand(ph, 2), 0.0, math.pi / 2.0,
-                 epsabs=abs_tol, limit=300)
-    return t1 + t2
-
-
-def first_integral_p1_value(mu: float, rp: ReducedParams, nl: Nonlinearity) -> float:
-    from .orbits import first_integral_p1
-
-    return first_integral_p1((mu, 0.0), rp, nl)
+    t_left, _ = quad(lambda ph: integrand(ph, True), 0.0, math.pi / 2.0,
+                     epsabs=P1_QUAD_ABS_TOL, limit=300)
+    t_right, _ = quad(lambda ph: integrand(ph, False), 0.0, math.pi / 2.0,
+                      epsabs=P1_QUAD_ABS_TOL, limit=300)
+    return t_left + t_right
 
 
 def _p1_ustar_general(mu: float, rp: ReducedParams, nl: Nonlinearity) -> float:
     """Peak transformed slope on the p = 1 orbit through (mu, 0), general b,
     from conservation of the first integral."""
-    from .orbits import first_integral_p1
-
     b, d = rp.b, rp.d
     c_val = first_integral_p1((mu, 0.0), rp, nl)
     # at the peak, w* = d + b sqrt(1-u*^2) and w*^b sqrt(1-u*^2) - S1 + dR = C
@@ -477,17 +431,24 @@ def _p1_ustar_general(mu: float, rp: ReducedParams, nl: Nonlinearity) -> float:
             return math.inf
         return first_integral_p1((wstar, us), rp, nl) - c_val
 
-    # u* in (0, 1); mismatch decreasing in us near the solution
+    # u* in (0, 1), below the slope where w* reaches 0 when d < 0;
+    # mismatch decreasing in us near the solution
     lo, hi = 1e-12, 1.0 - 1e-12
-    return brentq(mismatch, lo, hi, xtol=1e-14)
+    if d < 0.0:
+        hi = min(hi, math.sqrt(1.0 - (d / b) ** 2) * (1.0 - 1e-12))
+    try:
+        return brentq(mismatch, lo, hi, xtol=1e-14)
+    except ValueError as exc:
+        raise OutOfRangeError(
+            f"no peak slope in ({lo}, {hi}) conserves the first integral of the "
+            f"orbit through ({mu}, 0)") from exc
 
 
-def period_infimum_p1(d: float, *, abs_tol: float = 1e-11,
-                      check_forms: bool = True) -> float:
+def period_infimum_p1(d: float) -> float:
     """Infimum of the p = 1, b = 1 positive period function for d >= 0.
 
-    Evaluated in the angular form; optionally asserts agreement with the
-    equivalent slope-variable form (an exact substitution identity).
+    Evaluated in the angular form and checked against the equivalent
+    slope-variable form (an exact substitution identity).
     """
     if d < 0.0:
         raise DomainError("defined for d >= 0")
@@ -496,20 +457,20 @@ def period_infimum_p1(d: float, *, abs_tol: float = 1e-11,
         c = math.cos(th)
         return math.sqrt(c / (c + 2.0 * d))
 
-    val, _ = quad(integrand_theta, 0.0, math.pi / 2.0, epsabs=abs_tol,
+    val, _ = quad(integrand_theta, 0.0, math.pi / 2.0, epsabs=P1_QUAD_ABS_TOL,
                   epsrel=1e-13, limit=400)
     t_theta = 4.0 * val
-    if check_forms:
-        def integrand_u(u):
-            root = math.sqrt(max(1.0 - u * u, 0.0))
-            return 1.0 / math.sqrt((d + root) ** 2 - d * d)
 
-        val_u, _ = quad(integrand_u, 0.0, 1.0, epsabs=abs_tol, epsrel=1e-13,
-                        limit=400, points=[1.0])
-        t_u = 4.0 * val_u
-        if abs(t_u - t_theta) > 1e-9 * max(1.0, t_theta):
-            raise DomainError(
-                f"slope and angular forms disagree: {t_u} vs {t_theta}")
+    def integrand_u(u):
+        root = math.sqrt(max(1.0 - u * u, 0.0))
+        return 1.0 / math.sqrt((d + root) ** 2 - d * d)
+
+    val_u, _ = quad(integrand_u, 0.0, 1.0, epsabs=P1_QUAD_ABS_TOL, epsrel=1e-13,
+                    limit=400, points=[1.0])
+    t_u = 4.0 * val_u
+    if abs(t_u - t_theta) > 1e-9 * max(1.0, t_theta):
+        raise DomainError(
+            f"slope and angular forms disagree: {t_u} vs {t_theta}")
     return t_theta
 
 
@@ -533,7 +494,9 @@ def period_limits(rp: ReducedParams, nl: Nonlinearity, kind: str) -> PeriodLimit
             raise DomainError("positive orbits need b + d > 0")
         if p > 1.0:
             a = stationary_abscissa(rp, nl)
-            upper = 2.0 * math.pi / math.sqrt(a * _hprime(a, rp, nl))
+            e = nl.power + 1.0 - p
+            hprime = e * a ** (e - 1.0)
+            upper = 2.0 * math.pi / math.sqrt(a * hprime)
             return PeriodLimits(math.inf, upper, ("small-oscillation",))
         if rp.b == 1.0 and rp.d >= 0.0:
             return PeriodLimits(period_infimum_p1(rp.d),
@@ -544,12 +507,47 @@ def period_limits(rp: ReducedParams, nl: Nonlinearity, kind: str) -> PeriodLimit
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def _hprime(a: float, rp: ReducedParams, nl: Nonlinearity) -> float:
-    if nl.power is not None:
-        e = nl.power + 1.0 - rp.p
-        return e * a ** (e - 1.0)
-    step = 1e-6 * max(a, 1.0)
-    return (nl.h(a + step) - nl.h(a - step)) / (2.0 * step)
+def require_family(kind: str, rp: ReducedParams) -> None:
+    """Raise DomainError unless the requested orbit family exists for rp."""
+    if kind == "sign-changing" and rp.p <= 1.0:
+        raise DomainError("sign-changing periods run the p > 1 phase plane")
+    if kind == "positive" and rp.b + rp.d <= 0.0:
+        raise DomainError("positive orbits need b + d > 0")
+
+
+def period_sample(
+    kind: str,
+    amplitude: float,
+    rp: ReducedParams,
+    nl: Nonlinearity,
+    cfg: IntegratorConfig | None = None,
+    *,
+    method: str = "event-timing",
+) -> PeriodSample:
+    """Least period of the requested family at one amplitude; ``method``
+    selects the sign-changing route."""
+    if kind == "sign-changing":
+        return period_sign_changing(amplitude, rp, nl, cfg, method=method)
+    if kind == "positive":
+        if rp.p == 1.0:
+            return period_positive_p1(amplitude, rp, nl, cfg)
+        return period_positive(amplitude, rp, nl, cfg)
+    raise DomainError(f"unknown kind {kind!r}")
+
+
+def monotonicity(periods: Sequence[float]) -> tuple[str, float]:
+    """Verdict on a period sequence with its largest violation: constant to
+    1e-8 relative spread, strictly decreasing, strictly increasing, or none."""
+    periods = np.asarray(periods, dtype=float)
+    diffs = np.diff(periods)
+    spread = float(periods.max() - periods.min())
+    if spread <= 1e-8 * abs(periods).max():
+        return "constant", spread
+    if np.all(diffs < 0.0):
+        return "decreasing", 0.0
+    if np.all(diffs > 0.0):
+        return "increasing", 0.0
+    return "none", float(np.max(np.abs(diffs)))
 
 
 def period_scan(
@@ -561,34 +559,13 @@ def period_scan(
     *,
     method: str = "event-timing",
 ) -> ScanResult:
-    """Evaluate the period on an amplitude grid and report monotonicity."""
+    """Evaluate the period on an amplitude grid and report monotonicity;
+    the first failing amplitude raises."""
     amplitudes = list(amplitudes)
     if not amplitudes:
         raise DomainError("empty amplitude grid")
-    samples = []
-    for amp in amplitudes:
-        if kind == "sign-changing":
-            samples.append(period_sign_changing(amp, rp, nl, cfg, method=method))
-        elif kind == "positive":
-            if rp.p == 1.0:
-                samples.append(period_positive_p1(amp, rp, nl, cfg))
-            else:
-                samples.append(period_positive(amp, rp, nl, cfg))
-        else:
-            raise DomainError(f"unknown kind {kind!r}")
-    periods = np.array([s.period for s in samples])
-    diffs = np.diff(periods)
-    spread = periods.max() - periods.min()
-    if spread <= 1e-8 * abs(periods).max():
-        verdict, violation = "constant", float(spread)
-    elif np.all(diffs < 0.0):
-        verdict, violation = "decreasing", 0.0
-    elif np.all(diffs > 0.0):
-        verdict, violation = "increasing", 0.0
-    else:
-        down = float(np.max(diffs[diffs >= 0.0], initial=0.0))
-        up = float(np.max(-diffs[diffs <= 0.0], initial=0.0))
-        verdict, violation = "none", max(down, up)
+    samples = [period_sample(kind, amp, rp, nl, cfg, method=method) for amp in amplitudes]
+    verdict, violation = monotonicity([s.period for s in samples])
     return ScanResult(samples, verdict, violation)
 
 
@@ -598,14 +575,13 @@ def find_amplitude_for_period(
     rp: ReducedParams,
     nl: Nonlinearity,
     cfg: IntegratorConfig | None = None,
-    *,
-    scan_points: int = 60,
 ) -> list[float]:
     """Amplitudes whose least period equals the target.
 
     Sign-changing periods are strictly decreasing, so a single bisected root
-    is returned; positive periods are scanned and every bracketed root is
-    polished (their monotonicity is not guaranteed in general).
+    is returned; positive periods are scanned at 60 amplitudes and every
+    bracketed root is polished (their monotonicity is not guaranteed in
+    general).
     """
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
@@ -645,7 +621,6 @@ def find_amplitude_for_period(
     if rp.p == 1.0:
         a = stationary_abscissa(rp, nl)
         mubar = _p1_mubar(rp, nl)
-        lims = period_limits(rp, nl, "positive")
         if rp.b == 1.0 and rp.d == 0.0:
             raise DomainError("constant period function: amplitude undetermined")
         T = lambda mu: period_positive_p1(mu, rp, nl, cfg).period
@@ -660,7 +635,7 @@ def find_amplitude_for_period(
 
     a = stationary_abscissa(rp, nl)
     T = lambda mu: period_positive(mu, rp, nl, cfg).period
-    grid = a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, scan_points))[::-1]
+    grid = a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]
     vals = np.array([T(mu) for mu in grid])
     roots = []
     for i in range(len(grid) - 1):

@@ -13,39 +13,26 @@ from scipy.optimize import brentq
 from .errors import DomainError
 
 
-def grow_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    factor: float = 4.0,
-    max_growth: int = 200,
-) -> tuple[float, float]:
-    """Expand [lo, hi] upward until f changes sign, keeping lo fixed."""
+def grow_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Expand [lo, hi] upward fourfold at a time until f changes sign,
+    keeping lo fixed."""
     flo = f(lo)
     if flo == 0.0:
         return lo, lo
     fhi = f(hi)
-    for _ in range(max_growth):
+    for _ in range(200):
         if fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             return lo, hi
-        hi = lo + factor * (hi - lo)
+        hi = lo + 4.0 * (hi - lo)
         fhi = f(hi)
     raise DomainError("could not bracket a sign change while growing upward")
 
 
-def invert_increasing(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float | None = None,
-    *,
-    xtol: float = 1e-12,
-) -> float:
+def invert_increasing(f: Callable[[float], float], target: float, lo: float) -> float:
     """Solve f(x) = target for increasing f on [lo, inf).
 
     The caller guarantees f(lo) <= target; the upper bracket is grown
-    geometrically when not supplied.
+    geometrically.
     """
     g = lambda x: f(x) - target
     glo = g(lo)
@@ -53,9 +40,7 @@ def invert_increasing(
         raise DomainError(f"target {target} below the increasing branch start f({lo}) = {f(lo)}")
     if glo == 0.0:
         return lo
-    if hi is None:
-        hi = lo + max(1.0, abs(lo))
-    lo_, hi_ = grow_bracket(g, lo, hi)
+    lo_, hi_ = grow_bracket(g, lo, lo + max(1.0, abs(lo)))
     if lo_ == hi_:
         return lo_
-    return brentq(g, lo_, hi_, xtol=xtol)
+    return brentq(g, lo_, hi_, xtol=1e-12)

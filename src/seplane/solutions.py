@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +23,13 @@ from .params import (
     angular_eigenvalue,
     critical_potential,
     decay_exponent,
+    lift_profile,
     mode_bounds,
     odd_power,
-    power_nonlinearity,
     reduce_params,
     reduced_nonlinearity,
 )
 from .periods import find_amplitude_for_period
-from .rootfind import invert_increasing
 
 __all__ = [
     "AngularProfile",
@@ -45,6 +43,11 @@ __all__ = [
     "build_solution_set",
     "sector_exists",
 ]
+
+# profile samples per least period; the explicit p = 1 families get four times as many
+POINTS_PER_PERIOD = 2048
+# turning parameters K of the explicit positive p = 1 family sampled at c = 0
+EXPLICIT_K = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
@@ -261,92 +264,46 @@ def p1_explicit(family, q: float, n: int = 4096) -> AngularProfile:
     raise DomainError(f"unknown family {family!r}")
 
 
-def _fold_quarter(dense_traj, tau_quarter: float, taus: np.ndarray) -> np.ndarray:
-    """Evaluate a full sign-changing period from one quarter via the
-    reflections (w, y) -> (w, -y) and (w, y) -> (-w, -y)."""
-    T = 4.0 * tau_quarter
-    tt = np.mod(taus, T)
+def _fold(dense_traj, tau_end: float, taus: np.ndarray, quarter: bool) -> np.ndarray:
+    """Evaluate a full period from the upper half orbit (positive) or from one
+    quarter (sign-changing) via the reflections (w, y) -> (w, -y) and
+    (w, y) -> (-w, -y)."""
+    tt = np.mod(taus, (4.0 if quarter else 2.0) * tau_end)
     w = np.empty_like(tt)
     for i, t in enumerate(tt):
-        if t <= tau_quarter:
-            s, sign = t, 1.0
-        elif t <= 2.0 * tau_quarter:
-            s, sign = 2.0 * tau_quarter - t, 1.0
-        elif t <= 3.0 * tau_quarter:
-            s, sign = t - 2.0 * tau_quarter, -1.0
-        else:
-            s, sign = T - t, -1.0
+        sign = 1.0
+        if quarter and t > 2.0 * tau_end:
+            t, sign = t - 2.0 * tau_end, -1.0
+        s = t if t <= tau_end else 2.0 * tau_end - t
         w[i] = sign * dense_traj.sample([s])[0, 0]
     return w
 
 
-def _fold_half(dense_traj, tau_half: float, taus: np.ndarray) -> np.ndarray:
-    """Evaluate a full positive period from the upper half orbit."""
-    T = 2.0 * tau_half
-    tt = np.mod(taus, T)
-    w = np.empty_like(tt)
-    for i, t in enumerate(tt):
-        s = t if t <= tau_half else T - t
-        w[i] = dense_traj.sample([s])[0, 0]
-    return w
-
-
-def _sc_mode_entry(k: int, params: ProblemParams, rp, nl, cfg, points_per_period: int):
-    beta = decay_exponent(params.p, params.q)
-    t_k = 2.0 * math.pi * beta / k
-    nu = find_amplitude_for_period(t_k, "sign-changing", rp, nl, cfg)[0]
-    rhs = cartesian_rhs(rp, nl)
-    traj = integrate(rhs, (0.0, nu), (0.0, 2.0 * t_k),
-                     events=[EventSpec("y=0", lambda t, s: s[1],
-                                       terminal=True, direction=-1)],
-                     cfg=cfg, dense=True)
-    tau_q = traj.events[-1].tau
-    n = points_per_period * k
-    sigma = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    w = _fold_quarter(traj, tau_q, beta * sigma)
-    omega = beta**beta * w
-    profile = AngularProfile(sigma, omega, k, "sign-changing")
-    residual = verify_profile(profile, params)
-    return ModeEntry(k, nu, t_k, 4.0 * tau_q, residual, profile)
-
-
-def _pos_mode_entry(k: int, params: ProblemParams, rp, nl, cfg, points_per_period: int):
-    beta = decay_exponent(params.p, params.q)
-    t_k = 2.0 * math.pi * beta / k
-    roots = find_amplitude_for_period(t_k, "positive", rp, nl, cfg)
+def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg) -> ModeEntry:
+    """Mode k of a family: the amplitude of reduced period t_k, one quarter
+    (sign-changing, from (0, nu)) or half (positive, from (mu, 0)) orbit up to
+    its section, folded over the period, lifted, and verified."""
+    p = params.p
+    # reduced time per unit angle: beta for p > 1, 1 at p = 1
+    scale = decay_exponent(p, params.q) if p > 1.0 else 1.0
+    t_k = 2.0 * math.pi * scale / k
+    roots = find_amplitude_for_period(t_k, kind, rp, nl, cfg)
     note = "" if len(roots) == 1 else f"{len(roots)} amplitude roots; using the first"
-    mu = roots[0]
-    rhs = cartesian_rhs(rp, nl)
-    traj = integrate(rhs, (mu, 0.0), (0.0, 2.0 * t_k),
-                     events=[EventSpec("y=0", lambda t, s: s[1],
+    quarter = kind == "sign-changing"
+    rhs = p1_slope_rhs(rp, nl) if p == 1.0 else cartesian_rhs(rp, nl)
+    start = (0.0, roots[0]) if quarter else (roots[0], 0.0)
+    traj = integrate(rhs, start, (0.0, 2.0 * t_k),
+                     events=[EventSpec("section", lambda t, s: s[1],
                                        terminal=True, direction=-1)],
                      cfg=cfg, dense=True)
-    tau_h = traj.events[-1].tau
-    n = points_per_period * k
-    sigma = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    w = _fold_half(traj, tau_h, beta * sigma)
-    omega = beta**beta * w
-    profile = AngularProfile(sigma, omega, k, "positive")
+    tau_end = traj.events[-1].tau
+    sigma = np.linspace(0.0, 2.0 * math.pi, POINTS_PER_PERIOD * k, endpoint=False)
+    taus = scale * sigma
+    _, omega = lift_profile(taus, _fold(traj, tau_end, taus, quarter), params)
+    profile = AngularProfile(sigma, omega, k, kind)
     residual = verify_profile(profile, params)
-    return ModeEntry(k, mu, t_k, 2.0 * tau_h, residual, profile, note)
-
-
-def _p1_mode_entry(k: int, params: ProblemParams, rp, nl, cfg, points_per_period: int):
-    q = params.q
-    t_k = 2.0 * math.pi / k
-    mu = find_amplitude_for_period(t_k, "positive", rp, nl, cfg)[0]
-    rhs = p1_slope_rhs(rp, nl)
-    traj = integrate(rhs, (mu, 0.0), (0.0, 2.0 * t_k),
-                     events=[EventSpec("u=0", lambda t, s: s[1],
-                                       terminal=True, direction=-1)],
-                     cfg=cfg, dense=True)
-    tau_h = traj.events[-1].tau
-    n = points_per_period * k
-    sigma = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    w = _fold_half(traj, tau_h, sigma)
-    profile = AngularProfile(sigma, w ** (1.0 / q), k, "positive")
-    residual = verify_profile(profile, params)
-    return ModeEntry(k, mu, t_k, 2.0 * tau_h, residual, profile)
+    return ModeEntry(k, roots[0], t_k, (4.0 if quarter else 2.0) * tau_end, residual,
+                     profile, note)
 
 
 def build_solution_set(
@@ -354,8 +311,6 @@ def build_solution_set(
     cfg: IntegratorConfig | None = None,
     *,
     k_max: int | None = None,
-    points_per_period: int = 2048,
-    explicit_samples: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> SolutionSet:
     """Assemble the constant, sign-changing, and positive profile families.
 
@@ -369,66 +324,49 @@ def build_solution_set(
         # roughness, so profiles are built tighter than the default
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     bounds = mode_bounds(params)
+    rp = reduce_params(params)
+    nl = reduced_nonlinearity(params)
     notes = [
         "reduced-period convention: mode k uses the w-period 2 pi beta / k, "
         "the reading forced by least angular period 2 pi / k",
     ]
     constants: list[float] = []
-    sign_changing: list[ModeEntry] = []
-    positive: list[ModeEntry] = []
     families: list[dict] = []
+    modes = [("positive", k) for k in bounds.positive_modes]
 
     if p > 1.0:
-        rp = reduce_params(params)
-        nl = reduced_nonlinearity(params)
         cq = critical_potential(p, q)
         if c > cq:
             constants.append((c - cq) ** (1.0 / (q + 1.0 - p)))
         k_lo = bounds.k_sign_changing_min
         k_hi = k_max if k_max is not None else k_lo + 2
-        for k in range(k_lo, k_hi + 1):
-            try:
-                sign_changing.append(
-                    _sc_mode_entry(k, params, rp, nl, cfg, points_per_period))
-            except Exception as exc:
-                notes.append(f"sign-changing mode {k} failed: {exc}")
-        for k in bounds.positive_modes:
-            try:
-                positive.append(
-                    _pos_mode_entry(k, params, rp, nl, cfg, points_per_period))
-            except Exception as exc:
-                notes.append(f"positive mode {k} failed: {exc}")
-        return SolutionSet(params, constants, sign_changing, positive,
-                           families, bounds, notes)
+        modes = [("sign-changing", k) for k in range(k_lo, k_hi + 1)] + modes
+    else:
+        if c > -1.0:
+            constants.append((c + 1.0) ** (1.0 / q))
+        n = 4 * POINTS_PER_PERIOD
+        if c == 0.0 and q <= 1.0:
+            families.append({"family": "omega0", "q": q, "kind": "sign-changing",
+                             "profile": p1_explicit("omega0", q, n=n)})
+        if c == 0.0:
+            for K in EXPLICIT_K:
+                families.append({"family": "omega_K_plus", "K": K, "q": q,
+                                 "kind": "positive", "profile": p1_explicit(K, q, n=n)})
+            notes.append("c = 0: two-parameter positive family omega_K, K in (0, 1)")
+            if q < 1.0:
+                families.append({"family": "omega0plus", "q": q, "kind": "positive",
+                                 "profile": p1_explicit("omega0plus", q, n=n)})
 
-    # p = 1
-    rp = reduce_params(params)
-    nl = power_nonlinearity(1.0, 1.0)
-    if c > -1.0:
-        constants.append((c + 1.0) ** (1.0 / q))
-    if c == 0.0 and q <= 1.0:
-        profile = p1_explicit("omega0", q, n=4 * points_per_period)
-        families.append({"family": "omega0", "q": q, "kind": "sign-changing",
-                         "profile": profile})
-    if c == 0.0:
-        for K in explicit_samples:
-            profile = p1_explicit(K, q, n=4 * points_per_period)
-            families.append({"family": "omega_K_plus", "K": K, "q": q,
-                             "kind": "positive", "profile": profile})
-        notes.append("c = 0: two-parameter positive family omega_K, K in (0, 1)")
-        if q < 1.0:
-            profile = p1_explicit("omega0plus", q, n=4 * points_per_period)
-            families.append({"family": "omega0plus", "q": q, "kind": "positive",
-                             "profile": profile})
-    for k in bounds.positive_modes:
+    entries: dict[str, list[ModeEntry]] = {"sign-changing": [], "positive": []}
+    for kind, k in modes:
         try:
-            positive.append(_p1_mode_entry(k, params, rp, nl, cfg, points_per_period))
+            entries[kind].append(_mode_entry(kind, k, params, rp, nl, cfg))
         except Exception as exc:
-            notes.append(f"positive mode {k} failed: {exc}")
+            notes.append(f"{kind} mode {k} failed: {exc}")
     if "literal_reading" in bounds.notes:
         notes.append(f"literal printed mode bounds: {bounds.notes['literal_reading']}"
                      " (period-derived bounds used instead)")
-    return SolutionSet(params, constants, sign_changing, positive,
+    return SolutionSet(params, constants, entries["sign-changing"], entries["positive"],
                        families, bounds, notes)
 
 

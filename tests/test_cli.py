@@ -138,6 +138,16 @@ class TestPeriodScanCommand:
         assert any(r[-1] for r in rows)       # error marker populated
         assert any(not r[-1] for r in rows)   # good rows still flushed
 
+    @pytest.mark.parametrize("argv", [
+        ("-p", "1", "-q", "2", "-c", "0", "--kind", "sign-changing"),
+        ("-p", "2", "-q", "3", "-c", "0", "--kind", "positive"),
+    ])
+    def test_missing_family_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "period-scan", *argv, "--grid", "0.1:0.9:3")
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "period-scan", "-p", "2", "-q", "3",
                                "-c", "0", "--kind", "sign-changing",

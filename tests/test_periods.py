@@ -188,7 +188,8 @@ class TestP1Periods:
                        2.0 * math.pi / math.sqrt(0.5)) < 1e-3
 
     @pytest.mark.parametrize("b,d", [(2.0, 0.5), (0.5, 0.7), (0.0, 1.5),
-                                     (-0.5, 1.0), (-1.0, 2.0), (-1.5, 2.5)])
+                                     (-0.5, 1.0), (-1.0, 2.0), (-1.5, 2.5),
+                                     (2.0, -0.5), (0.5, -0.2)])
     def test_general_b_against_event_timing(self, b, d, p1_power):
         from seplane.periods import _p1_mubar
 
