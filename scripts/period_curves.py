@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 
-from seplane.params import ProblemParams, power_nonlinearity, reduce_params
+from seplane.params import Nonlinearity, ProblemParams, reduce_params
 from seplane.periods import period_positive_p1, period_scan
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
@@ -28,7 +28,7 @@ def main() -> None:
     grid = np.geomspace(1e-2, 1e2, 40)
     for name, params in SETS:
         rp = reduce_params(params)
-        nl = power_nonlinearity(params.p, params.q)
+        nl = Nonlinearity(params.p, params.q)
         scan = period_scan("sign-changing", grid, rp, nl)
         path = OUT / f"period_sign_changing_{name}.csv"
         with path.open("w") as fh:
@@ -39,7 +39,7 @@ def main() -> None:
         print(f"{path.name}: verdict {scan.verdict}")
 
     # p = 1 positive periods across d, including the constant d = 0 curve
-    nl1 = power_nonlinearity(1.0, 1.0)
+    nl1 = Nonlinearity(1.0, 1.0)
     for d in (-0.5, 0.0, 1.0):
         from seplane.params import ReducedParams
         from seplane.periods import _p1_mubar

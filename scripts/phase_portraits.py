@@ -13,7 +13,7 @@ import numpy as np
 from seplane.fields import cartesian_rhs
 from seplane.integrate import IntegratorConfig, integrate
 from seplane.orbits import shoot_homoclinic
-from seplane.params import ProblemParams, power_nonlinearity, reduce_params
+from seplane.params import Nonlinearity, ProblemParams, reduce_params
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 CFG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -32,7 +32,7 @@ def main() -> None:
     OUT.mkdir(exist_ok=True)
     params = ProblemParams(2.0, 3.0, 2.0)
     rp = reduce_params(params)
-    nl = power_nonlinearity(params.p, params.q)
+    nl = Nonlinearity(params.p, params.q)
     rhs = cartesian_rhs(rp, nl)
 
     for name, start, span in [("around_center", (0.4, 0.0), 5.5),

@@ -24,9 +24,6 @@ from .errors import (
 )
 from .fields import (
     FieldEval,
-    PhasePoint,
-    RegState,
-    SlopeState,
     check_scaling_conditions,
     field_cartesian,
     field_p1_cartesian,
@@ -35,7 +32,7 @@ from .fields import (
     field_regularized,
     field_slope,
 )
-from .integrate import EventSpec, IntegratorConfig, TrajEvent, Trajectory, advance_to_axis, integrate
+from .integrate import EventSpec, IntegratorConfig, TrajEvent, Trajectory, integrate
 from .orbits import (
     CLOSED_AROUND_CENTER,
     CLOSED_AROUND_ORIGIN,
@@ -63,7 +60,6 @@ from .params import (
     mode_bounds,
     mode_threshold,
     mode_threshold_zero_c,
-    power_nonlinearity,
     reduce_params,
     reduced_nonlinearity,
     slope_map,

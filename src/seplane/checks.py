@@ -27,6 +27,7 @@ from .fields import (
 from .integrate import EventSpec, IntegratorConfig, integrate
 from .orbits import first_integral, first_integral_p1, shoot_homoclinic
 from .params import (
+    Nonlinearity,
     ProblemParams,
     ReducedParams,
     critical_potential,
@@ -34,7 +35,6 @@ from .params import (
     decay_exponent,
     mode_threshold,
     mode_threshold_zero_c,
-    power_nonlinearity,
     reduce_params,
     slope_map,
     slope_map_deriv,
@@ -210,7 +210,7 @@ def check_conservation() -> CheckResult:
         (ReducedParams(3.0, 4.0, 1.0, 0.25), "pos", 0.5),
     ]
     for rp, mode, amp in sets:
-        nl = power_nonlinearity(rp.p, rp.q)
+        nl = Nonlinearity(rp.p, rp.q)
         if mode == "sc":
             drift = _orbit_drift(rp, nl, (0.0, amp), "sign-changing")
         else:
@@ -220,7 +220,7 @@ def check_conservation() -> CheckResult:
             failures.append(f"drift {drift:.2e} at {rp} {mode}")
 
     rp1 = ReducedParams(1.0, 2.0, 1.0, 0.5)
-    nl1 = power_nonlinearity(1.0, 1.0)
+    nl1 = Nonlinearity(1.0, 1.0)
     rhs1 = p1_slope_rhs(rp1, nl1)
     mu = 0.9
     half = integrate(rhs1, (mu, 0.0), (0.0, 100.0),
@@ -244,7 +244,7 @@ def check_homoclinic() -> CheckResult:
     failures = []
     params = ProblemParams(2.0, 3.0, 2.0)
     rp = reduce_params(params)
-    nl = power_nonlinearity(2.0, 3.0)
+    nl = Nonlinearity(2.0, 3.0)
     orb = shoot_homoclinic(rp, nl, TIGHT)
     if abs(orb.m_initial - 1.0) > 1e-6:
         failures.append(f"slope {orb.m_initial} != 1")
@@ -255,7 +255,7 @@ def check_homoclinic() -> CheckResult:
     if abs(orb.apex_w - math.sqrt(2.0)) > 1e-8:
         failures.append(f"apex {orb.apex_w} != sqrt(2)")
     for rpb in (ReducedParams(1.5, 2.0, 1.0, 0.5), ReducedParams(3.0, 5.0, 1.0, 0.0)):
-        nlb = power_nonlinearity(rpb.p, rpb.q)
+        nlb = Nonlinearity(rpb.p, rpb.q)
         ho = shoot_homoclinic(rpb, nlb, TIGHT)
         vals = [abs(first_integral((w, y), rpb, nlb))
                 for w, y in ho.trajectory.states if w > 0.0]
@@ -276,7 +276,7 @@ def check_period_monotonicity() -> CheckResult:
     grid = np.geomspace(1e-2, 1e2, 30)
     for params in param_sets:
         rp = reduce_params(params)
-        nl = power_nonlinearity(params.p, params.q)
+        nl = Nonlinearity(params.p, params.q)
         scan = period_scan("sign-changing", grid, rp, nl, method="event-timing")
         if scan.verdict != "decreasing":
             failures.append(f"{params}: verdict {scan.verdict}, "
@@ -301,7 +301,7 @@ def check_positive_limits() -> CheckResult:
     failures = []
     for params in (ProblemParams(2.0, 3.0, 2.0), ProblemParams(3.0, 5.0, 6.0)):
         rp = reduce_params(params)
-        nl = power_nonlinearity(params.p, params.q)
+        nl = Nonlinearity(params.p, params.q)
         a = stationary_abscissa(rp, nl)
         limit = 2.0 * math.pi / math.sqrt((params.q + 1.0 - params.p) * (rp.b + rp.d))
         tp = period_positive(a * (1.0 - 1e-4), rp, nl, TIGHT).period
@@ -327,7 +327,7 @@ def check_p1_exactness() -> CheckResult:
     timing of the flow agree)."""
     t0 = time.time()
     failures = []
-    nl1 = power_nonlinearity(1.0, 1.0)
+    nl1 = Nonlinearity(1.0, 1.0)
     rp0 = ReducedParams(1.0, 2.0, 1.0, 0.0)
     for mu in np.linspace(0.05, 0.95, 10):
         tp = period_positive_p1(mu, rp0, nl1).period
@@ -457,7 +457,7 @@ def check_chart_suite(seed: int = 12345) -> CheckResult:
              ReducedParams(1.5, 2.0, 1.0, 0.5), ReducedParams(2.5, 4.0, -2.0, 4.0)]
     for i in range(1000):
         rp = cases[i % len(cases)]
-        nl = power_nonlinearity(rp.p, rp.q)
+        nl = Nonlinearity(rp.p, rp.q)
         w, y = rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)
         f1 = field_cartesian((w, y), rp, nl)
         f2 = field_cartesian((-w, -y), rp, nl)
@@ -497,7 +497,7 @@ def check_chart_suite(seed: int = 12345) -> CheckResult:
 
     # stationary set on a grid
     for rp in cases:
-        nl = power_nonlinearity(rp.p, rp.q)
+        nl = Nonlinearity(rp.p, rp.q)
         has_center = rp.b + rp.d > 0.0
         a = stationary_abscissa(rp, nl) if has_center else None
         for w in np.linspace(-3.0, 3.0, 41):
@@ -518,7 +518,7 @@ def check_chart_suite(seed: int = 12345) -> CheckResult:
     # transformed-slope acceleration along an integrated regularized arc
     # kept inside the loop region of a center so the chart never degenerates
     rp = ReducedParams(2.5, 4.0, -1.0, 3.0)
-    nl = power_nonlinearity(2.5, 4.0)
+    nl = Nonlinearity(2.5, 4.0)
     arc = integrate(regularized_rhs(rp, nl), (1.0, 0.2), (0.0, 2.0),
                     cfg=TIGHT, dense=True)
     h = 0.02

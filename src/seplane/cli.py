@@ -31,6 +31,7 @@ from .params import (
     angular_eigenvalue,
     critical_potential,
     decay_exponent,
+    degenerate_critical,
     mode_bounds,
     mode_threshold,
     reduce_params,
@@ -43,6 +44,9 @@ from .schemas import SCHEMA_VERSION
 from .solutions import build_solution_set, sector_exists
 
 __all__ = ["main"]
+
+# rows written for an orbit sampled from dense output or a closed form
+ORBIT_ROWS = 800
 
 
 def _fmt(x: float) -> str:
@@ -125,8 +129,7 @@ def cmd_params(args) -> int:
     if p > 1.0:
         mn = slope_potential_min(p, rp.b)
         out["regime"]["slope_potential_increasing"] = mn is None
-        out["regime"]["degenerate_critical"] = (
-            mn is not None and abs(rp.d - mn[1]) < 1e-10)
+        out["regime"]["degenerate_critical"] = degenerate_critical(rp) is not None
         if c <= cq:
             out["M_q"] = mode_threshold(params)
         try:
@@ -143,8 +146,8 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _orbit_rows(traj, n: int = 800):
-    taus = np.linspace(traj.taus[0], traj.taus[-1], n)
+def _orbit_rows(traj):
+    taus = np.linspace(traj.taus[0], traj.taus[-1], ORBIT_ROWS)
     if traj.dense is not None and len(traj.taus) > 1:
         states = traj.sample(taus)
     else:
@@ -169,10 +172,10 @@ def _p1_circle_meta(w0, y0, rp, meta) -> bool:
     return on_circle
 
 
-def _p1_circle_samples(w0, y0, rp, span, meta, n: int = 800):
+def _p1_circle_samples(w0, y0, rp, span, meta):
     radius = rp.b + 1.0
     phase = math.atan2(w0, y0)
-    taus = np.linspace(0.0, span, n)
+    taus = np.linspace(0.0, span, ORBIT_ROWS)
     w = radius * np.sin(taus + phase)
     y = radius * np.cos(taus + phase)
     events = []
@@ -341,20 +344,14 @@ def cmd_solve_set(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "solution_set.json").write_text(_json_dump(doc))
-        entries = [("sc", e) for e in ss.sign_changing] \
-            + [("pos", e) for e in ss.positive]
-        for tag, entry in entries:
+        profiles = [(f"mode_sc_k{e.k}", e.profile) for e in ss.sign_changing] \
+            + [(f"mode_pos_k{e.k}", e.profile) for e in ss.positive] \
+            + [("family_" + fam["family"] + (f"_K{fam['K']}" if "K" in fam else ""),
+                fam["profile"]) for fam in ss.explicit_families]
+        for name, prof in profiles:
             lines = ["sigma,omega"]
-            lines += [f"{_fmt(s)},{_fmt(o)}"
-                      for s, o in zip(entry.profile.sigma, entry.profile.omega)]
-            (out_dir / f"mode_{tag}_k{entry.k}.csv").write_text("\n".join(lines) + "\n")
-        for fam in ss.explicit_families:
-            prof = fam["profile"]
-            name = fam["family"] + (f"_K{fam['K']}" if "K" in fam else "")
-            lines = ["sigma,omega"]
-            lines += [f"{_fmt(s)},{_fmt(o)}"
-                      for s, o in zip(prof.sigma, prof.omega)]
-            (out_dir / f"family_{name}.csv").write_text("\n".join(lines) + "\n")
+            lines += [f"{_fmt(s)},{_fmt(o)}" for s, o in zip(prof.sigma, prof.omega)]
+            (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
     else:
         sys.stdout.write(_json_dump(doc))
     bad = [n for n in ss.notes if "failed" in n]

@@ -23,9 +23,6 @@ from .params import (
 
 __all__ = [
     "FieldEval",
-    "PhasePoint",
-    "SlopeState",
-    "RegState",
     "field_cartesian",
     "field_polar",
     "field_slope",
@@ -42,21 +39,6 @@ __all__ = [
     "check_scaling_conditions",
     "ScalingReport",
 ]
-
-
-class PhasePoint(NamedTuple):
-    w: float
-    y: float
-
-
-class SlopeState(NamedTuple):
-    w: float
-    u: float
-
-
-class RegState(NamedTuple):
-    v: float
-    u: float
 
 
 class FieldEval(NamedTuple):

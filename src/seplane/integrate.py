@@ -28,8 +28,9 @@ __all__ = [
     "EventSpec",
     "TrajEvent",
     "Trajectory",
+    "SECTION",
     "integrate",
-    "advance_to_axis",
+    "integrate_to_section",
 ]
 
 
@@ -75,7 +76,6 @@ class TrajEvent(NamedTuple):
 class Trajectory:
     """Sampled path of a flow in one chart, immutable once returned."""
 
-    chart: str
     taus: np.ndarray
     states: np.ndarray
     events: list[TrajEvent]
@@ -117,8 +117,7 @@ def integrate(
     *,
     dense: bool = False,
 ) -> Trajectory:
-    """Advance the state over tau_span, localizing events to event_tol; the
-    trajectory is tagged with the chart name "wy".
+    """Advance the state over tau_span, localizing events to event_tol.
 
     Stops at the span end, at the first terminal event, or with an error at
     the step budget / step underflow.
@@ -127,7 +126,7 @@ def integrate(
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     y0 = np.atleast_1d(np.asarray(start, dtype=float)).copy()
     if t1 == t0:
-        return Trajectory("wy", np.array([t0]), y0[None, :], [], "completed", None)
+        return Trajectory(np.array([t0]), y0[None, :], [], "completed", None)
 
     solver = RK45(rhs, t0, y0, t1, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                   max_step=cfg.max_step)
@@ -188,49 +187,31 @@ def integrate(
     sol = OdeSolution(np.asarray(taus), interps) if (dense and interps) else None
     for ev in recorded:
         ev.state.flags.writeable = False
-    return Trajectory("wy", np.asarray(taus), np.asarray(states), recorded,
-                      status, sol)
+    return Trajectory(np.asarray(taus), np.asarray(states), recorded, status, sol)
 
 
-_AXES: dict[str, Callable[[float, np.ndarray], float]] = {
-    "w=0": lambda t, s: s[0],
-    "y=0": lambda t, s: s[1],
-}
+# the section that ends quarter and half orbits and the homoclinic ascent: the
+# second coordinate (y, or the slope u in the slope charts) falling through 0
+SECTION = EventSpec("y=0", lambda t, s: s[1], terminal=True, direction=-1)
 
 
-def advance_to_axis(
+def integrate_to_section(
     rhs,
     start,
-    axis,
+    tau_max: float,
     cfg: IntegratorConfig | None = None,
     *,
-    tau_max: float = 1000.0,
-) -> tuple[float, np.ndarray]:
-    """First crossing time and state of a named locus.
+    dense: bool = False,
+) -> tuple[float, Trajectory]:
+    """Time of the first SECTION crossing from ``start`` and the trajectory
+    that ends there; a start on the section is not a crossing.
 
-    ``axis`` is "w=0", "y=0", or ("slope", eta) for the line y = eta*w.
+    The span (0, tau_max) also sets the first step size, so callers keep
+    their own horizon. Raises NoCrossingError when the span ends first.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if isinstance(axis, tuple):
-        kind, eta = axis
-        if kind != "slope":
-            raise DomainError(f"unknown axis {axis!r}")
-        fn = lambda t, s, e=float(eta): s[1] - e * s[0]
-        name = f"y={eta}*w"
-    else:
-        try:
-            fn = _AXES[axis]
-        except KeyError:
-            raise DomainError(f"unknown axis {axis!r}") from None
-        name = axis
-    s0 = np.atleast_1d(np.asarray(start, dtype=float))
-    g0 = fn(0.0, s0)
-    scale = 1.0 + float(np.max(np.abs(s0)))
-    if abs(g0) <= cfg.event_tol * scale:
-        return 0.0, s0
-    traj = integrate(rhs, s0, (0.0, tau_max),
-                     events=[EventSpec(name, fn, terminal=True)], cfg=cfg)
-    ev = traj.first_event(name)
-    if ev is None:
-        raise NoCrossingError(f"no {name} crossing within tau <= {tau_max}")
-    return ev.tau, ev.state
+    traj = integrate(rhs, start, (0.0, tau_max), events=[SECTION], cfg=cfg,
+                     dense=dense)
+    if not traj.events:
+        raise NoCrossingError(
+            f"no downward crossing of y = 0 (u = 0 in slope charts) within tau <= {tau_max}")
+    return traj.events[-1].tau, traj

@@ -16,23 +16,29 @@ from .errors import (
     DegenerateCriticalError,
     DomainError,
     InconclusiveOrbitError,
-    NoCrossingError,
 )
 from .fields import (
     cartesian_rhs,
     regularized_rhs,
     reversed_rhs,
 )
-from .integrate import EventSpec, IntegratorConfig, Trajectory, integrate
+from .integrate import (
+    SECTION,
+    EventSpec,
+    IntegratorConfig,
+    Trajectory,
+    integrate,
+    integrate_to_section,
+)
 from .params import (
     Nonlinearity,
     ReducedParams,
-    invert_slope_potential,
+    degenerate_critical,
+    origin_slope,
     slope_map,
     slope_map_inv,
     slope_map_primitive,
     slope_potential,
-    slope_potential_min,
     stationary_abscissa,
 )
 
@@ -56,8 +62,6 @@ CLOSED_AROUND_CENTER = "closed-around-P0"
 HOMOCLINIC = "homoclinic"
 DEGENERATE_CRITICAL = "degenerate-critical"
 
-DEGENERATE_BAND = 1e-10
-
 
 @dataclass(frozen=True)
 class OrbitClass:
@@ -74,15 +78,6 @@ class HomoclinicOrbit:
     m_initial: float
     apex_w: float
     witness: dict = field(default_factory=dict)
-
-
-def _degenerate_critical(rp: ReducedParams) -> tuple[float, float] | None:
-    if rp.p <= 1.0:
-        return None
-    mn = slope_potential_min(rp.p, rp.b)
-    if mn is not None and abs(rp.d - mn[1]) < DEGENERATE_BAND:
-        return mn
-    return None
 
 
 def classify_orbit(
@@ -112,7 +107,7 @@ def classify_orbit(
     if w0 < 0.0 or y0 < 0.0 or (w0 == 0.0 and y0 == 0.0):
         raise DomainError("start must lie in the closed first quadrant minus the origin")
 
-    crit = _degenerate_critical(rp)
+    crit = degenerate_critical(rp)
     if crit is not None:
         return OrbitClass(DEGENERATE_CRITICAL,
                           {"eta": crit[0], "potential_min": crit[1], "d": rp.d})
@@ -151,9 +146,7 @@ def classify_orbit(
 
     if ev.kind == "y=0":
         mu = float(ev.state[0])
-        fwd = integrate(rhs, (w0, y0), (0.0, horizon),
-                        events=[EventSpec("y=0", lambda t, s: s[1],
-                                          terminal=True, direction=-1)], cfg=cfg)
+        fwd = integrate(rhs, (w0, y0), (0.0, horizon), events=[SECTION], cfg=cfg)
         gmu = float(fwd.events[-1].state[0]) if fwd.events else math.nan
         crossings = sorted(x for x in (mu, gmu, w0 if y0 == 0.0 else math.nan)
                            if math.isfinite(x))
@@ -196,13 +189,13 @@ def saddle_data(rp: ReducedParams, nl: Nonlinearity) -> dict:
     p, q, b, d = rp.p, rp.q, rp.b, rp.d
     if p <= 1.0:
         raise DomainError("saddle shooting runs the p > 1 regularized chart")
-    mn = slope_potential_min(p, b)
-    if mn is not None and abs(d - mn[1]) < DEGENERATE_BAND:
+    crit = degenerate_critical(rp)
+    if crit is not None:
         raise DegenerateCriticalError(
-            f"|d - min E| = {abs(d - mn[1]):.2e} sits in the refused critical band")
-    if not (b + d > 0.0 or (mn is not None and mn[1] < d <= -b)):
+            f"|d - min E| = {abs(d - crit[1]):.2e} sits in the refused critical band")
+    m = origin_slope(rp)
+    if m is None:
         raise DomainError("the slope-potential equation E(m) = d has no usable root")
-    m = invert_slope_potential(d, p, b)
     u_s = slope_map(m, p)
     eta2 = ((p - 2.0) * b - 2.0 * (p - 1.0)) / (p * (p - 1.0))
     kappa = p * (p - 1.0) * (eta2 - m * m) / (1.0 + (p - 1.0) * m * m)
@@ -236,13 +229,7 @@ def shoot_homoclinic(
 
     rhs = regularized_rhs(rp, nl)
     horizon = 200.0 + 4.0 * abs(math.log(max(v0, 1e-300))) / sd["unstable"]
-    traj = integrate(rhs, (v0, u0), (0.0, horizon),
-                     events=[EventSpec("apex", lambda t, s: s[1],
-                                       terminal=True, direction=-1)],
-                     cfg=cfg, dense=True)
-    if not traj.events:
-        raise NoCrossingError("shooting never reached the apex u = 0")
-    tau_apex = traj.events[-1].tau
+    tau_apex, traj = integrate_to_section(rhs, (v0, u0), horizon, cfg, dense=True)
     v_apex = float(traj.events[-1].state[0])
 
     e = 1.0 / (q + 1.0 - p)
@@ -255,7 +242,7 @@ def shoot_homoclinic(
     full_tau = np.concatenate([taus, 2.0 * tau_apex - taus[-2::-1]])
     full_w = np.concatenate([w, w[-2::-1]])
     full_y = np.concatenate([y, -y[-2::-1]])
-    out = Trajectory("wy", full_tau, np.column_stack([full_w, full_y]),
+    out = Trajectory(full_tau, np.column_stack([full_w, full_y]),
                      [traj.events[-1]], "completed", None)
 
     apex_w = v_apex**e

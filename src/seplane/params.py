@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import DomainError
-from .rootfind import invert_increasing
 
 __all__ = [
     "ProblemParams",
@@ -25,13 +25,15 @@ __all__ = [
     "decay_exponent",
     "angular_eigenvalue",
     "critical_potential",
-    "power_nonlinearity",
     "reduce_params",
     "reduced_nonlinearity",
     "lift_profile",
     "slope_potential",
     "slope_potential_deriv",
     "slope_potential_min",
+    "origin_slope",
+    "degenerate_critical",
+    "zero_amplitude_divergent",
     "invert_slope_potential",
     "slope_map",
     "slope_map_deriv",
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
+# |d - min E| below this is the degenerate critical regime, which is refused
+DEGENERATE_BAND = 1e-10
 
 
 def odd_power(s, e):
@@ -137,11 +141,6 @@ class Nonlinearity:
         return odd_power(t, 1.0 / (self.power + 1.0 - self.p))
 
 
-def power_nonlinearity(p: float, q: float) -> Nonlinearity:
-    """The pure power source |s|^(q-1) s with its derived functions."""
-    return Nonlinearity(p, q)
-
-
 def reduce_params(params: ProblemParams) -> ReducedParams:
     """Canonical reduced coefficients (b, d); b + d > 0 iff c exceeds the
     critical potential."""
@@ -157,8 +156,8 @@ def reduced_nonlinearity(params: ProblemParams) -> Nonlinearity:
     """Source term of the reduced equation; at p = 1 the reduction
     normalizes the power to the identity."""
     if params.p == 1.0:
-        return power_nonlinearity(1.0, 1.0)
-    return power_nonlinearity(params.p, params.q)
+        return Nonlinearity(1.0, 1.0)
+    return Nonlinearity(params.p, params.q)
 
 
 def stationary_abscissa(rp: ReducedParams, nl: Nonlinearity) -> float:
@@ -217,6 +216,36 @@ def slope_potential_min(p: float, b: float) -> tuple[float, float] | None:
     return eta, emin
 
 
+def origin_slope(rp: ReducedParams) -> float | None:
+    """Slope m of the orbits entering the origin: the root of E(m) = d on the
+    increasing branch of the slope potential E, or None when d sits at or
+    below its minimum (or at or below E(0) = -b when E is increasing)."""
+    p, b, d = rp.p, rp.b, rp.d
+    mn = slope_potential_min(p, b)
+    if b + d > 0.0 or (mn is not None and mn[1] < d <= -b):
+        return invert_slope_potential(d, p, b)
+    return None
+
+
+def degenerate_critical(rp: ReducedParams) -> tuple[float, float] | None:
+    """Interior minimum (eta, value) of the slope potential when d lies
+    within DEGENERATE_BAND of its value, else None; None at p = 1."""
+    if rp.p <= 1.0:
+        return None
+    mn = slope_potential_min(rp.p, rp.b)
+    if mn is not None and abs(rp.d - mn[1]) < DEGENERATE_BAND:
+        return mn
+    return None
+
+
+def zero_amplitude_divergent(rp: ReducedParams) -> bool:
+    """Whether the sign-changing period diverges as the amplitude goes to 0:
+    b + d >= 0 when the slope potential is increasing, d >= its minimum
+    otherwise."""
+    mn = slope_potential_min(rp.p, rp.b)
+    return rp.b + rp.d >= 0.0 if mn is None else rp.d >= mn[1]
+
+
 def invert_slope_potential(value: float, p: float, b: float) -> float:
     """Root of the slope potential on its increasing branch (xi > eta when an
     interior minimum exists)."""
@@ -227,7 +256,7 @@ def invert_slope_potential(value: float, p: float, b: float) -> float:
         raise DomainError(f"value {value} below the minimum {floor} of the slope potential")
     if value <= floor:
         return lo
-    return invert_increasing(lambda x: slope_potential(x, p, b), value, lo)
+    return _invert_increasing(lambda x: slope_potential(x, p, b), value, lo)
 
 
 def slope_map(xi, p: float):
@@ -255,7 +284,26 @@ def slope_map_inv(u: float, p: float) -> float:
     if p == 1.0:
         _require(a < 1.0, f"the p=1 slope map has range (-1, 1); got |u| = {a}")
         return sign * a / math.sqrt(1.0 - a * a)
-    return sign * invert_increasing(lambda x: slope_map(x, p), a, 0.0)
+    return sign * _invert_increasing(lambda x: slope_map(x, p), a, 0.0)
+
+
+def _invert_increasing(f, target: float, lo: float) -> float:
+    """Solve f(x) = target for increasing f on [lo, inf) with f(lo) <= target;
+    the upper bracket end grows fourfold away from lo."""
+    g = lambda x: f(x) - target
+    glo = g(lo)
+    if glo > 0.0:
+        raise DomainError(f"target {target} below the increasing branch start f({lo}) = {f(lo)}")
+    if glo == 0.0:
+        return lo
+    hi = lo + max(1.0, abs(lo))
+    for _ in range(200):
+        if not g(hi) < 0.0:  # a sign change, a root, or NaN ends the growth
+            break
+        hi = lo + 4.0 * (hi - lo)
+    else:
+        raise DomainError("could not bracket a sign change while growing upward")
+    return brentq(g, lo, hi, xtol=1e-12)
 
 
 def slope_map_primitive(u: float, p: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,14 +19,15 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, OutOfRangeError
 from .fields import cartesian_rhs
-from .integrate import EventSpec, IntegratorConfig, integrate
+from .integrate import IntegratorConfig, integrate_to_section
 from .orbits import first_integral_p1
 from .params import (
     Nonlinearity,
     ReducedParams,
-    invert_slope_potential,
+    origin_slope,
     slope_potential_min,
     stationary_abscissa,
+    zero_amplitude_divergent,
 )
 
 __all__ = [
@@ -80,21 +81,6 @@ class ScanResult:
     samples: list[PeriodSample]
     verdict: str
     max_violation: float
-    notes: dict = field(default_factory=dict)
-
-
-def _quarter_orbit(nu: float, rp: ReducedParams, nl: Nonlinearity,
-                   cfg: IntegratorConfig | None, horizon: float = 1e4):
-    """Dense quarter orbit from (0, nu) to its first y = 0 crossing."""
-    rhs = cartesian_rhs(rp, nl)
-    traj = integrate(rhs, (0.0, nu), (0.0, horizon),
-                     events=[EventSpec("y=0", lambda t, s: s[1],
-                                       terminal=True, direction=-1)],
-                     cfg=cfg, dense=True)
-    ev = traj.first_event("y=0")
-    if ev is None:
-        raise DomainError(f"no quarter-orbit crossing from (0, {nu})")
-    return ev.tau, traj
 
 
 def _theta_form_denominator(t: float, costheta: float, p: float, b: float,
@@ -112,16 +98,19 @@ def period_sign_changing(
 ) -> PeriodSample:
     """Least period of the sign-changing orbit through (0, nu).
 
-    Event timing measures a quarter and multiplies by four; the quadrature
-    route integrates the angular time element over the same quarter, with the
-    orbit radius interpolated monotonically in the polar angle from 1500
-    samples.
+    Event timing measures a quarter and multiplies by four. With
+    method="both" the quadrature route also integrates the angular time
+    element over the same quarter, with the orbit radius interpolated
+    monotonically in the polar angle from 1500 samples, and its value is
+    returned as ``cross_check``.
     """
-    if rp.p <= 1.0:
-        raise DomainError("sign-changing periods run the p > 1 phase plane")
+    require_family("sign-changing", rp)
+    if method not in ("event-timing", "both"):
+        raise DomainError(f"unknown method {method!r}")
     if nu <= 0.0:
         raise DomainError("need nu > 0")
-    tau_q, traj = _quarter_orbit(nu, rp, nl, cfg)
+    tau_q, traj = integrate_to_section(cartesian_rhs(rp, nl), (0.0, nu), 1e4, cfg,
+                                       dense=True)
     period_ev = 4.0 * tau_q
     err_ev = 4.0 * max((cfg or IntegratorConfig()).event_tol,
                        1e-9 * tau_q)
@@ -153,10 +142,8 @@ def period_sign_changing(
     # near the separatrix the integrand spikes at the saddle slope; point
     # the adaptive rule at it and absorb its roundoff complaint into the
     # error estimate (the sampled orbit limits attainable smoothness there)
-    spots = None
-    mn = slope_potential_min(p, b)
-    if b + d > 0.0 or (mn is not None and mn[1] < d <= -b):
-        spots = [math.atan(invert_slope_potential(d, p, b))]
+    m = origin_slope(rp)
+    spots = None if m is None else [math.atan(m)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         val, est = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
@@ -164,9 +151,6 @@ def period_sign_changing(
     if any(issubclass(c.category, IntegrationWarning) for c in caught):
         est = max(est, 1e-8 * abs(val))
     period_quad = 4.0 * val
-    sample_quad = PeriodSample(nu, period_quad, "quadrature", 4.0 * est + 1e-8)
-    if method == "quadrature":
-        return sample_quad
     return PeriodSample(nu, period_ev, "event-timing",
                         max(err_ev, abs(period_ev - period_quad)),
                         cross_check=period_quad)
@@ -185,19 +169,11 @@ def period_positive(
     """
     if rp.p <= 1.0:
         raise DomainError("use period_positive_p1 at p = 1")
-    if rp.b + rp.d <= 0.0:
-        raise DomainError("positive orbits need b + d > 0")
+    require_family("positive", rp)
     a = stationary_abscissa(rp, nl)
     if not 0.0 < mu < a:
         raise DomainError(f"need 0 < mu < a = {a}, got {mu}")
-    rhs = cartesian_rhs(rp, nl)
-    traj = integrate(rhs, (mu, 0.0), (0.0, 1e4),
-                     events=[EventSpec("y=0", lambda t, s: s[1],
-                                       terminal=True, direction=-1)], cfg=cfg)
-    ev = traj.first_event("y=0")
-    if ev is None:
-        raise DomainError(f"no return crossing from ({mu}, 0)")
-    half = ev.tau
+    half, _ = integrate_to_section(cartesian_rhs(rp, nl), (mu, 0.0), 1e4, cfg)
     err = 2.0 * max((cfg or IntegratorConfig()).event_tol, 1e-9 * half)
     return PeriodSample(mu, 2.0 * half, "event-timing", err)
 
@@ -206,18 +182,13 @@ def period_zero_amplitude_limit(rp: ReducedParams):
     """Zero-amplitude limit of the sign-changing period; finite iff b+d < 0,
     +inf at b+d = 0, valid when the slope potential is increasing or d sits
     below its minimum."""
+    require_family("sign-changing", rp)
     p, b, d = rp.p, rp.b, rp.d
-    if p <= 1.0:
-        raise DomainError("defined for p > 1")
-    mn = slope_potential_min(p, b)
-    if mn is None:
-        if b + d > 0.0:
-            raise DomainError("limit diverges when b + d > 0")
-        if b + d == 0.0:
+    if zero_amplitude_divergent(rp):
+        if b + d == 0.0 and slope_potential_min(p, b) is None:
             return math.inf
-    else:
-        if d >= mn[1]:
-            raise DomainError("limit diverges when d >= min of the slope potential")
+        raise DomainError("the limit diverges: b + d > 0 with an increasing slope "
+                          "potential, or d at or above its minimum")
 
     def integrand(th):
         t = math.tan(th)
@@ -295,9 +266,8 @@ def period_positive_p1(
     the two monotone branches of the transit function."""
     if rp.p != 1.0:
         raise DomainError("defined at p = 1")
+    require_family("positive", rp)
     b, d = rp.b, rp.d
-    if b + d <= 0.0:
-        raise DomainError("positive orbits need b + d > 0")
     a = stationary_abscissa(rp, nl)
     mubar = _p1_mubar(rp, nl)
     if not mubar < mu < a:
@@ -347,7 +317,13 @@ def _invert_transit(qm1: float, b: float, left: bool) -> float:
         hi = 2.0 * hi if not math.isfinite(zmax) else hi + 0.5 * (zmax - hi)
         if math.isfinite(zmax) and zmax - hi < 1e-14 * zmax:
             break
-    return brentq(lambda s: g(s) - qm1, 0.0, hi, xtol=1e-15)
+    try:
+        return brentq(lambda s: g(s) - qm1, 0.0, hi, xtol=1e-15)
+    except ValueError as exc:
+        # the growth stopped at zmax without bracketing the level
+        raise OutOfRangeError(
+            f"transit level {qm1} not reached on the {'left' if left else 'right'} "
+            f"branch for z up to {hi}") from exc
 
 
 def _branch_root(G, top: float, peak: float, drop: float, left: bool) -> float:
@@ -476,43 +452,41 @@ def period_infimum_p1(d: float) -> float:
 
 def period_limits(rp: ReducedParams, nl: Nonlinearity, kind: str) -> PeriodLimits:
     """Endpoints of the requested period function with formula tags."""
+    require_family(kind, rp)
     p = rp.p
     if kind == "sign-changing":
-        if p <= 1.0:
-            raise DomainError("sign-changing limits run p > 1")
-        mn = slope_potential_min(p, rp.b)
-        divergent = rp.b + rp.d >= 0.0 if mn is None else rp.d >= mn[1]
-        if divergent:
+        if zero_amplitude_divergent(rp):
             return PeriodLimits(math.inf, 0.0, ("divergent-dichotomy",))
         t_d = period_zero_amplitude_limit(rp)
         tags = ["zero-amplitude-quadrature"]
         if rp.b < 0.0 and rp.d == 0.0:
             tags.append("zero-amplitude-closed-form")
         return PeriodLimits(t_d, 0.0, tuple(tags))
-    if kind == "positive":
-        if rp.b + rp.d <= 0.0:
-            raise DomainError("positive orbits need b + d > 0")
-        if p > 1.0:
-            a = stationary_abscissa(rp, nl)
-            e = nl.power + 1.0 - p
-            hprime = e * a ** (e - 1.0)
-            upper = 2.0 * math.pi / math.sqrt(a * hprime)
-            return PeriodLimits(math.inf, upper, ("small-oscillation",))
-        if rp.b == 1.0 and rp.d >= 0.0:
-            return PeriodLimits(period_infimum_p1(rp.d),
-                                2.0 * math.pi / math.sqrt(1.0 + rp.d),
-                                ("p1-infimum", "small-oscillation"))
-        return PeriodLimits(math.inf, 2.0 * math.pi / math.sqrt(rp.b + rp.d),
-                            ("small-oscillation",))
-    raise DomainError(f"unknown kind {kind!r}")
+    if p > 1.0:
+        a = stationary_abscissa(rp, nl)
+        e = nl.power + 1.0 - p
+        hprime = e * a ** (e - 1.0)
+        upper = 2.0 * math.pi / math.sqrt(a * hprime)
+        return PeriodLimits(math.inf, upper, ("small-oscillation",))
+    if rp.b == 1.0 and rp.d >= 0.0:
+        return PeriodLimits(period_infimum_p1(rp.d),
+                            2.0 * math.pi / math.sqrt(1.0 + rp.d),
+                            ("p1-infimum", "small-oscillation"))
+    return PeriodLimits(math.inf, 2.0 * math.pi / math.sqrt(rp.b + rp.d),
+                        ("small-oscillation",))
 
 
 def require_family(kind: str, rp: ReducedParams) -> None:
-    """Raise DomainError unless the requested orbit family exists for rp."""
-    if kind == "sign-changing" and rp.p <= 1.0:
-        raise DomainError("sign-changing periods run the p > 1 phase plane")
-    if kind == "positive" and rp.b + rp.d <= 0.0:
-        raise DomainError("positive orbits need b + d > 0")
+    """Raise DomainError unless ``kind`` names an orbit family that exists
+    for rp: sign-changing orbits need p > 1, positive orbits b + d > 0."""
+    if kind == "sign-changing":
+        if rp.p <= 1.0:
+            raise DomainError("sign-changing periods run the p > 1 phase plane")
+    elif kind == "positive":
+        if rp.b + rp.d <= 0.0:
+            raise DomainError("positive orbits need b + d > 0")
+    else:
+        raise DomainError(f"unknown kind {kind!r}")
 
 
 def period_sample(
@@ -526,13 +500,12 @@ def period_sample(
 ) -> PeriodSample:
     """Least period of the requested family at one amplitude; ``method``
     selects the sign-changing route."""
+    require_family(kind, rp)
     if kind == "sign-changing":
         return period_sign_changing(amplitude, rp, nl, cfg, method=method)
-    if kind == "positive":
-        if rp.p == 1.0:
-            return period_positive_p1(amplitude, rp, nl, cfg)
-        return period_positive(amplitude, rp, nl, cfg)
-    raise DomainError(f"unknown kind {kind!r}")
+    if rp.p == 1.0:
+        return period_positive_p1(amplitude, rp, nl, cfg)
+    return period_positive(amplitude, rp, nl, cfg)
 
 
 def monotonicity(periods: Sequence[float]) -> tuple[str, float]:
@@ -585,12 +558,11 @@ def find_amplitude_for_period(
     """
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
+    require_family(kind, rp)
 
     if kind == "sign-changing":
-        try:
-            supremum = period_zero_amplitude_limit(rp)
-        except DomainError:
-            supremum = math.inf  # divergent small-amplitude regime
+        supremum = math.inf if zero_amplitude_divergent(rp) \
+            else period_zero_amplitude_limit(rp)
         if t_target >= supremum:
             raise OutOfRangeError("target above the attainable periods",
                                   attained=(0.0, supremum))
@@ -614,9 +586,6 @@ def find_amplitude_for_period(
             t_hi = T(hi)
         root = brentq(lambda nu: T(nu) - t_target, lo, hi, xtol=1e-12, rtol=1e-12)
         return [root]
-
-    if kind != "positive":
-        raise DomainError(f"unknown kind {kind!r}")
 
     if rp.p == 1.0:
         a = stationary_abscissa(rp, nl)

@@ -1,11 +1,9 @@
-"""Versioned JSON output schemas and a minimal structural validator."""
+"""Versioned JSON output schemas."""
 
 from __future__ import annotations
 
 import json
 from importlib import resources
-
-from .errors import DomainError
 
 SCHEMA_VERSION = "1"
 
@@ -14,33 +12,3 @@ def load_schema(name: str) -> dict:
     path = resources.files("seplane").joinpath(f"schemas/{name}.schema.json")
     return json.loads(path.read_text())
 
-
-def _type_ok(value, kind: str) -> bool:
-    return {
-        "object": lambda v: isinstance(v, dict),
-        "array": lambda v: isinstance(v, list),
-        "string": lambda v: isinstance(v, str),
-        "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "boolean": lambda v: isinstance(v, bool),
-        "null": lambda v: v is None,
-    }[kind](value)
-
-
-def validate(obj, schema: dict, path: str = "$") -> None:
-    """Structural validation: type, required, properties, items."""
-    kinds = schema.get("type")
-    if kinds is not None:
-        kinds = [kinds] if isinstance(kinds, str) else kinds
-        if not any(_type_ok(obj, k) for k in kinds):
-            raise DomainError(f"{path}: expected {kinds}, got {type(obj).__name__}")
-    if isinstance(obj, dict):
-        for key in schema.get("required", []):
-            if key not in obj:
-                raise DomainError(f"{path}: missing required key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in obj:
-                validate(obj[key], sub, f"{path}.{key}")
-    if isinstance(obj, list) and "items" in schema:
-        for i, item in enumerate(obj):
-            validate(item, schema["items"], f"{path}[{i}]")

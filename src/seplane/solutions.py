@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SeplaneError
 from .fields import cartesian_rhs, p1_slope_rhs
-from .integrate import EventSpec, IntegratorConfig, integrate
+from .integrate import IntegratorConfig, integrate_to_section
 from .params import (
     ModeBounds,
     Nonlinearity,
@@ -149,15 +149,15 @@ def _fd1_periodic(values: np.ndarray, h: float) -> np.ndarray:
     return (-vp2 + 8.0 * vp1 - 8.0 * vm1 + vm2) / (12.0 * h)
 
 
-def _angular_residual(values: np.ndarray, h: float, p: float, beta: float,
-                      lam: float, cpot: float, g,
-                      deriv: np.ndarray | None = None,
-                      second: np.ndarray | None = None,
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Residual of the generic angular equation on a periodic grid.
+def _angular_report(values: np.ndarray, h: float, p: float, beta: float,
+                    lam: float, cpot: float, g, tol: float,
+                    deriv: np.ndarray | None = None,
+                    second: np.ndarray | None = None) -> ResidualReport:
+    """Residual report of the generic angular equation on a periodic grid.
 
-    Returns (residual, keep mask, term scale); a neighborhood of each zero of
-    the profile is excluded when p != 2 since the flux degenerates there.
+    The maximum and l2 residuals are taken over the kept points and scaled by
+    the largest term; a neighborhood of each zero of the profile is excluded
+    when p != 2 since the flux degenerates there.
     Derivatives default to fourth-order finite differences; passing exact
     ``deriv``/``second`` arrays evaluates the equation algebraically (the
     flux derivative expanded by the chain rule), free of stencil noise.
@@ -191,9 +191,11 @@ def _angular_residual(values: np.ndarray, h: float, p: float, beta: float,
         keep[list(bad)] = False
     with np.errstate(invalid="ignore"):
         residual = np.where(np.isfinite(residual), residual, np.inf)
-    scale = max(np.max(np.abs(dflux[keep])), np.max(np.abs(t_lin[keep])),
-                np.max(np.abs(t_src[keep])), np.max(np.abs(t_pot[keep])), 1e-300)
-    return residual, keep, float(scale)
+    scale = float(max(np.max(np.abs(dflux[keep])), np.max(np.abs(t_lin[keep])),
+                      np.max(np.abs(t_src[keep])), np.max(np.abs(t_pot[keep])), 1e-300))
+    mx = float(np.max(np.abs(residual[keep])))
+    l2 = float(np.sqrt(np.mean(residual[keep] ** 2)))
+    return ResidualReport(mx, l2, scale, tol, mx < tol * scale, int(np.sum(~keep)))
 
 
 def verify_profile(profile: AngularProfile, params: ProblemParams,
@@ -213,12 +215,8 @@ def verify_profile(profile: AngularProfile, params: ProblemParams,
     p, q, c = params.p, params.q, params.c
     beta = decay_exponent(p, q)
     lam = angular_eigenvalue(p, q)
-    residual, keep, scale = _angular_residual(
-        profile.omega, h, p, beta, lam, c, lambda s: odd_power(s, q))
-    mx = float(np.max(np.abs(residual[keep])))
-    l2 = float(np.sqrt(np.mean(residual[keep] ** 2)))
-    return ResidualReport(mx, l2, scale, tol, mx < tol * scale,
-                          int(np.sum(~keep)))
+    return _angular_report(profile.omega, h, p, beta, lam, c,
+                           lambda s: odd_power(s, q), tol)
 
 
 def reduced_residual_report(tau: np.ndarray, w: np.ndarray, rp: ReducedParams,
@@ -231,13 +229,8 @@ def reduced_residual_report(tau: np.ndarray, w: np.ndarray, rp: ReducedParams,
     identity check at roundoff level.
     """
     h = tau[1] - tau[0]
-    residual, keep, scale = _angular_residual(
-        np.asarray(w, dtype=float), h, rp.p, 1.0, -rp.b, rp.d, nl.f,
-        deriv=w_prime, second=w_second)
-    mx = float(np.max(np.abs(residual[keep])))
-    l2 = float(np.sqrt(np.mean(residual[keep] ** 2)))
-    return ResidualReport(mx, l2, scale, tol, mx < tol * scale,
-                          int(np.sum(~keep)))
+    return _angular_report(np.asarray(w, dtype=float), h, rp.p, 1.0, -rp.b, rp.d,
+                           nl.f, tol, deriv=w_prime, second=w_second)
 
 
 def p1_explicit(family, q: float, n: int = 4096) -> AngularProfile:
@@ -292,11 +285,7 @@ def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg) -> ModeEn
     quarter = kind == "sign-changing"
     rhs = p1_slope_rhs(rp, nl) if p == 1.0 else cartesian_rhs(rp, nl)
     start = (0.0, roots[0]) if quarter else (roots[0], 0.0)
-    traj = integrate(rhs, start, (0.0, 2.0 * t_k),
-                     events=[EventSpec("section", lambda t, s: s[1],
-                                       terminal=True, direction=-1)],
-                     cfg=cfg, dense=True)
-    tau_end = traj.events[-1].tau
+    tau_end, traj = integrate_to_section(rhs, start, 2.0 * t_k, cfg, dense=True)
     sigma = np.linspace(0.0, 2.0 * math.pi, POINTS_PER_PERIOD * k, endpoint=False)
     taus = scale * sigma
     _, omega = lift_profile(taus, _fold(traj, tau_end, taus, quarter), params)
@@ -361,7 +350,7 @@ def build_solution_set(
     for kind, k in modes:
         try:
             entries[kind].append(_mode_entry(kind, k, params, rp, nl, cfg))
-        except Exception as exc:
+        except SeplaneError as exc:
             notes.append(f"{kind} mode {k} failed: {exc}")
     if "literal_reading" in bounds.notes:
         notes.append(f"literal printed mode bounds: {bounds.notes['literal_reading']}"

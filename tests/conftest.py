@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from seplane.params import ReducedParams, power_nonlinearity
+from seplane.params import Nonlinearity, ReducedParams
 
 settings.register_profile("no_db", database=None)
 settings.load_profile("no_db")
@@ -16,16 +16,16 @@ def rel_err(a, b):
 def duffing_soft():
     """Reduced parameters for the classical cubic oscillator with a negative
     linear part: w'' + w + w^3 = 0."""
-    return ReducedParams(2.0, 3.0, -1.0, 0.0), power_nonlinearity(2.0, 3.0)
+    return ReducedParams(2.0, 3.0, -1.0, 0.0), Nonlinearity(2.0, 3.0)
 
 
 @pytest.fixture
 def center_case():
     """b + d > 0: the phase plane has the interior center at (1, 0)."""
-    return ReducedParams(2.0, 3.0, -1.0, 2.0), power_nonlinearity(2.0, 3.0)
+    return ReducedParams(2.0, 3.0, -1.0, 2.0), Nonlinearity(2.0, 3.0)
 
 
 @pytest.fixture
 def p1_power():
     """p = 1 reduced system with the identity source."""
-    return power_nonlinearity(1.0, 1.0)
+    return Nonlinearity(1.0, 1.0)

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema import validate
 
 from seplane.cli import main
-from seplane.schemas import load_schema, validate
+from seplane.schemas import load_schema
 
 
 def run_cli(capsys, *argv):

@@ -19,8 +19,8 @@ from seplane.fields import (
 from seplane.integrate import IntegratorConfig, integrate
 from seplane.orbits import saddle_data
 from seplane.params import (
+    Nonlinearity,
     ReducedParams,
-    power_nonlinearity,
     slope_map,
     slope_map_deriv,
     stationary_abscissa,
@@ -55,7 +55,7 @@ class TestCartesian:
 
     def test_singular_line_tag(self):
         rp = ReducedParams(1.5, 2.0, 1.0, 0.5)
-        nl = power_nonlinearity(1.5, 2.0)
+        nl = Nonlinearity(1.5, 2.0)
         assert field_cartesian((0.0, 1.0), rp, nl).singular
         assert not field_cartesian((0.1, 1.0), rp, nl).singular
         rp0 = ReducedParams(1.5, 2.0, 1.0, 0.0)
@@ -67,7 +67,7 @@ class TestCartesian:
     @settings(max_examples=200, deadline=None)
     def test_equivariance(self, w, y, case):
         rp = ReducedParams(*case)
-        nl = power_nonlinearity(rp.p, rp.q)
+        nl = Nonlinearity(rp.p, rp.q)
         f = field_cartesian((w, y), rp, nl)
         g = field_cartesian((-w, -y), rp, nl)
         assert abs(f.d1 + g.d1) <= 1e-14 * (1.0 + abs(f.d1))
@@ -84,7 +84,7 @@ class TestChartConsistency:
     @settings(max_examples=250, deadline=None)
     def test_pushforwards_match(self, w, y, case):
         rp = ReducedParams(*case)
-        nl = power_nonlinearity(rp.p, rp.q)
+        nl = Nonlinearity(rp.p, rp.q)
         f = field_cartesian((w, y), rp, nl)
 
         rho, theta = math.hypot(w, y), math.atan2(y, w)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from seplane.cli import main
-from seplane.params import ReducedParams, power_nonlinearity
+from seplane.params import Nonlinearity, ReducedParams
 from seplane.periods import _p1_mubar, period_positive_p1
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -117,7 +117,7 @@ def run_script(name, out_dir):
 
 
 def p1_period_repr(b, d):
-    nl = power_nonlinearity(1.0, 1.0)
+    nl = Nonlinearity(1.0, 1.0)
     rp = ReducedParams(1.0, 2.0, b, d)
     mu = 0.5 * (_p1_mubar(rp, nl) + b + d)
     return repr(period_positive_p1(mu, rp, nl).period)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from seplane.errors import DomainError, MaxStepsError, NoCrossingError
+from seplane.errors import MaxStepsError, NoCrossingError
 from seplane.fields import cartesian_rhs, p1_cartesian_rhs
 from seplane.integrate import (
     EventSpec,
     IntegratorConfig,
-    advance_to_axis,
     integrate,
+    integrate_to_section,
 )
 from seplane.params import ReducedParams
 
@@ -110,44 +110,40 @@ class TestIntegrate:
 
 
 class TestAdvanceToAxis:
-    def test_start_on_axis(self, duffing_soft):
-        rp, nl = duffing_soft
-        tau, state = advance_to_axis(cartesian_rhs(rp, nl), (0.7, 0.0), "y=0")
-        assert tau == 0.0 and state[0] == 0.7
+    """Advancing a start point to its first crossing of an axis or of a line
+    through the origin."""
 
     def test_w_axis_crossing_at_half_period(self, duffing_soft):
         rp, nl = duffing_soft
         rhs = cartesian_rhs(rp, nl)
-        quarter, _ = advance_to_axis(rhs, (1e-9, 1.0), "y=0")
-        tau, state = advance_to_axis(rhs, (1e-9, 1.0), "w=0")
-        assert abs(tau - 2.0 * quarter) < 1e-7
-        assert state[1] == pytest.approx(-1.0, abs=1e-7)
+        quarter, _ = integrate_to_section(rhs, (1e-9, 1.0), 1000.0)
+        traj = integrate(rhs, (1e-9, 1.0), (0.0, 1000.0),
+                         events=[EventSpec("w=0", lambda t, s: s[0], terminal=True)])
+        ev = traj.events[-1]
+        assert abs(ev.tau - 2.0 * quarter) < 1e-7
+        assert ev.state[1] == pytest.approx(-1.0, abs=1e-7)
 
     def test_p1_circle_crossing_by_symmetry(self, p1_power):
         # direct integration cannot track the circle into the singular line
         # (transverse deviations grow without bound approaching w = 0), so
         # the crossing time follows from the quarter time by reflection
         rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
-        quarter, state = advance_to_axis(p1_cartesian_rhs(rp, p1_power),
-                                         (0.0, 2.0), "y=0")
+        quarter, traj = integrate_to_section(p1_cartesian_rhs(rp, p1_power),
+                                             (0.0, 2.0), 1000.0)
         assert abs(2.0 * quarter - math.pi) < 2e-8
-        assert abs(state[0] - 2.0) < 1e-8
+        assert abs(traj.states[-1][0] - 2.0) < 1e-8
 
     def test_slope_locus(self, center_case):
         rp, nl = center_case
         eta = 0.6
-        tau, state = advance_to_axis(cartesian_rhs(rp, nl), (0.4, 0.6),
-                                     ("slope", eta))
+        traj = integrate(cartesian_rhs(rp, nl), (0.4, 0.6), (0.0, 1000.0),
+                         events=[EventSpec("slope", lambda t, s: s[1] - eta * s[0],
+                                           terminal=True)])
+        state = traj.events[-1].state
         assert abs(state[1] - eta * state[0]) < 1e-9
 
-    def test_no_crossing(self, center_case):
-        rp, nl = center_case
-        # an orbit circling the center never reaches w = 0
-        with pytest.raises(NoCrossingError):
-            advance_to_axis(cartesian_rhs(rp, nl), (0.9, 0.0), "w=0",
-                            tau_max=30.0)
-
-    def test_unknown_axis(self, duffing_soft):
+    def test_no_crossing(self, duffing_soft):
         rp, nl = duffing_soft
-        with pytest.raises(DomainError):
-            advance_to_axis(cartesian_rhs(rp, nl), (0.5, 0.5), "rho=1")
+        # the quarter orbit from (0, 1) takes about 1.4 to reach the section
+        with pytest.raises(NoCrossingError):
+            integrate_to_section(cartesian_rhs(rp, nl), (0.0, 1.0), 1.0)

@@ -20,8 +20,8 @@ from seplane.orbits import (
     shoot_homoclinic,
 )
 from seplane.params import (
+    Nonlinearity,
     ReducedParams,
-    power_nonlinearity,
     slope_map,
     slope_map_inv,
     slope_map_primitive,
@@ -67,7 +67,7 @@ class TestClassify:
     def test_degenerate_band(self):
         eta, emin = slope_potential_min(3.0, 10.0)
         rp = ReducedParams(3.0, 5.0, 10.0, emin)
-        oc = classify_orbit((0.5, 0.5), rp, power_nonlinearity(3.0, 5.0))
+        oc = classify_orbit((0.5, 0.5), rp, Nonlinearity(3.0, 5.0))
         assert oc.tag == DEGENERATE_CRITICAL
 
     def test_bounded_orbits(self, center_case):
@@ -103,7 +103,7 @@ class TestShooting:
 
     def test_zero_d_slope(self):
         rp = ReducedParams(3.0, 5.0, 1.0, 0.0)
-        orb = shoot_homoclinic(rp, power_nonlinearity(3.0, 5.0), TIGHT)
+        orb = shoot_homoclinic(rp, Nonlinearity(3.0, 5.0), TIGHT)
         assert abs(orb.m_initial - math.sqrt(rp.b / (rp.p - 1.0))) < 1e-6
 
     def test_offset_refinement(self, center_case):
@@ -116,7 +116,7 @@ class TestShooting:
         # on the b = 1 separatrix the first integral vanishes and the
         # transformed slope solves the reduced first-order equation
         rp = ReducedParams(1.5, 2.0, 1.0, 0.5)
-        nl = power_nonlinearity(1.5, 2.0)
+        nl = Nonlinearity(1.5, 2.0)
         orb = shoot_homoclinic(rp, nl, TIGHT)
         p, q = rp.p, rp.q
         vals = [first_integral((w, y), rp, nl)
@@ -139,7 +139,7 @@ class TestShooting:
     def test_second_branch_root(self):
         # (p-2) b > 2 (p-1) with min E < d <= -b: shooting uses the upper root
         rp = ReducedParams(3.0, 5.0, 10.0, -10.5)
-        nl = power_nonlinearity(3.0, 5.0)
+        nl = Nonlinearity(3.0, 5.0)
         orb = shoot_homoclinic(rp, nl, TIGHT)
         eta, emin = slope_potential_min(3.0, 10.0)
         m2 = brentq(lambda x: slope_potential(x, 3.0, 10.0) - rp.d, eta, 10.0)
@@ -149,7 +149,7 @@ class TestShooting:
         # launches below the threshold approach the origin backward with the
         # lower slope root
         rp = ReducedParams(3.0, 5.0, 10.0, -10.5)
-        nl = power_nonlinearity(3.0, 5.0)
+        nl = Nonlinearity(3.0, 5.0)
         eta, emin = slope_potential_min(3.0, 10.0)
         m1 = brentq(lambda x: slope_potential(x, 3.0, 10.0) - rp.d, 1e-8, eta)
         wt = 0.5 * (rp.d - emin) ** (1.0 / 3.0)
@@ -169,7 +169,7 @@ class TestShooting:
         from seplane.params import ProblemParams, reduce_params
 
         rp = reduce_params(ProblemParams(1.5, 2.5, 1.0))
-        nl = power_nonlinearity(1.5, 2.5)
+        nl = Nonlinearity(1.5, 2.5)
         orb = shoot_homoclinic(rp, nl, TIGHT)
         orb2 = shoot_homoclinic(rp, nl, TIGHT, offset=1e-9)
         assert rel_err(orb.apex_w, orb2.apex_w) < 1e-9
@@ -179,7 +179,7 @@ class TestShooting:
         eta, emin = slope_potential_min(3.0, 10.0)
         rp = ReducedParams(3.0, 5.0, 10.0, emin)
         with pytest.raises(DegenerateCriticalError):
-            shoot_homoclinic(rp, power_nonlinearity(3.0, 5.0))
+            shoot_homoclinic(rp, Nonlinearity(3.0, 5.0))
 
     def test_no_root_regime(self, duffing_soft):
         rp, nl = duffing_soft
@@ -204,12 +204,12 @@ class TestShooting:
 class TestFirstIntegralP2Family:
     def test_axis_value(self):
         rp = ReducedParams(2.0, 3.0, 1.0, 0.0)
-        nl = power_nonlinearity(2.0, 3.0)
+        nl = Nonlinearity(2.0, 3.0)
         assert first_integral((0.0, 1.3), rp, nl) == pytest.approx(1.3**2 / 2.0)
 
     def test_turning_point_expression(self):
         rp = ReducedParams(2.5, 4.0, 1.0, 0.7)
-        nl = power_nonlinearity(2.5, 4.0)
+        nl = Nonlinearity(2.5, 4.0)
         for w in (0.3, 0.9, 1.4):
             expected = -(1.0 + rp.d) * w**rp.p / rp.p + nl.F(w)
             assert first_integral((w, 0.0), rp, nl) == pytest.approx(expected, rel=1e-14)
@@ -221,7 +221,7 @@ class TestFirstIntegralP2Family:
 
     def test_conserved_along_orbit(self):
         rp = ReducedParams(2.5, 4.0, 1.0, 0.5)
-        nl = power_nonlinearity(2.5, 4.0)
+        nl = Nonlinearity(2.5, 4.0)
         traj = integrate(cartesian_rhs(rp, nl), (0.0, 1.2), (0.0, 6.0),
                          cfg=TIGHT, dense=True)
         samples = traj.sample(np.linspace(0.0, 6.0, 200))
@@ -276,7 +276,7 @@ class TestFirstIntegralU:
 
     def test_conserved_along_flow(self):
         rp = ReducedParams(3.0, 5.0, 1.0, 0.3)
-        nl = power_nonlinearity(3.0, 5.0)
+        nl = Nonlinearity(3.0, 5.0)
         arc = integrate(regularized_rhs(rp, nl), (0.5, 0.1), (0.0, 4.0),
                         cfg=TIGHT, dense=True)
         ts = np.linspace(0.0, 4.0, 200)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from seplane.errors import DomainError
 from seplane.params import (
+    Nonlinearity,
     ProblemParams,
     angular_eigenvalue,
     critical_potential,
@@ -19,7 +20,6 @@ from seplane.params import (
     mode_bounds,
     mode_threshold,
     mode_threshold_zero_c,
-    power_nonlinearity,
     reduce_params,
     slope_map,
     slope_map_inv,
@@ -106,7 +106,7 @@ class TestReduction:
 
     def test_stationary_abscissa(self):
         rp = reduce_params(ProblemParams(2.0, 3.0, 2.0))
-        nl = power_nonlinearity(2.0, 3.0)
+        nl = Nonlinearity(2.0, 3.0)
         assert rel_err(stationary_abscissa(rp, nl), 1.0) < 1e-14
         with pytest.raises(DomainError):
             stationary_abscissa(reduce_params(ProblemParams(2.0, 3.0, 0.0)), nl)
@@ -307,7 +307,7 @@ class TestModeBounds:
 
 class TestNonlinearity:
     def test_power_bundle(self):
-        nl = power_nonlinearity(2.0, 3.0)
+        nl = Nonlinearity(2.0, 3.0)
         assert nl.f(-2.0) == -8.0
         assert nl.F(2.0) == 4.0
         assert nl.h(3.0) == 9.0
@@ -317,11 +317,11 @@ class TestNonlinearity:
     @given(st.floats(0.01, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_h_inverse_round_trip(self, s):
-        nl = power_nonlinearity(1.5, 2.2)
+        nl = Nonlinearity(1.5, 2.2)
         assert rel_err(nl.h_inverse(nl.h(s)), s) < 1e-12
 
     def test_h_strictly_increasing(self):
-        nl = power_nonlinearity(2.5, 3.0)
+        nl = Nonlinearity(2.5, 3.0)
         grid = np.linspace(0.01, 5.0, 200)
         vals = [nl.h(s) for s in grid]
         assert np.all(np.diff(vals) > 0.0)

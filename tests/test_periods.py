@@ -8,11 +8,11 @@ from seplane.errors import DomainError, OutOfRangeError
 from seplane.fields import check_scaling_conditions, p1_slope_rhs
 from seplane.integrate import EventSpec, IntegratorConfig, integrate
 from seplane.params import (
+    Nonlinearity,
     ProblemParams,
     ReducedParams,
     decay_exponent,
     mode_threshold,
-    power_nonlinearity,
     reduce_params,
     stationary_abscissa,
 )
@@ -22,6 +22,7 @@ from seplane.periods import (
     period_limits,
     period_positive,
     period_positive_p1,
+    period_sample,
     period_scan,
     period_sign_changing,
     period_zero_amplitude_closed,
@@ -46,6 +47,40 @@ def cubic_period_oracle(nu: float) -> float:
     return 4.0 * val
 
 
+NL = Nonlinearity(2.0, 3.0)
+NL1 = Nonlinearity(1.0, 1.0)
+CUBIC = ReducedParams(2.0, 3.0, -1.0, 0.0)  # b + d < 0: no positive family
+P1 = ReducedParams(1.0, 2.0, 1.0, 0.0)  # p = 1: no sign-changing family
+P1_NO_POSITIVE = ReducedParams(1.0, 2.0, 1.0, -1.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: period_sign_changing(1.0, P1, NL1),
+    lambda: period_positive(0.5, CUBIC, NL),
+    lambda: period_positive_p1(0.5, P1_NO_POSITIVE, NL1),
+    lambda: period_zero_amplitude_limit(P1),
+    lambda: period_limits(P1, NL1, "sign-changing"),
+    lambda: period_limits(CUBIC, NL, "positive"),
+    lambda: period_limits(P1_NO_POSITIVE, NL1, "positive"),
+    lambda: period_limits(CUBIC, NL, "bogus"),
+    lambda: period_sample("sign-changing", 1.0, P1, NL1),
+    lambda: period_sample("positive", 0.5, CUBIC, NL),
+    lambda: period_sample("positive", 0.5, P1_NO_POSITIVE, NL1),
+    lambda: period_sample("bogus", 1.0, CUBIC, NL),
+    lambda: period_scan("bogus", [1.0], CUBIC, NL),
+    lambda: find_amplitude_for_period(3.0, "sign-changing", P1, NL1),
+    lambda: find_amplitude_for_period(3.0, "positive", CUBIC, NL),
+    lambda: find_amplitude_for_period(3.0, "positive", P1_NO_POSITIVE, NL1),
+    lambda: find_amplitude_for_period(3.0, "bogus", CUBIC, NL),
+], ids=["sc", "pos", "pos-p1", "zero-amp", "limits-sc", "limits-pos",
+        "limits-pos-p1", "limits-kind", "sample-sc", "sample-pos", "sample-pos-p1",
+        "sample-kind", "scan-kind", "invert-sc", "invert-pos", "invert-pos-p1",
+        "invert-kind"])
+def test_missing_family_or_unknown_kind(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestSignChanging:
     def test_energy_oracle(self, duffing_soft):
         rp, nl = duffing_soft
@@ -67,7 +102,7 @@ class TestSignChanging:
                  ReducedParams(1.5, 2.5, 0.1666666, 1.5)]
         grid = np.geomspace(0.05, 20.0, 20)
         for rp in cases:
-            nl = power_nonlinearity(rp.p, rp.q)
+            nl = Nonlinearity(rp.p, rp.q)
             for nu in grid:
                 s = period_sign_changing(float(nu), rp, nl)
                 assert s.cross_check is not None
@@ -80,8 +115,10 @@ class TestSignChanging:
         with pytest.raises(DomainError):
             period_sign_changing(-1.0, rp, nl)
         with pytest.raises(DomainError):
+            period_sign_changing(1.0, rp, nl, method="quadrature")
+        with pytest.raises(DomainError):
             period_sign_changing(1.0, ReducedParams(1.0, 2.0, 1.0, 0.0),
-                                 power_nonlinearity(1.0, 1.0))
+                                 Nonlinearity(1.0, 1.0))
 
 
 class TestZeroAmplitudeLimit:
@@ -204,6 +241,15 @@ class TestP1Periods:
                          cfg=TIGHT)
         assert rel_err(quad_period, 2.0 * traj.events[-1].tau) < 1e-7
 
+    @pytest.mark.parametrize("b,d,frac", [(2.0, -0.5, 1e-9), (3.0, -2.9, 1e-5)])
+    def test_general_b_transit_level_out_of_reach(self, b, d, frac, p1_power):
+        # so close to the origin the transit level lies past the end of the
+        # right branch, which is a typed failure, not a scipy bracket error
+        rp = ReducedParams(1.0, 2.0, b, d)
+        mu = frac * stationary_abscissa(rp, p1_power)
+        with pytest.raises(OutOfRangeError):
+            period_positive_p1(mu, rp, p1_power)
+
     def test_admissible_interval(self, p1_power):
         rp = ReducedParams(1.0, 2.0, 1.0, 1.0)
         mubar = 2.0 - math.sqrt(3.0)
@@ -223,7 +269,7 @@ class TestScans:
     def test_fully_integrable_positive_decreasing(self):
         # b = 1 with q = 2p - 1 and p > 2: the positive period decreases
         rp = ReducedParams(3.0, 5.0, 1.0, 0.3)
-        nl = power_nonlinearity(3.0, 5.0)
+        nl = Nonlinearity(3.0, 5.0)
         a = stationary_abscissa(rp, nl)
         scan = period_scan("positive", np.linspace(0.05 * a, 0.98 * a, 8), rp, nl)
         assert scan.verdict == "decreasing"
@@ -239,7 +285,7 @@ class TestScans:
         for rp in (ReducedParams(2.0, 3.0, -1.0, 0.0),
                    ReducedParams(3.0, 5.0, -3.0, 0.0),
                    ReducedParams(2.5, 4.0, -2.0, -1.0)):
-            nl = power_nonlinearity(rp.p, rp.q)
+            nl = Nonlinearity(rp.p, rp.q)
             assert check_scaling_conditions(rp, nl).satisfied
 
     def test_empty_grid(self, duffing_soft):

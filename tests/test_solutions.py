@@ -172,6 +172,15 @@ class TestBuildSolutionSet:
         assert [e.k for e in ss.positive] == [1]
         assert all(e.residual.passed for e in ss.sign_changing + ss.positive)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only package errors become "failed" notes; a bug must surface
+        def broken(*args, **kwargs):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr("seplane.solutions.find_amplitude_for_period", broken)
+        with pytest.raises(IndexError):
+            build_solution_set(ProblemParams(2.0, 3.0, 0.0), k_max=2)
+
     def test_describe_is_json_ready(self):
         import json
 
