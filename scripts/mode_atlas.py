@@ -10,7 +10,8 @@ import pathlib
 
 import numpy as np
 
-from seplane.params import ProblemParams, critical_potential, mode_bounds
+from seplane.params import ProblemParams, critical_potential
+from seplane.periods import mode_bounds
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 

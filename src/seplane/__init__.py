@@ -47,7 +47,6 @@ from .orbits import (
     shoot_homoclinic,
 )
 from .params import (
-    ModeBounds,
     Nonlinearity,
     ProblemParams,
     ReducedParams,
@@ -57,8 +56,6 @@ from .params import (
     decay_exponent,
     invert_slope_potential,
     lift_profile,
-    mode_bounds,
-    mode_threshold,
     mode_threshold_zero_c,
     reduce_params,
     reduced_nonlinearity,
@@ -72,10 +69,13 @@ from .params import (
     stationary_abscissa,
 )
 from .periods import (
+    ModeBounds,
     PeriodLimits,
     PeriodSample,
     ScanResult,
     find_amplitude_for_period,
+    mode_bounds,
+    mode_threshold,
     period_infimum_p1,
     period_limits,
     period_positive,

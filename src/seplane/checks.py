@@ -24,7 +24,7 @@ from .fields import (
     p1_slope_rhs,
     regularized_rhs,
 )
-from .integrate import EventSpec, IntegratorConfig, integrate
+from .integrate import IntegratorConfig, integrate, integrate_to_section
 from .orbits import first_integral, first_integral_p1, shoot_homoclinic
 from .params import (
     Nonlinearity,
@@ -33,7 +33,6 @@ from .params import (
     critical_potential,
     damping_coefficient,
     decay_exponent,
-    mode_threshold,
     mode_threshold_zero_c,
     reduce_params,
     slope_map,
@@ -43,6 +42,7 @@ from .params import (
     stationary_abscissa,
 )
 from .periods import (
+    mode_threshold,
     period_infimum_p1,
     period_positive,
     period_positive_p1,
@@ -129,9 +129,24 @@ def check_constant_identities(seed: int = 12345) -> CheckResult:
                    failures, f"lam {e1:.1e}, c_q {e2:.1e} over 1000 triples", t0)
 
 
+def _mode_threshold_oracle(params: ProblemParams) -> float:
+    """Mode threshold from the angular time integrand in the problem
+    variables, a quadrature independent of the reduced zero-amplitude limit."""
+    p, q, c = params.p, params.q, params.c
+    cq, beta = critical_potential(p, q), decay_exponent(p, q)
+
+    def integrand(theta):
+        t = math.tan(theta)
+        return (1.0 + (p - 1.0) * t * t) / (
+            beta**p * (p - 1.0) * t * t + cq - c * math.cos(theta) ** (p - 2.0))
+
+    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-12, limit=400)
+    return math.pi * beta ** (1.0 - p) / (2.0 * val)
+
+
 def check_mode_threshold(seed: int = 12345) -> CheckResult:
-    """Threshold quadrature against the c = 0 closed forms and against the
-    zero-amplitude period limit. Frozen: M(2,3,0)=1, M(2,2,0)=2,
+    """Threshold against the c = 0 closed forms and against the angular
+    quadrature in the problem variables. Frozen: M(2,3,0)=1, M(2,2,0)=2,
     M(3,5,0)=1.5797958971 (quadrature and closed form agree)."""
     t0 = time.time()
     failures = []
@@ -149,11 +164,7 @@ def check_mode_threshold(seed: int = 12345) -> CheckResult:
         cq = critical_potential(p, q)
         c = cq - rng.uniform(0.1, 5.0)
         params = ProblemParams(p, q, c)
-        mq = mode_threshold(params)
-        rp = reduce_params(params)
-        td = period_zero_amplitude_limit(rp)
-        beta = decay_exponent(p, q)
-        if _rel(mq, 2.0 * math.pi * beta / td) > 1e-8:
+        if _rel(mode_threshold(params), _mode_threshold_oracle(params)) > 1e-8:
             failures.append(f"period identity off at ({p:.3f},{q:.3f},{c:.3f})")
     return _result("mode-threshold consistency", failures,
                    "4 closed forms + 20 random period identities", t0)
@@ -175,19 +186,14 @@ def check_small_amplitude_closed_form(seed: int = 12345) -> CheckResult:
     return _result("zero-amplitude closed form", failures, "10 random (p, b)", t0)
 
 
-def _orbit_drift(rp: ReducedParams, nl, start, kind: str) -> float:
-    """Relative drift of the conserved quantity over one full period."""
-    rhs = cartesian_rhs(rp, nl)
-    direction = -1
-    traj = integrate(rhs, start, (0.0, 1e4),
-                     events=[EventSpec("y=0", lambda t, s: s[1],
-                                       terminal=True, direction=direction)],
-                     cfg=TIGHT)
-    t_section = traj.events[-1].tau
-    period = 4.0 * t_section if kind == "sign-changing" else 2.0 * t_section
+def _orbit_drift(rhs, integral, start, horizon: float, sections: float) -> float:
+    """Relative drift of the conserved quantity ``integral`` over one full
+    period, ``sections`` times the time to the first section crossing."""
+    t_section, _ = integrate_to_section(rhs, start, horizon, TIGHT)
+    period = sections * t_section
     full = integrate(rhs, start, (0.0, period), cfg=TIGHT, dense=True)
     samples = full.sample(np.linspace(0.0, period, 400))
-    vals = np.array([first_integral((w, y), rp, nl) for w, y in samples])
+    vals = np.array([integral((w, y)) for w, y in samples])
     scale = max(float(np.max(np.abs(vals))), 1e-3)
     return float(vals.max() - vals.min()) / scale
 
@@ -211,26 +217,16 @@ def check_conservation() -> CheckResult:
     ]
     for rp, mode, amp in sets:
         nl = Nonlinearity(rp.p, rp.q)
-        if mode == "sc":
-            drift = _orbit_drift(rp, nl, (0.0, amp), "sign-changing")
-        else:
-            a = stationary_abscissa(rp, nl)
-            drift = _orbit_drift(rp, nl, (amp * a, 0.0), "positive")
+        start = (0.0, amp) if mode == "sc" else (amp * stationary_abscissa(rp, nl), 0.0)
+        drift = _orbit_drift(cartesian_rhs(rp, nl), lambda s: first_integral(s, rp, nl),
+                             start, 1e4, 4.0 if mode == "sc" else 2.0)
         if drift > 1e-7:
             failures.append(f"drift {drift:.2e} at {rp} {mode}")
 
     rp1 = ReducedParams(1.0, 2.0, 1.0, 0.5)
     nl1 = Nonlinearity(1.0, 1.0)
-    rhs1 = p1_slope_rhs(rp1, nl1)
-    mu = 0.9
-    half = integrate(rhs1, (mu, 0.0), (0.0, 100.0),
-                     events=[EventSpec("u=0", lambda t, s: s[1],
-                                       terminal=True, direction=-1)], cfg=TIGHT)
-    period = 2.0 * half.events[-1].tau
-    full = integrate(rhs1, (mu, 0.0), (0.0, period), cfg=TIGHT, dense=True)
-    samples = full.sample(np.linspace(0.0, period, 400))
-    vals = np.array([first_integral_p1((w, u), rp1, nl1) for w, u in samples])
-    drift1 = float(vals.max() - vals.min()) / max(float(np.max(np.abs(vals))), 1e-3)
+    drift1 = _orbit_drift(p1_slope_rhs(rp1, nl1), lambda s: first_integral_p1(s, rp1, nl1),
+                          (0.9, 0.0), 100.0, 2.0)
     if drift1 > 1e-9:
         failures.append(f"p=1 drift {drift1:.2e}")
     return _result("first-integral conservation", failures,

@@ -32,14 +32,12 @@ from .params import (
     critical_potential,
     decay_exponent,
     degenerate_critical,
-    mode_bounds,
-    mode_threshold,
     reduce_params,
     reduced_nonlinearity,
     slope_potential_min,
     stationary_abscissa,
 )
-from .periods import monotonicity, period_sample, require_family
+from .periods import mode_bounds, mode_threshold, monotonicity, period_sample, require_family
 from .schemas import SCHEMA_VERSION
 from .solutions import build_solution_set, sector_exists
 

@@ -20,6 +20,7 @@ from .errors import (
     IntegrationError,
     MaxStepsError,
     NoCrossingError,
+    SeplaneError,
     StepUnderflowError,
 )
 
@@ -91,12 +92,6 @@ class Trajectory:
             raise DomainError("trajectory was recorded without dense output")
         return np.asarray(self.dense(np.asarray(taus, dtype=float))).T
 
-    def first_event(self, kind: str) -> TrajEvent | None:
-        for ev in self.events:
-            if ev.kind == kind:
-                return ev
-        return None
-
 
 def _crossed(g_old: float, g_new: float, direction: int) -> bool:
     if g_old == 0.0 or not (math.isfinite(g_old) and math.isfinite(g_new)):
@@ -145,7 +140,9 @@ def integrate(
             break
         try:
             solver.step()
-        except Exception as exc:  # scipy raises on bad rhs values
+        except (SeplaneError, ArithmeticError, ValueError) as exc:
+            # a chart-domain, overflow or math-domain error on a trial stage;
+            # any other exception is a programming error and propagates
             raise IntegrationError(f"step failed at tau={solver.t}: {exc}") from exc
         if solver.status == "failed":
             raise StepUnderflowError(f"step size underflow at tau={solver.t}")

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import DomainError
@@ -21,7 +20,6 @@ __all__ = [
     "ProblemParams",
     "ReducedParams",
     "Nonlinearity",
-    "ModeBounds",
     "decay_exponent",
     "angular_eigenvalue",
     "critical_potential",
@@ -40,14 +38,11 @@ __all__ = [
     "slope_map_inv",
     "slope_map_primitive",
     "damping_coefficient",
-    "mode_threshold",
     "mode_threshold_zero_c",
-    "mode_bounds",
     "odd_power",
     "stationary_abscissa",
 ]
 
-QUAD_ABS_TOL = 1e-10
 # |d - min E| below this is the degenerate critical regime, which is refused
 DEGENERATE_BAND = 1e-10
 
@@ -334,33 +329,6 @@ def damping_coefficient(xi, p: float, q: float, b: float):
     return float(val) if val.ndim == 0 else val
 
 
-def mode_threshold(params: ProblemParams) -> float:
-    """Lower mode threshold for sign-changing profiles when c <= c_q.
-
-    Computed as pi*beta^(1-p) / (2 I) with I the quadrature of the angular
-    time integrand over (0, pi/2); 0 at c = c_q where the underlying limit
-    period diverges.
-    """
-    p, q, c = params.p, params.q, params.c
-    _require(p > 1.0, "mode threshold is defined for p > 1")
-    cq = critical_potential(p, q)
-    if c > cq:
-        raise DomainError(f"mode threshold needs c <= c_q, got c={c} > c_q={cq}")
-    if c == cq:
-        return 0.0
-    beta = decay_exponent(p, q)
-    bp = beta**p
-
-    def integrand(theta):
-        t = math.tan(theta)
-        return (1.0 + (p - 1.0) * t * t) / (
-            bp * (p - 1.0) * t * t + cq - c * math.cos(theta) ** (p - 2.0))
-
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL, epsrel=1e-12,
-                  limit=400)
-    return math.pi * beta ** (1.0 - p) / (2.0 * val)
-
-
 def mode_threshold_zero_c(p: float, q: float) -> float:
     """Closed form of the mode threshold at c = 0 (2/(q-1) at p = 2)."""
     _require(p > 1.0, "defined for p > 1")
@@ -371,73 +339,3 @@ def mode_threshold_zero_c(p: float, q: float) -> float:
     _require(msq >= 0.0, "no finite threshold: c = 0 exceeds the critical potential here")
     m = math.sqrt(msq)
     return (p - 2.0) * m / (((p - 1.0) * m + 1.0) * (m - 1.0)) if m != 0.0 else 0.0
-
-
-def _snap(x: float, tol: float = 1e-9) -> float:
-    r = round(x)
-    return float(r) if abs(x - r) < tol else x
-
-
-def _largest_int_below(x: float) -> int:
-    x = _snap(x)
-    k = math.floor(x)
-    return k - 1 if float(k) == x else k
-
-
-def _smallest_int_above(x: float) -> int:
-    x = _snap(x)
-    return math.floor(x) + 1
-
-
-@dataclass(frozen=True)
-class ModeBounds:
-    """Integer mode ranges for sign-changing and positive profiles."""
-
-    k_sign_changing_min: int | None
-    positive_modes: tuple[int, ...]
-    positive_nonconstant_exists: bool
-    mode_threshold: float | None
-    notes: dict
-
-
-def mode_bounds(params: ProblemParams) -> ModeBounds:
-    """Admissible integer modes k (profiles of least angular period 2 pi / k)."""
-    p, q, c = params.p, params.q, params.c
-    notes: dict = {}
-    if p > 1.0:
-        cq = critical_potential(p, q)
-        beta = decay_exponent(p, q)
-        if c >= cq:
-            k_sc, mq = 1, None
-        else:
-            mq = mode_threshold(params)
-            k_sc = _smallest_int_above(mq)
-        excess = c - cq
-        exists = excess > beta ** (p - 1.0) / p
-        if exists:
-            k_plus = _largest_int_below(math.sqrt(p * beta ** (1.0 - p) * excess))
-            positive = tuple(range(1, k_plus + 1))
-        else:
-            positive = ()
-        notes["positive_mode_cap"] = "largest integer strictly below sqrt(p beta^(1-p)(c - c_q))"
-        return ModeBounds(k_sc, positive, exists, mq, notes)
-
-    # p = 1: positive modes exist for c > 0, between the two period endpoints
-    k_sc = 1 if (c == 0.0 and q <= 1.0) else None
-    if c > 0.0:
-        quarter, _ = quad(lambda t: math.sqrt(math.cos(t) / (math.cos(t) + 2.0 * c)),
-                          0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL, limit=200)
-        lower = math.sqrt(1.0 + c)
-        upper = math.pi / (2.0 * quarter)
-        lo_k = _smallest_int_above(lower)
-        hi_k = _largest_int_below(upper)
-        positive = tuple(range(lo_k, hi_k + 1)) if hi_k >= lo_k else ()
-        notes["period_derived_bounds"] = (lower, upper)
-        # alternative literal reading of the printed bounds, kept for traceability
-        notes["literal_reading"] = {
-            "k2_largest_below_sqrt_c_plus_1": _largest_int_below(lower),
-            "k1_smallest_above_half_pi_times_integral": _smallest_int_above(
-                math.pi / 2.0 * quarter),
-        }
-        return ModeBounds(k_sc, positive, bool(positive), None, notes)
-    return ModeBounds(k_sc, (), False, None, notes)

@@ -2,7 +2,8 @@
 
 Sign-changing periods come from quarter-orbit event timing, cross-checked by
 an angular quadrature over the orbit itself; positive periods from half-orbit
-timing; the p = 1 periods from the first-integral quadratures.
+timing; the p = 1 periods from the first-integral quadratures. The integer
+mode ranges are read off the endpoints of these period functions.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ from .integrate import IntegratorConfig, integrate_to_section
 from .orbits import first_integral_p1
 from .params import (
     Nonlinearity,
+    ProblemParams,
     ReducedParams,
+    critical_potential,
+    decay_exponent,
     origin_slope,
-    slope_potential_min,
+    reduce_params,
+    reduced_nonlinearity,
     stationary_abscissa,
     zero_amplitude_divergent,
 )
@@ -47,6 +52,9 @@ __all__ = [
     "period_scan",
     "find_amplitude_for_period",
     "period_limits",
+    "ModeBounds",
+    "mode_threshold",
+    "mode_bounds",
 ]
 
 QUAD_ABS_TOL = 1e-10
@@ -178,25 +186,34 @@ def period_positive(
     return PeriodSample(mu, 2.0 * half, "event-timing", err)
 
 
-def period_zero_amplitude_limit(rp: ReducedParams):
-    """Zero-amplitude limit of the sign-changing period; finite iff b+d < 0,
-    +inf at b+d = 0, valid when the slope potential is increasing or d sits
-    below its minimum."""
+def period_zero_amplitude_limit(rp: ReducedParams) -> float:
+    """Zero-amplitude limit of the sign-changing period: finite when b + d < 0
+    and d sits below the minimum of the slope potential (if it has one), inf
+    wherever the limit diverges (see zero_amplitude_divergent)."""
     require_family("sign-changing", rp)
-    p, b, d = rp.p, rp.b, rp.d
     if zero_amplitude_divergent(rp):
-        if b + d == 0.0 and slope_potential_min(p, b) is None:
-            return math.inf
-        raise DomainError("the limit diverges: b + d > 0 with an increasing slope "
-                          "potential, or d at or above its minimum")
+        return math.inf
+    p, b, d = rp.p, rp.b, rp.d
+    # as b + d -> 0- the integrand peaks at theta = 0 with height 1/eps0 and
+    # width sqrt(eps0/curv); the plain rule steps over a peak narrower than
+    # 0.01, so that one gets a break point at every decade of its width up to
+    # 0.1, and its height is evaluated without cancelling -b against d cos^(p-2)
+    eps0, curv = -(b + d), (p - 1.0) + 0.5 * (p - 2.0) * d
+    width = math.sqrt(eps0 / curv) if curv > 0.0 else math.inf
+    spots = [width * 10.0**k for k in range(math.ceil(math.log10(0.1 / width)))] \
+        if width < 1e-2 else None
 
     def integrand(th):
         t = math.tan(th)
-        return (1.0 + (p - 1.0) * t * t) / _theta_form_denominator(
-            t, math.cos(th), p, b, d, 0.0)
+        if spots:
+            den = (p - 1.0) * t * t + eps0 - d * math.expm1(
+                0.5 * (p - 2.0) * math.log1p(-math.sin(th) ** 2))
+        else:
+            den = _theta_form_denominator(t, math.cos(th), p, b, d, 0.0)
+        return (1.0 + (p - 1.0) * t * t) / den
 
     val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
-                  epsrel=1e-12, limit=400)
+                  epsrel=1e-12, limit=400, points=spots)
     return 4.0 * val
 
 
@@ -437,13 +454,20 @@ def period_infimum_p1(d: float) -> float:
                   epsrel=1e-13, limit=400)
     t_theta = 4.0 * val
 
+    # the slope form on u in (0, sqrt(3)/2), then its tail in r = sqrt(1 - u^2)
+    # on (0, 1/2), whose integrand turns over at r = 2d
     def integrand_u(u):
-        root = math.sqrt(max(1.0 - u * u, 0.0))
-        return 1.0 / math.sqrt((d + root) ** 2 - d * d)
+        root = math.sqrt(1.0 - u * u)
+        return 1.0 / math.sqrt(root * (root + 2.0 * d))
 
-    val_u, _ = quad(integrand_u, 0.0, 1.0, epsabs=P1_QUAD_ABS_TOL, epsrel=1e-13,
-                    limit=400, points=[1.0])
-    t_u = 4.0 * val_u
+    def integrand_r(r):
+        return math.sqrt(r / ((1.0 - r * r) * (r + 2.0 * d)))
+
+    head, _ = quad(integrand_u, 0.0, math.sqrt(0.75), epsabs=P1_QUAD_ABS_TOL,
+                   epsrel=1e-13, limit=400)
+    tail, _ = quad(integrand_r, 0.0, 0.5, epsabs=P1_QUAD_ABS_TOL, epsrel=1e-13,
+                   limit=400, points=[2.0 * d] if 0.0 < 2.0 * d < 0.5 else None)
+    t_u = 4.0 * (head + tail)
     if abs(t_u - t_theta) > 1e-9 * max(1.0, t_theta):
         raise DomainError(
             f"slope and angular forms disagree: {t_u} vs {t_theta}")
@@ -453,27 +477,19 @@ def period_infimum_p1(d: float) -> float:
 def period_limits(rp: ReducedParams, nl: Nonlinearity, kind: str) -> PeriodLimits:
     """Endpoints of the requested period function with formula tags."""
     require_family(kind, rp)
-    p = rp.p
     if kind == "sign-changing":
-        if zero_amplitude_divergent(rp):
-            return PeriodLimits(math.inf, 0.0, ("divergent-dichotomy",))
         t_d = period_zero_amplitude_limit(rp)
+        if t_d == math.inf:
+            return PeriodLimits(math.inf, 0.0, ("divergent-dichotomy",))
         tags = ["zero-amplitude-quadrature"]
         if rp.b < 0.0 and rp.d == 0.0:
             tags.append("zero-amplitude-closed-form")
         return PeriodLimits(t_d, 0.0, tuple(tags))
-    if p > 1.0:
-        a = stationary_abscissa(rp, nl)
-        e = nl.power + 1.0 - p
-        hprime = e * a ** (e - 1.0)
-        upper = 2.0 * math.pi / math.sqrt(a * hprime)
-        return PeriodLimits(math.inf, upper, ("small-oscillation",))
-    if rp.b == 1.0 and rp.d >= 0.0:
-        return PeriodLimits(period_infimum_p1(rp.d),
-                            2.0 * math.pi / math.sqrt(1.0 + rp.d),
+    small = 2.0 * math.pi / math.sqrt((nl.power + 1.0 - rp.p) * (rp.b + rp.d))
+    if rp.p == 1.0 and rp.b == 1.0 and rp.d >= 0.0:
+        return PeriodLimits(period_infimum_p1(rp.d), small,
                             ("p1-infimum", "small-oscillation"))
-    return PeriodLimits(math.inf, 2.0 * math.pi / math.sqrt(rp.b + rp.d),
-                        ("small-oscillation",))
+    return PeriodLimits(math.inf, small, ("small-oscillation",))
 
 
 def require_family(kind: str, rp: ReducedParams) -> None:
@@ -561,8 +577,7 @@ def find_amplitude_for_period(
     require_family(kind, rp)
 
     if kind == "sign-changing":
-        supremum = math.inf if zero_amplitude_divergent(rp) \
-            else period_zero_amplitude_limit(rp)
+        supremum = period_zero_amplitude_limit(rp)
         if t_target >= supremum:
             raise OutOfRangeError("target above the attainable periods",
                                   attained=(0.0, supremum))
@@ -618,3 +633,80 @@ def find_amplitude_for_period(
         raise OutOfRangeError("target outside the scanned periods",
                               attained=(float(vals.min()), float(vals.max())))
     return roots
+
+
+# ---------------------------------------------------------------------------
+# mode ranges: mode k has the reduced period 2 pi scale / k, scale = beta at
+# p > 1 and 1 at p = 1, and exists where that period lies in the period range
+
+
+def mode_threshold(params: ProblemParams) -> float:
+    """Lower mode threshold 2 pi beta / T_0 for sign-changing profiles when
+    c <= c_q, with T_0 the zero-amplitude period limit; 0 at c = c_q, where
+    T_0 diverges."""
+    p, q, c = params.p, params.q, params.c
+    if p <= 1.0:
+        raise DomainError("mode threshold is defined for p > 1")
+    cq = critical_potential(p, q)
+    if c > cq:
+        raise DomainError(f"mode threshold needs c <= c_q, got c={c} > c_q={cq}")
+    if c == cq:
+        return 0.0
+    return 2.0 * math.pi * decay_exponent(p, q) \
+        / period_zero_amplitude_limit(reduce_params(params))
+
+
+def _snap(x: float, tol: float = 1e-9) -> float:
+    r = round(x)
+    return float(r) if abs(x - r) < tol else x
+
+
+def _largest_int_below(x: float) -> int:
+    return math.ceil(_snap(x)) - 1
+
+
+def _smallest_int_above(x: float) -> int:
+    return math.floor(_snap(x)) + 1
+
+
+@dataclass(frozen=True)
+class ModeBounds:
+    """Integer mode ranges for sign-changing and positive profiles."""
+
+    k_sign_changing_min: int | None
+    positive_modes: tuple[int, ...]
+    positive_nonconstant_exists: bool
+    mode_threshold: float | None
+    notes: dict
+
+
+def mode_bounds(params: ProblemParams) -> ModeBounds:
+    """Admissible integer modes k (profiles of least angular period 2 pi / k):
+    positive modes lie strictly between the images of the two endpoints of
+    the positive period function."""
+    p, q, c = params.p, params.q, params.c
+    rp = reduce_params(params)
+    notes: dict = {}
+    if p > 1.0:
+        scale = decay_exponent(p, q)
+        mq = None if c >= critical_potential(p, q) else mode_threshold(params)
+        k_sc = 1 if mq is None else _smallest_int_above(mq)
+        notes["positive_mode_cap"] = "largest integer strictly below sqrt(p beta^(1-p)(c - c_q))"
+    else:
+        scale, mq = 1.0, None
+        k_sc = 1 if (c == 0.0 and q <= 1.0) else None
+    if rp.b + rp.d <= 0.0:
+        return ModeBounds(k_sc, (), False, mq, notes)
+    lims = period_limits(rp, reduced_nonlinearity(params), "positive")
+    lower, upper = sorted(2.0 * math.pi * scale / t
+                          for t in (lims.at_zero, lims.at_upper))
+    positive = tuple(range(_smallest_int_above(lower), _largest_int_below(upper) + 1))
+    if p == 1.0 and c > 0.0:
+        notes["period_derived_bounds"] = (lower, upper)
+        # alternative literal reading of the printed bounds, kept for traceability
+        notes["literal_reading"] = {
+            "k2_largest_below_sqrt_c_plus_1": _largest_int_below(lower),
+            "k1_smallest_above_half_pi_times_integral": _smallest_int_above(
+                math.pi * lims.at_zero / 8.0),
+        }
+    return ModeBounds(k_sc, positive, bool(positive), mq, notes)

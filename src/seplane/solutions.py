@@ -16,7 +16,6 @@ from .errors import DomainError, SeplaneError
 from .fields import cartesian_rhs, p1_slope_rhs
 from .integrate import IntegratorConfig, integrate_to_section
 from .params import (
-    ModeBounds,
     Nonlinearity,
     ProblemParams,
     ReducedParams,
@@ -24,12 +23,11 @@ from .params import (
     critical_potential,
     decay_exponent,
     lift_profile,
-    mode_bounds,
     odd_power,
     reduce_params,
     reduced_nonlinearity,
 )
-from .periods import find_amplitude_for_period
+from .periods import ModeBounds, find_amplitude_for_period, mode_bounds
 
 __all__ = [
     "AngularProfile",

@@ -1,10 +1,11 @@
 """Golden outputs: the bytes behind the README's bit-identical promise.
 
-Every digest below was recorded once from a fixed source tree and is never
-regenerated by a refactor. A changed digest means a changed output, which a
-change that claims the same behaviour must not produce. The digests belong to
-the numerical stack they were recorded with (Python 3.11.7, numpy 2.4.6,
-scipy 1.17.1 on x86-64 Linux); another stack may round differently.
+A changed digest means a changed output. A digest changes only with a
+deliberate numeric change that CHANGES.md lists with the invocation, the
+values that moved and why; a change that claims the same behaviour keeps
+every digest. The digests belong to the numerical stack they were recorded
+with (Python 3.11.7, numpy 2.4.6, scipy 1.17.1 on x86-64 Linux); another
+stack may round differently.
 """
 
 import contextlib
@@ -33,7 +34,7 @@ CLI_CASES = [
                      "sign-changing", "--grid", "0.01:100:30:log"], False, 0,
      "2dfa4bcd2a94c05dc598ba772b066efabba820fe7306ae9629045fd8c99495ad"),
     ("readme-solve-set", ["solve-set", "-p", "1", "-q", "2", "-c", "3"], True, 0,
-     "619d7775e49b51f32d6e29db06a0e4c651bf642f09e58d86ab923b57e7a7c681"),
+     "1d9c4a4306e783df9e64a46d13b039f35cfcb0998c07b475a00df11d4e1e1462"),
     ("readme-sector", ["sector", "-p", "2", "-q", "3", "--theta", "3.141592653589793"],
      False, 0, "2bbf0d02c35536ef9ac23e56deefeb8e36371cccf830fce9705f4d55a6fe8487"),
     ("params-p1", ["params", "-p", "1", "-q", "2", "-c", "3"], False, 0, "527ce197cd2c9d44431653ebeac4827e64f070b0b074d0be5165bb2b5d171285"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from seplane.errors import MaxStepsError, NoCrossingError
+from seplane.errors import IntegrationError, MaxStepsError, NoCrossingError
 from seplane.fields import cartesian_rhs, p1_cartesian_rhs
 from seplane.integrate import (
     EventSpec,
@@ -53,7 +53,8 @@ class TestIntegrate:
                          events=[EventSpec("y=0", lambda t, s: s[1],
                                            terminal=True, direction=-1),
                                  EventSpec("w=0", lambda t, s: s[0])])
-        ev = traj.first_event("y=0")
+        ev = traj.events[-1]
+        assert ev.kind == "y=0"
         assert abs(ev.tau - math.pi / 2.0) < 1e-8
         assert abs(ev.state[0] - 2.0) < 1e-8
         radii = np.hypot(traj.states[:, 0], traj.states[:, 1])
@@ -107,6 +108,20 @@ class TestIntegrate:
         traj = integrate(cartesian_rhs(rp, nl), (0.0, 1.0), (0.0, 2.0), dense=True)
         mid = traj.sample(traj.taus)
         assert np.max(np.abs(mid - traj.states)) < 1e-9
+
+    def test_programming_error_in_step_propagates(self):
+        with pytest.raises(IndexError):
+            integrate(lambda t, s: -s if t < 0.5 else s[5], (1.0, 2.0), (0.0, 1.0))
+
+    def test_overflow_in_step_is_integration_error(self):
+        # the solver's constructor evaluates the rhs near t = 0 only
+        def rhs(t, s):
+            if t > 0.5:
+                raise OverflowError("(34, 'Numerical result out of range')")
+            return -s
+
+        with pytest.raises(IntegrationError):
+            integrate(rhs, (1.0, 2.0), (0.0, 1.0))
 
 
 class TestAdvanceToAxis:

@@ -17,8 +17,6 @@ from seplane.params import (
     decay_exponent,
     invert_slope_potential,
     lift_profile,
-    mode_bounds,
-    mode_threshold,
     mode_threshold_zero_c,
     reduce_params,
     slope_map,
@@ -29,6 +27,7 @@ from seplane.params import (
     slope_potential_min,
     stationary_abscissa,
 )
+from seplane.periods import mode_bounds, mode_threshold
 
 from conftest import rel_err
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from seplane.errors import DomainError, OutOfRangeError
@@ -11,13 +13,15 @@ from seplane.params import (
     Nonlinearity,
     ProblemParams,
     ReducedParams,
+    critical_potential,
     decay_exponent,
-    mode_threshold,
     reduce_params,
     stationary_abscissa,
 )
 from seplane.periods import (
     find_amplitude_for_period,
+    mode_bounds,
+    mode_threshold,
     period_infimum_p1,
     period_limits,
     period_positive,
@@ -151,9 +155,30 @@ class TestZeroAmplitudeLimit:
         assert t < td and abs(t - td) < 1e-4
 
     def test_validity_region(self, center_case):
-        rp, nl = center_case
-        with pytest.raises(DomainError):
-            period_zero_amplitude_limit(rp)
+        # b + d > 0 (twice), and b + d = 0 with d above an interior minimum
+        for rp in (center_case[0], ReducedParams(3.0, 5.0, 10.0, -10.0),
+                   ReducedParams(2.0, 3.0, 2.0, 1.0)):
+            nl = Nonlinearity(rp.p, rp.q)
+            assert period_zero_amplitude_limit(rp) \
+                == period_limits(rp, nl, "sign-changing").at_zero == math.inf
+
+    @pytest.mark.parametrize("p,q", [(3.0, 2.05), (2.0, 1.05), (2.5, 1.6), (4.5, 3.6)])
+    def test_peak_near_critical_potential(self, p, q):
+        # as eps0 = -(b + d) -> 0 the limit follows 2 pi / sqrt(eps0 A)
+        cq = critical_potential(p, q)
+        thresholds = []
+        for gap in (1e-10, 1e-6, 1e-3):
+            params = ProblemParams(p, q, cq - gap)
+            rp = reduce_params(params)
+            eps0 = -(rp.b + rp.d)
+            curv = (p - 1.0) + 0.5 * (p - 2.0) * rp.d
+            if eps0 <= 1e-10:
+                td = period_zero_amplitude_limit(rp)
+                assert 0.99 <= td * math.sqrt(eps0 * curv) / (2.0 * math.pi) <= 1.01
+            thresholds.append(mode_threshold(params))
+        # c_q - 1e-10 rounds to c_q at (4.5, 3.6), where the threshold is 0
+        assert (thresholds[0] > 0.0) == (cq - 1e-10 < cq)
+        assert 0.0 <= thresholds[0] < thresholds[1] < thresholds[2]
 
     def test_mode_threshold_tie(self):
         for params in (ProblemParams(2.0, 3.0, 0.0), ProblemParams(3.0, 5.0, 1.0),
@@ -203,6 +228,8 @@ class TestP1Periods:
         rng = np.random.default_rng(7)
         for d in rng.uniform(0.0, 10.0, 20):
             period_infimum_p1(float(d))  # raises if the two forms disagree
+        for d in np.geomspace(1e-14, 1e12, 105):
+            period_infimum_p1(float(d))
 
     def test_d_positive_increasing_between_endpoints(self, p1_power):
         rp = ReducedParams(1.0, 2.0, 1.0, 1.0)
@@ -322,3 +349,27 @@ class TestAmplitudeForPeriod:
         assert roots
         for mu in roots:
             assert rel_err(period_positive(mu, rp, nl).period, target) < 1e-7
+
+
+@given(st.one_of(st.just(1.0), st.floats(1.05, 4.5)), st.floats(0.1, 8.0),
+       st.floats(-6.0, 40.0))
+@settings(max_examples=100, deadline=None)
+def test_positive_modes_from_period_endpoints(p, dq, offset):
+    # closed-form k-images of the endpoints: sqrt(p beta^(1-p)(c - c_q)) at
+    # p > 1; sqrt(1 + c) and pi / (2 int_0^(pi/2) sqrt(cos/(cos + 2c))) at p = 1
+    q = p - 1.0 + dq
+    c = critical_potential(p, q) + offset
+    lo = hi = 0.0
+    if p > 1.0:
+        excess = c - critical_potential(p, q)
+        hi = math.sqrt(max(p * decay_exponent(p, q) ** (1.0 - p) * excess, 0.0))
+    elif c > 0.0:
+        quarter, _ = quad(lambda t: math.sqrt(math.cos(t) / (math.cos(t) + 2.0 * c)),
+                          0.0, math.pi / 2.0, epsabs=1e-10, limit=200)
+        lo, hi = math.sqrt(1.0 + c), math.pi / (2.0 * quarter)
+    # integer ends are decided to 1e-9; keep the draws clear of them
+    assume(all(abs(x - round(x)) > 1e-6 for x in (lo, hi) if x > 0.0))
+    expected = tuple(k for k in range(1, math.ceil(hi) + 1) if lo < k < hi)
+    mb = mode_bounds(ProblemParams(p, q, c))
+    assert mb.positive_modes == expected
+    assert mb.positive_nonconstant_exists == bool(expected)

@@ -8,8 +8,8 @@ from seplane.params import (
     ProblemParams,
     ReducedParams,
     critical_potential,
-    mode_bounds,
 )
+from seplane.periods import mode_bounds
 from seplane.solutions import (
     AngularProfile,
     build_solution_set,
