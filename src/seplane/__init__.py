@@ -64,7 +64,6 @@ from .params import (
     slope_map_inv,
     slope_map_primitive,
     slope_potential,
-    slope_potential_deriv,
     slope_potential_min,
     stationary_abscissa,
 )

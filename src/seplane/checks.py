@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import SeplaneError
 from .fields import (
@@ -559,11 +558,8 @@ CHECKS_BY_COMMAND = {
 }
 
 
-def run_checks(ids, seed: int = 12345, stream=None) -> bool:
+def run_checks(ids, seed: int = 12345) -> bool:
     """Run the selected criteria, print one line each, return overall pass."""
-    import sys
-
-    stream = stream or sys.stdout
     ok = True
     by_id = dict(ALL_CHECKS)
     for cid in ids:
@@ -574,6 +570,6 @@ def run_checks(ids, seed: int = 12345, stream=None) -> bool:
             res = CheckResult(fn.__name__, False, str(exc))
         status = "PASS" if res.passed else "FAIL"
         print(f"criterion {cid} [{res.name}]: {status} "
-              f"({res.detail}; {res.seconds:.1f}s)", file=stream)
+              f"({res.detail}; {res.seconds:.1f}s)")
         ok = ok and res.passed
     return ok

@@ -18,7 +18,7 @@ import numpy as np
 from . import checks as _checks
 from .errors import DomainError, SeplaneError
 from .fields import cartesian_rhs, field_cartesian, p1_cartesian_rhs
-from .integrate import EventSpec, IntegratorConfig, integrate
+from .integrate import DEFAULT_CONFIG, EventSpec, IntegratorConfig, integrate
 from .orbits import (
     classify_orbit,
     first_integral,
@@ -37,9 +37,9 @@ from .params import (
     slope_potential_min,
     stationary_abscissa,
 )
-from .periods import mode_bounds, mode_threshold, monotonicity, period_sample, require_family
+from .periods import mode_bounds, monotonicity, period_sample, require_family
 from .schemas import SCHEMA_VERSION
-from .solutions import build_solution_set, sector_exists
+from .solutions import PROFILE_CONFIG, build_solution_set, sector_exists
 
 __all__ = ["main"]
 
@@ -78,7 +78,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="key=value file overriding integrator settings")
 
 
-def _integrator_config(args) -> IntegratorConfig:
+def _integrator_config(args, base: IntegratorConfig = DEFAULT_CONFIG) -> IntegratorConfig:
+    """``base`` with the --config keys, then the --tol-* flags, applied."""
     fields = {}
     if args.config:
         for line in Path(args.config).read_text().splitlines():
@@ -94,7 +95,7 @@ def _integrator_config(args) -> IntegratorConfig:
         fields["rel_tol"] = args.tol_rel
     if args.tol_abs is not None:
         fields["abs_tol"] = args.tol_abs
-    return IntegratorConfig(**fields)
+    return dataclasses.replace(base, **fields)
 
 
 def _problem(args) -> ProblemParams:
@@ -107,6 +108,7 @@ def cmd_params(args) -> int:
     rp = reduce_params(params)
     nl = reduced_nonlinearity(params)
     cq = critical_potential(p, q)
+    mb = mode_bounds(params)
     out = {
         "schema_version": SCHEMA_VERSION,
         "p": p, "q": q, "c": c,
@@ -116,30 +118,26 @@ def cmd_params(args) -> int:
         "b": rp.b, "d": rp.d,
         "a": stationary_abscissa(rp, nl) if rp.b + rp.d > 0.0 else None,
         "m_d": None,
-        "M_q": None,
+        "M_q": mb.mode_threshold,
         "regime": {
             "b_plus_d_positive": rp.b + rp.d > 0.0,
             "slope_potential_increasing": True,
             "degenerate_critical": False,
         },
-        "mode_bounds": {},
+        "mode_bounds": {
+            "k_q": mb.k_sign_changing_min,
+            "positive_modes": list(mb.positive_modes),
+            "positive_nonconstant_exists": mb.positive_nonconstant_exists,
+        },
     }
     if p > 1.0:
         mn = slope_potential_min(p, rp.b)
         out["regime"]["slope_potential_increasing"] = mn is None
         out["regime"]["degenerate_critical"] = degenerate_critical(rp) is not None
-        if c <= cq:
-            out["M_q"] = mode_threshold(params)
         try:
             out["m_d"] = saddle_data(rp, nl)["m"]
         except SeplaneError:
             pass
-    mb = mode_bounds(params)
-    out["mode_bounds"] = {
-        "k_q": mb.k_sign_changing_min,
-        "positive_modes": list(mb.positive_modes),
-        "positive_nonconstant_exists": mb.positive_nonconstant_exists,
-    }
     _emit(_json_dump(out), args.out)
     return 0
 
@@ -157,8 +155,6 @@ def _p1_circle_meta(w0, y0, rp, meta) -> bool:
     """Only the circle of radius b+1 crosses the singular line w = 0 at
     p = 1, d = 0 (it is the zero level of the first integral); starts on it
     are continued in closed form."""
-    if rp.b <= -1.0:
-        return False
     radius = rp.b + 1.0
     on_circle = rp.d == 0.0 and abs(math.hypot(w0, y0) - radius) <= 1e-9 * radius
     if w0 == 0.0 and not on_circle:
@@ -332,9 +328,7 @@ def cmd_period_scan(args) -> int:
 
 def cmd_solve_set(args) -> int:
     params = _problem(args)
-    cfg = None
-    if args.tol_rel is not None or args.tol_abs is not None or args.config:
-        cfg = _integrator_config(args)
+    cfg = _integrator_config(args, PROFILE_CONFIG)
     ss = build_solution_set(params, cfg, k_max=args.k_max)
     doc = ss.describe()
     doc["schema_version"] = SCHEMA_VERSION
@@ -410,6 +404,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.format == "csv" and args.command not in ("orbit", "period-scan"):
+            raise DomainError("--format csv applies to orbit and period-scan only")
         if args.paper_check:
             ids = _checks.CHECKS_BY_COMMAND[args.command]
             ok = _checks.run_checks(ids, seed=args.seed)

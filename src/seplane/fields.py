@@ -1,14 +1,14 @@
 """Right-hand sides of the phase-plane dynamics in each coordinate chart.
 
-All evaluations are pure. Singular evaluations come back tagged so that a
-caller can switch charts instead of dying inside an integrator step.
+All evaluations are pure; a point outside a chart, or one where the field
+has no finite value, raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,11 +42,10 @@ __all__ = [
 
 
 class FieldEval(NamedTuple):
-    """Chart velocity (d1, d2) plus a singular-evaluation tag."""
+    """Chart velocity (d1, d2)."""
 
     d1: float
     d2: float
-    singular: bool = False
 
 
 def field_cartesian(pt, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
@@ -61,8 +60,7 @@ def field_cartesian(pt, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
     num = b * w**3 + (b + 2.0 - p) * w * y * y \
         - (nl.f(w) - d * odd_power(w, p - 1.0)) * r2 ** (2.0 - p / 2.0)
     den = w * w + (p - 1.0) * y * y
-    singular = w == 0.0 and d != 0.0 and p < 2.0
-    return FieldEval(y, num / den, singular)
+    return FieldEval(y, num / den)
 
 
 def field_polar(theta: float, rho: float, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
@@ -87,8 +85,7 @@ def field_slope(st, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
         raise DomainError("slope chart covers w >= 0")
     xi = slope_map_inv(u, rp.p)
     du = -slope_potential(xi, rp.p, rp.b) - nl.h(w) + rp.d
-    singular = w == 0.0 and nl.power + 1.0 - rp.p < 1.0
-    return FieldEval(w * xi, du, singular)
+    return FieldEval(w * xi, du)
 
 
 def field_regularized(st, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
@@ -125,7 +122,7 @@ def field_p1_cartesian(pt, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
             raise SingularOriginError("the phase-plane field is singular at (0, 0)")
         if rp.d != 0.0:
             raise SingularFieldError("no finite limit on w = 0 when d != 0 at p = 1")
-        return FieldEval(y, 0.0, True)
+        return FieldEval(y, 0.0)
     b, d = rp.b, rp.d
     r2 = w * w + y * y
     num = b * w**3 + (b + 1.0) * w * y * y \
@@ -170,12 +167,11 @@ class ScalingReport:
 def check_scaling_conditions(
     rp: ReducedParams,
     nl: Nonlinearity,
-    sample_points: Sequence[tuple[float, float]] | None = None,
     planar_field: Callable[[float, float], tuple[float, float]] | None = None,
 ) -> ScalingReport:
     """Numerically probe the radial monotonicity hypothesis that underlies
     period-function monotonicity: F(l w, l y)/l nondecreasing and
-    G(l w, l y)/l decreasing in l on the sampled quadrant points, for nine
+    G(l w, l y)/l decreasing in l at five fixed quadrant points, for nine
     scale factors l in [1/2, 2].
     """
     if rp.p <= 1.0:
@@ -184,21 +180,22 @@ def check_scaling_conditions(
         def planar_field(w, y):
             fe = field_cartesian((w, y), rp, nl)
             return fe.d1, fe.d2
-    if sample_points is None:
-        sample_points = [(0.3, 0.2), (1.0, 1.0), (0.5, 1.5), (2.0, 0.7), (1.2, 0.4)]
+    points = [(0.3, 0.2), (1.0, 1.0), (0.5, 1.5), (2.0, 0.7), (1.2, 0.4)]
     lambdas = np.geomspace(0.5, 2.0, 9)
+
+    def ratios(w, y, l):
+        fv, gv = planar_field(l * w, l * y)
+        return fv / l, gv / l
 
     step = 1e-5
     f_lo, f_hi = math.inf, -math.inf
     g_max = -math.inf
     violations = []
-    for (w, y) in sample_points:
+    for (w, y) in points:
         for lam in lambdas:
-            def ratios(l):
-                fv, gv = planar_field(l * w, l * y)
-                return fv / l, gv / l
-            fp = (ratios(lam + step)[0] - ratios(lam - step)[0]) / (2.0 * step)
-            gp = (ratios(lam + step)[1] - ratios(lam - step)[1]) / (2.0 * step)
+            (f_up, g_up), (f_dn, g_dn) = ratios(w, y, lam + step), ratios(w, y, lam - step)
+            fp = (f_up - f_dn) / (2.0 * step)
+            gp = (g_up - g_dn) / (2.0 * step)
             f_lo, f_hi = min(f_lo, fp), max(f_hi, fp)
             g_max = max(g_max, gp)
             if fp < -1e-9 or gp >= 0.0:
@@ -208,6 +205,6 @@ def check_scaling_conditions(
         satisfied=not violations,
         f_derivative_range=(f_lo, f_hi),
         g_derivative_max=g_max,
-        n_points=len(sample_points) * len(lambdas),
+        n_points=len(points) * len(lambdas),
         violations=violations,
     )

@@ -62,6 +62,9 @@ CLOSED_AROUND_CENTER = "closed-around-P0"
 HOMOCLINIC = "homoclinic"
 DEGENERATE_CRITICAL = "degenerate-critical"
 
+# reduced time each branch of classify_orbit integrates before giving up
+CLASSIFY_HORIZON = 400.0
+
 
 @dataclass(frozen=True)
 class OrbitClass:
@@ -86,7 +89,6 @@ def classify_orbit(
     nl: Nonlinearity,
     cfg: IntegratorConfig | None = None,
     *,
-    horizon: float = 400.0,
     origin_shrink: float = 1e-6,
     slope_tol: float = 1e-3,
 ) -> OrbitClass:
@@ -129,13 +131,13 @@ def classify_orbit(
     ev_w = EventSpec("w=0", lambda t, s: s[0], terminal=True)
     ev_y = EventSpec("y=0", lambda t, s: s[1], terminal=True)
 
-    back = integrate(reversed_rhs(rhs), (w0, y0), (0.0, horizon),
+    back = integrate(reversed_rhs(rhs), (w0, y0), (0.0, CLASSIFY_HORIZON),
                      events=[ev_origin, ev_w, ev_y], cfg=cfg)
     bound = float(np.max(np.hypot(back.states[:, 0], back.states[:, 1])))
     if back.status != "terminal-event":
         raise InconclusiveOrbitError(
             "backward branch resolved no criterion within the horizon",
-            {"horizon": horizon, "max_radius": bound, "last": back.states[-1].tolist()})
+            {"horizon": CLASSIFY_HORIZON, "max_radius": bound, "last": back.states[-1].tolist()})
     ev = back.events[-1]
 
     if ev.kind == "w=0":
@@ -146,7 +148,7 @@ def classify_orbit(
 
     if ev.kind == "y=0":
         mu = float(ev.state[0])
-        fwd = integrate(rhs, (w0, y0), (0.0, horizon), events=[SECTION], cfg=cfg)
+        fwd = integrate(rhs, (w0, y0), (0.0, CLASSIFY_HORIZON), events=[SECTION], cfg=cfg)
         gmu = float(fwd.events[-1].state[0]) if fwd.events else math.nan
         crossings = sorted(x for x in (mu, gmu, w0 if y0 == 0.0 else math.nan)
                            if math.isfinite(x))
@@ -169,7 +171,7 @@ def classify_orbit(
         raise InconclusiveOrbitError(
             "origin approach without a matching slope-potential root",
             {"slope": slope, "mismatch": mismatch, "rho_monotone": monotone})
-    fwd = integrate(rhs, (w0, y0), (0.0, horizon),
+    fwd = integrate(rhs, (w0, y0), (0.0, CLASSIFY_HORIZON),
                     events=[ev_origin, ev_w], cfg=cfg)
     rho_f = np.hypot(fwd.states[:, 0], fwd.states[:, 1])
     min_forward = float(np.min(rho_f))
@@ -222,7 +224,7 @@ def shoot_homoclinic(
     """
     p, q = rp.p, rp.q
     sd = saddle_data(rp, nl)
-    m, u_s = sd["m"], sd["u_saddle"]
+    u_s = sd["u_saddle"]
     eps = offset * u_s
     v0 = eps * sd["eigvec_unstable"][0]
     u0 = u_s + eps * sd["eigvec_unstable"][1]

@@ -27,7 +27,6 @@ __all__ = [
     "reduced_nonlinearity",
     "lift_profile",
     "slope_potential",
-    "slope_potential_deriv",
     "slope_potential_min",
     "origin_slope",
     "degenerate_critical",
@@ -161,20 +160,13 @@ def stationary_abscissa(rp: ReducedParams, nl: Nonlinearity) -> float:
     return nl.h_inverse(rp.b + rp.d)
 
 
-def lift_profile(tau, w, params: ProblemParams, period: float | None = None):
-    """Map a sampled reduced profile w(tau) to the angular profile omega(sigma).
-
-    ``period`` declares the least period of w; a tau grid that does not cover
-    it is rejected.
-    """
+def lift_profile(tau, w, params: ProblemParams):
+    """Map a sampled reduced profile w(tau) to the angular profile omega(sigma)
+    point by point: sigma = tau / beta and omega = beta^beta w for p > 1."""
     tau = np.asarray(tau, dtype=float)
     w = np.asarray(w, dtype=float)
     if tau.shape != w.shape:
         raise DomainError("tau and w grids must have matching shapes")
-    if period is not None:
-        span = tau[-1] - tau[0]
-        if span < period * (1.0 - 1e-9):
-            raise DomainError(f"tau span {span} does not cover one period {period}")
     p, q = params.p, params.q
     if p == 1.0:
         # beta*q = 1, so sigma = tau and omega = |w|^(1/q - 1) w
@@ -188,13 +180,6 @@ def slope_potential(xi, p: float, b: float):
     orbits entering the origin."""
     xi = np.asarray(xi, dtype=float)
     val = ((p - 1.0) * xi**2 - b) * (1.0 + xi**2) ** (p / 2.0 - 1.0)
-    return float(val) if val.ndim == 0 else val
-
-
-def slope_potential_deriv(xi, p: float, b: float):
-    xi = np.asarray(xi, dtype=float)
-    val = (p * (p - 1.0) * xi**2 + 2.0 * (p - 1.0) - (p - 2.0) * b) \
-        * (1.0 + xi**2) ** ((p - 4.0) / 2.0) * xi
     return float(val) if val.ndim == 0 else val
 
 

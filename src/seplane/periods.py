@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from .errors import DomainError, OutOfRangeError
 from .fields import cartesian_rhs
 from .integrate import IntegratorConfig, integrate_to_section
-from .orbits import first_integral_p1
+from .orbits import _s1_and_r, first_integral_p1
 from .params import (
     Nonlinearity,
     ProblemParams,
@@ -77,11 +77,11 @@ class PeriodSample:
 
 @dataclass(frozen=True)
 class PeriodLimits:
-    """Endpoints of a period function with the formula tags used."""
+    """Endpoints of a period function: its limits toward zero amplitude and
+    toward the upper end of the amplitude range."""
 
     at_zero: float
     at_upper: float
-    formulas: tuple[str, ...]
 
 
 @dataclass
@@ -241,25 +241,16 @@ def p1_turning_from_amplitude(mu: float, d: float) -> float:
 
 
 def _p1_mubar(rp: ReducedParams, nl: Nonlinearity) -> float:
-    """Left amplitude endpoint of the p = 1 positive family."""
+    """Left amplitude endpoint of the p = 1 positive family for d > 0 (0 for
+    d <= 0): the w in (0, a) where the first integral on y = 0, H(w), equals
+    M' = d R(d) - S1(d), its limit as |u| -> 1 at w = d."""
     b, d = rp.b, rp.d
     if d <= 0.0:
         return 0.0
     a = stationary_abscissa(rp, nl)
-
-    def H(w):
-        if b == 0.0:
-            return 1.0 + d * math.log(w) - w
-        if b == -1.0:
-            return (1.0 - d) / w - math.log(w)
-        return (1.0 + d / b) * w**b - w ** (b + 1.0) / (b + 1.0)
-
-    if b == 0.0:
-        mprime = d * math.log(d) - d
-    elif b == -1.0:
-        mprime = -1.0 - math.log(d)
-    else:
-        mprime = d ** (b + 1.0) / (b * (b + 1.0))
+    H = lambda w: first_integral_p1((w, 0.0), rp, nl)
+    s1, r = _s1_and_r(d, b, nl)
+    mprime = d * r - s1
     # H increases on (0, a) toward its peak; descend from a until H < M'
     lo = a
     for _ in range(2000):
@@ -475,21 +466,17 @@ def period_infimum_p1(d: float) -> float:
 
 
 def period_limits(rp: ReducedParams, nl: Nonlinearity, kind: str) -> PeriodLimits:
-    """Endpoints of the requested period function with formula tags."""
+    """Endpoints of the requested period function. Sign-changing: the
+    zero-amplitude limit (inf where it diverges) and 0 at large amplitude.
+    Positive: inf toward the family's left end (the infimum at p = 1, b = 1,
+    d >= 0) and the small-oscillation period at the center."""
     require_family(kind, rp)
     if kind == "sign-changing":
-        t_d = period_zero_amplitude_limit(rp)
-        if t_d == math.inf:
-            return PeriodLimits(math.inf, 0.0, ("divergent-dichotomy",))
-        tags = ["zero-amplitude-quadrature"]
-        if rp.b < 0.0 and rp.d == 0.0:
-            tags.append("zero-amplitude-closed-form")
-        return PeriodLimits(t_d, 0.0, tuple(tags))
+        return PeriodLimits(period_zero_amplitude_limit(rp), 0.0)
     small = 2.0 * math.pi / math.sqrt((nl.power + 1.0 - rp.p) * (rp.b + rp.d))
     if rp.p == 1.0 and rp.b == 1.0 and rp.d >= 0.0:
-        return PeriodLimits(period_infimum_p1(rp.d), small,
-                            ("p1-infimum", "small-oscillation"))
-    return PeriodLimits(math.inf, small, ("small-oscillation",))
+        return PeriodLimits(period_infimum_p1(rp.d), small)
+    return PeriodLimits(math.inf, small)
 
 
 def require_family(kind: str, rp: ReducedParams) -> None:
@@ -575,14 +562,13 @@ def find_amplitude_for_period(
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
     require_family(kind, rp)
+    T = lambda amp: period_sample(kind, amp, rp, nl, cfg).period
 
     if kind == "sign-changing":
         supremum = period_zero_amplitude_limit(rp)
         if t_target >= supremum:
             raise OutOfRangeError("target above the attainable periods",
                                   attained=(0.0, supremum))
-        T = lambda nu: period_sign_changing(nu, rp, nl, cfg,
-                                            method="event-timing").period
         lo = hi = 1.0
         t_lo = T(lo)
         for _ in range(60):
@@ -607,7 +593,6 @@ def find_amplitude_for_period(
         mubar = _p1_mubar(rp, nl)
         if rp.b == 1.0 and rp.d == 0.0:
             raise DomainError("constant period function: amplitude undetermined")
-        T = lambda mu: period_positive_p1(mu, rp, nl, cfg).period
         lo = mubar + 1e-9 * (a - mubar) if mubar > 0.0 else 1e-9 * a
         hi = a * (1.0 - 1e-9)
         t_lo, t_hi = T(lo), T(hi)
@@ -618,7 +603,6 @@ def find_amplitude_for_period(
         return [brentq(lambda mu: T(mu) - t_target, lo, hi, xtol=1e-13)]
 
     a = stationary_abscissa(rp, nl)
-    T = lambda mu: period_positive(mu, rp, nl, cfg).period
     grid = a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]
     vals = np.array([T(mu) for mu in grid])
     roots = []
@@ -656,9 +640,9 @@ def mode_threshold(params: ProblemParams) -> float:
         / period_zero_amplitude_limit(reduce_params(params))
 
 
-def _snap(x: float, tol: float = 1e-9) -> float:
+def _snap(x: float) -> float:
     r = round(x)
-    return float(r) if abs(x - r) < tol else x
+    return float(r) if abs(x - r) < 1e-9 else x
 
 
 def _largest_int_below(x: float) -> int:
@@ -689,7 +673,7 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
     notes: dict = {}
     if p > 1.0:
         scale = decay_exponent(p, q)
-        mq = None if c >= critical_potential(p, q) else mode_threshold(params)
+        mq = None if c > critical_potential(p, q) else mode_threshold(params)
         k_sc = 1 if mq is None else _smallest_int_above(mq)
         notes["positive_mode_cap"] = "largest integer strictly below sqrt(p beta^(1-p)(c - c_q))"
     else:

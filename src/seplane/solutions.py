@@ -46,6 +46,9 @@ __all__ = [
 POINTS_PER_PERIOD = 2048
 # turning parameters K of the explicit positive p = 1 family sampled at c = 0
 EXPLICIT_K = (0.25, 0.5, 0.75)
+# finite differencing of the sampled profile amplifies dense-output
+# roughness, so profiles are built tighter than the integrator default
+PROFILE_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,6 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
     return obj
 
 
@@ -145,6 +146,13 @@ def _fd1_periodic(values: np.ndarray, h: float) -> np.ndarray:
     vp1, vm1 = np.roll(values, -1), np.roll(values, 1)
     vp2, vm2 = np.roll(values, -2), np.roll(values, 2)
     return (-vp2 + 8.0 * vp1 - 8.0 * vm1 + vm2) / (12.0 * h)
+
+
+def _near_zero(om: np.ndarray) -> np.ndarray:
+    """Mask of the samples at offsets -4..+5 (periodically) from a sign change
+    or from a sample below 1e-3 of the largest |om|."""
+    zero = (np.sign(om) != np.sign(np.roll(om, -1))) | (np.abs(om) < 1e-3 * np.max(np.abs(om)))
+    return np.logical_or.reduce([np.roll(zero, offset) for offset in range(-4, 6)])
 
 
 def _angular_report(values: np.ndarray, h: float, p: float, beta: float,
@@ -176,17 +184,7 @@ def _angular_report(values: np.ndarray, h: float, p: float, beta: float,
     t_pot = cpot * odd_power(om, p - 1.0)
     residual = dflux + t_lin + t_src - t_pot
 
-    keep = np.ones(len(om), dtype=bool)
-    if p != 2.0:
-        scale_om = np.max(np.abs(om))
-        crossings = np.nonzero(np.sign(om) != np.sign(np.roll(om, -1)))[0]
-        near_zero = np.nonzero(np.abs(om) < 1e-3 * scale_om)[0]
-        bad = set()
-        width = 4
-        for idx in list(crossings) + list(near_zero):
-            for j in range(idx - width, idx + width + 2):
-                bad.add(j % len(om))
-        keep[list(bad)] = False
+    keep = np.ones(len(om), dtype=bool) if p == 2.0 else ~_near_zero(om)
     with np.errstate(invalid="ignore"):
         residual = np.where(np.isfinite(residual), residual, np.inf)
     scale = float(max(np.max(np.abs(dflux[keep])), np.max(np.abs(t_lin[keep])),
@@ -295,7 +293,7 @@ def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg) -> ModeEn
 
 def build_solution_set(
     params: ProblemParams,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = PROFILE_CONFIG,
     *,
     k_max: int | None = None,
 ) -> SolutionSet:
@@ -306,10 +304,6 @@ def build_solution_set(
     attached as notes, never silently dropped.
     """
     p, q, c = params.p, params.q, params.c
-    if cfg is None:
-        # finite differencing of the sampled profile amplifies dense-output
-        # roughness, so profiles are built tighter than the default
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     bounds = mode_bounds(params)
     rp = reduce_params(params)
     nl = reduced_nonlinearity(params)

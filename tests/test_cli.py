@@ -56,6 +56,32 @@ class TestParamsCommand:
         assert code == 2
         assert "invalid input" in err
 
+    def test_zero_amplitude_limit_computed_once(self, capsys, monkeypatch):
+        from seplane import periods
+
+        calls = []
+        original = periods.period_zero_amplitude_limit
+
+        def counted(rp):
+            calls.append(rp)
+            return original(rp)
+
+        monkeypatch.setattr(periods, "period_zero_amplitude_limit", counted)
+        code, _, _ = run_cli(capsys, "params", "-p", "2", "-q", "3", "-c", "0")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_threshold_at_critical_potential(self, capsys):
+        from seplane.params import ProblemParams
+        from seplane.periods import mode_bounds
+
+        # c_q = 1 exactly at (p, q) = (2, 3)
+        mq = mode_bounds(ProblemParams(2.0, 3.0, 1.0)).mode_threshold
+        code, out, _ = run_cli(capsys, "params", "-p", "2", "-q", "3", "-c", "1")
+        assert code == 0
+        assert mq == 0.0
+        assert json.loads(out)["M_q"] == mq
+
 
 class TestOrbitCommand:
     def test_p1_circle(self, capsys):
@@ -249,6 +275,46 @@ class TestConfigAndChecks:
         code, _, err = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "-c", "0",
                                "--start", "0", "1", "--config", str(cfg))
         assert code == 2
+
+    def test_solve_set_flags_apply_to_the_profile_config(self, capsys, monkeypatch,
+                                                         tmp_path):
+        from seplane import cli
+        from seplane.errors import DomainError
+        from seplane.solutions import PROFILE_CONFIG
+
+        seen = []
+
+        def capture(params, cfg, *, k_max=None):
+            seen.append(cfg)
+            raise DomainError("captured")
+
+        monkeypatch.setattr(cli, "build_solution_set", capture)
+        cfg_file = tmp_path / "integ.cfg"
+        cfg_file.write_text("rel_tol = 1e-11\n")
+        argv = ("solve-set", "-p", "2", "-q", "3")
+        run_cli(capsys, *argv)
+        run_cli(capsys, *argv, "--tol-rel", "1e-11")
+        run_cli(capsys, *argv, "--config", str(cfg_file))
+        assert seen[0] == PROFILE_CONFIG
+        for cfg in seen[1:]:
+            assert (cfg.rel_tol, cfg.abs_tol) == (1e-11, 1e-14)
+
+    @pytest.mark.parametrize("argv", [
+        ("params", "-p", "2", "-q", "3"),
+        ("sector", "-p", "2", "-q", "3", "--theta", "1"),
+        ("solve-set", "-p", "1", "-q", "2", "-c", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_refused_where_only_json_is_written(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == "" and "invalid input" in err
+
+    def test_json_format_matches_default(self, capsys):
+        argv = ("params", "-p", "2", "-q", "3", "-c", "0")
+        _, plain, _ = run_cli(capsys, *argv)
+        code, as_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert as_json == plain
 
     def test_paper_check_sector(self, capsys):
         code, out, _ = run_cli(capsys, "sector", "-p", "2", "-q", "3",

@@ -42,7 +42,7 @@ class TestCartesian:
         # at p = 2 the second component collapses to (b+d) w - f(w)
         rp, nl = duffing_soft
         fv = field_cartesian((1.0, 0.0), rp, nl)
-        assert fv == (0.0, -2.0, False)
+        assert fv == (0.0, -2.0)
         for w, y in [(0.5, 0.3), (1.2, -0.7)]:
             fv = field_cartesian((w, y), rp, nl)
             assert fv.d1 == y
@@ -52,14 +52,6 @@ class TestCartesian:
         rp, nl = duffing_soft
         with pytest.raises(SingularOriginError):
             field_cartesian((0.0, 0.0), rp, nl)
-
-    def test_singular_line_tag(self):
-        rp = ReducedParams(1.5, 2.0, 1.0, 0.5)
-        nl = Nonlinearity(1.5, 2.0)
-        assert field_cartesian((0.0, 1.0), rp, nl).singular
-        assert not field_cartesian((0.1, 1.0), rp, nl).singular
-        rp0 = ReducedParams(1.5, 2.0, 1.0, 0.0)
-        assert not field_cartesian((0.0, 1.0), rp0, nl).singular
 
     @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0),
            st.sampled_from([(2.0, 3.0, -1.0, 0.0), (3.0, 5.0, -3.0, 2.0),
@@ -184,7 +176,7 @@ class TestP1Charts:
     def test_slope_examples(self, p1_power):
         rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
         fv = field_p1_slope((1.0, 0.0), rp, p1_power)
-        assert fv == (0.0, 0.0, False)
+        assert fv == (0.0, 0.0)
         rp2 = ReducedParams(1.0, 2.0, 1.0, 0.7)
         fv = field_p1_slope((0.4, 0.0), rp2, p1_power)
         assert fv.d2 == pytest.approx(1.0 - 0.4 + 0.7)
@@ -212,7 +204,7 @@ class TestP1Charts:
     def test_cartesian_singular_line(self, p1_power):
         rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
         fv = field_p1_cartesian((0.0, 2.0), rp, p1_power)
-        assert fv.singular and fv.d1 == 2.0 and fv.d2 == 0.0
+        assert fv == (2.0, 0.0)
         rp_d = ReducedParams(1.0, 2.0, 1.0, 0.5)
         with pytest.raises(SingularFieldError):
             field_p1_cartesian((0.0, 2.0), rp_d, p1_power)
@@ -228,11 +220,6 @@ class TestScalingConditions:
         assert abs(rep.f_derivative_range[0]) < 1e-9
         assert abs(rep.f_derivative_range[1]) < 1e-9
         assert rep.g_derivative_max < 0.0
-
-    def test_p2_decrease_at_unit_point(self, duffing_soft):
-        rp, nl = duffing_soft
-        rep = check_scaling_conditions(rp, nl, sample_points=[(1.0, 1.0)])
-        assert rep.satisfied and rep.g_derivative_max < 0.0
 
     def test_corrupted_field_flagged(self, duffing_soft):
         rp, nl = duffing_soft

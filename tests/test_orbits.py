@@ -83,12 +83,14 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify_orbit((-1.0, 0.5), rp, nl)
 
-    def test_inconclusive_reports_diagnostics(self, center_case):
+    def test_inconclusive_reports_diagnostics(self, center_case, monkeypatch):
+        from seplane import orbits
         from seplane.errors import InconclusiveOrbitError
 
         rp, nl = center_case
+        monkeypatch.setattr(orbits, "CLASSIFY_HORIZON", 0.01)
         with pytest.raises(InconclusiveOrbitError) as exc:
-            classify_orbit((0.5, 0.1), rp, nl, horizon=0.01)
+            classify_orbit((0.5, 0.1), rp, nl)
         assert "max_radius" in exc.value.diagnostics
 
 

@@ -23,7 +23,6 @@ from seplane.params import (
     slope_map_inv,
     slope_map_primitive,
     slope_potential,
-    slope_potential_deriv,
     slope_potential_min,
     stationary_abscissa,
 )
@@ -132,7 +131,7 @@ class TestLift:
         params = ProblemParams(1.0, 2.0, 0.0)
         tau = np.linspace(1e-3, math.pi - 1e-3, 200)
         w = 2.0 * np.sin(tau)
-        sigma, omega = lift_profile(tau, w, params, period=math.pi - 2e-3)
+        sigma, omega = lift_profile(tau, w, params)
         assert np.allclose(omega, (2.0 * np.sin(sigma)) ** 0.5)
 
     def test_constant_round_trip(self):
@@ -145,23 +144,11 @@ class TestLift:
         expected = (params.c - critical_potential(params.p, params.q)) ** (1.0 / e)
         assert np.max(np.abs(omega - expected)) < 1e-12 * expected
 
-    def test_period_coverage_error(self):
-        params = ProblemParams(2.0, 3.0, 0.0)
-        tau = np.linspace(0.0, 1.0, 32)
-        with pytest.raises(DomainError):
-            lift_profile(tau, np.sin(tau), params, period=4.0)
-
 
 class TestSlopePotential:
     def test_values(self):
         assert slope_potential(1.0, 2.0, 1.0) == 0.0
         assert invert_slope_potential(2.0, 2.0, -1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_derivative_matches_finite_difference(self):
-        for p, b, xi in [(3.0, 2.0, 0.7), (1.5, -1.0, 0.9), (2.7, 4.0, 1.3)]:
-            h = 1e-6
-            fd = (slope_potential(xi + h, p, b) - slope_potential(xi - h, p, b)) / (2 * h)
-            assert rel_err(fd, slope_potential_deriv(xi, p, b)) < 1e-6
 
     def test_minimum(self):
         assert slope_potential_min(2.0, 5.0) is None

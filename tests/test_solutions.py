@@ -12,6 +12,7 @@ from seplane.params import (
 from seplane.periods import mode_bounds
 from seplane.solutions import (
     AngularProfile,
+    _near_zero,
     build_solution_set,
     p1_explicit,
     reduced_residual_report,
@@ -66,6 +67,26 @@ class TestVerifyProfile:
         rep = verify_profile(make_profile(2.0 + np.cos(
             np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False))), params)
         assert not rep.passed
+
+
+    def test_excluded_neighborhoods_match_the_loop(self):
+        def reference(om):
+            bad = set()
+            crossings = np.nonzero(np.sign(om) != np.sign(np.roll(om, -1)))[0]
+            small = np.nonzero(np.abs(om) < 1e-3 * np.max(np.abs(om)))[0]
+            for idx in list(crossings) + list(small):
+                bad.update(j % len(om) for j in range(idx - 4, idx + 6))
+            mask = np.zeros(len(om), dtype=bool)
+            mask[list(bad)] = True
+            return mask
+
+        rng = np.random.default_rng(7)
+        for n in list(range(1, 40)) + [257, 2048]:
+            x = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+            for om in (rng.normal(size=n), np.sin(3.0 * x + rng.uniform(0.0, 6.0)),
+                       rng.choice([-1.0, 0.0, 1e-4, 1.0], size=n),
+                       np.abs(rng.normal(size=n)) + 0.5):
+                assert np.array_equal(_near_zero(om), reference(om))
 
 
 class TestExplicitFamilies:
