@@ -82,7 +82,11 @@ def _integrator_config(args, base: IntegratorConfig = DEFAULT_CONFIG) -> Integra
     """``base`` with the --config keys, then the --tol-* flags, applied."""
     fields = {}
     if args.config:
-        for line in Path(args.config).read_text().splitlines():
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read config file {args.config!r}: {exc}") from exc
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -90,7 +94,10 @@ def _integrator_config(args, base: IntegratorConfig = DEFAULT_CONFIG) -> Integra
             key = key.strip()
             if key not in ("rel_tol", "abs_tol", "max_step", "max_steps", "event_tol"):
                 raise DomainError(f"unknown config key {key!r}")
-            fields[key] = int(value) if key == "max_steps" else float(value)
+            try:
+                fields[key] = int(value) if key == "max_steps" else float(value)
+            except ValueError as exc:
+                raise DomainError(f"config key {key!r}: {exc}") from exc
     if args.tol_rel is not None:
         fields["rel_tol"] = args.tol_rel
     if args.tol_abs is not None:
@@ -406,6 +413,10 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and args.command not in ("orbit", "period-scan"):
             raise DomainError("--format csv applies to orbit and period-scan only")
+        if args.command in ("params", "sector") and (
+                args.tol_rel is not None or args.tol_abs is not None or args.config):
+            raise DomainError("--tol-rel, --tol-abs and --config apply to orbit, "
+                              "period-scan and solve-set only")
         if args.paper_check:
             ids = _checks.CHECKS_BY_COMMAND[args.command]
             ok = _checks.run_checks(ids, seed=args.seed)

@@ -50,7 +50,7 @@ class FieldEval(NamedTuple):
 
 def field_cartesian(pt, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
     """(w, y) velocity of the reduced second-order equation, p > 1."""
-    w, y = pt
+    w, y = float(pt[0]), float(pt[1])
     if w == 0.0 and y == 0.0:
         raise SingularOriginError("the phase-plane field is singular at (0, 0)")
     p, b, d = rp.p, rp.b, rp.d

@@ -149,12 +149,15 @@ def integrate(
         t_old, t, y = solver.t_old, solver.t, solver.y
         if abs(t - t_old) < 1e-14 * span:
             raise StepUnderflowError(f"step shrank below 1e-14 of the span at tau={t}")
-        interp = solver.dense_output()
+        # the step interpolant is built only for a dense run or a bracketed event
+        interp = solver.dense_output() if dense else None
 
         hits = []
         g_now = [ev.fn(t, y) for ev in events]
         for i, ev in enumerate(events):
             if _crossed(g_prev[i], g_now[i], ev.direction):
+                if interp is None:
+                    interp = solver.dense_output()
                 lo, hi = (t, t_old) if backward else (t_old, t)
                 t_ev = brentq(lambda s, e=ev: e.fn(s, interp(s)), lo, hi,
                               xtol=cfg.event_tol)
@@ -168,20 +171,20 @@ def integrate(
             if ev.terminal:
                 stop = (t_ev, s_ev)
                 break
+        if dense:
+            interps.append(interp)
         if stop is not None:
             taus.append(stop[0])
             states.append(stop[1])
-            interps.append(interp)
             status = "terminal-event"
             break
         taus.append(t)
         states.append(y.copy())
-        interps.append(interp)
         g_prev = g_now
     else:
         raise MaxStepsError(f"exceeded {cfg.max_steps} steps over {tau_span}")
 
-    sol = OdeSolution(np.asarray(taus), interps) if (dense and interps) else None
+    sol = OdeSolution(np.asarray(taus), interps) if interps else None
     for ev in recorded:
         ev.state.flags.writeable = False
     return Trajectory(np.asarray(taus), np.asarray(states), recorded, status, sol)

@@ -47,7 +47,17 @@ DEGENERATE_BAND = 1e-10
 
 
 def odd_power(s, e):
-    """sign(s) * |s|**e, the odd extension of the power; 0 at 0 for e > 0."""
+    """sign(s) * |s|**e, the odd extension of the power; 0 at 0 for e > 0.
+
+    A nonzero float (numpy float64 included) takes a scalar path whose
+    result equals the array path's bit for bit; zero, nan, an overflowing
+    power and arrays take the array path.
+    """
+    if isinstance(s, float) and s != 0.0 and not math.isnan(s):
+        try:
+            return math.copysign(abs(float(s)) ** float(e), s)
+        except OverflowError:
+            pass
     s = np.asarray(s, dtype=float)
     out = np.sign(s) * np.abs(s) ** e
     if out.ndim == 0:

@@ -50,6 +50,8 @@ __all__ = [
     "period_sample",
     "monotonicity",
     "period_scan",
+    "InversionSetup",
+    "inversion_setup",
     "find_amplitude_for_period",
     "period_limits",
     "ModeBounds",
@@ -545,32 +547,79 @@ def period_scan(
     return ScanResult(samples, verdict, violation)
 
 
+@dataclass(frozen=True)
+class InversionSetup:
+    """What amplitude inversion of one family reuses across target periods:
+    the zero-amplitude limit of the sign-changing period, or the positive
+    period sampled at the scan amplitudes (at p = 1, the two ends of the
+    amplitude range)."""
+
+    kind: str
+    zero_limit: float | None = None
+    amplitudes: tuple[float, ...] = ()
+    periods: tuple[float, ...] = ()
+
+
+def inversion_setup(
+    kind: str,
+    rp: ReducedParams,
+    nl: Nonlinearity,
+    cfg: IntegratorConfig | None = None,
+) -> InversionSetup:
+    """The target-independent part of find_amplitude_for_period: T_0 for
+    sign-changing periods; for positive periods, 60 scan amplitudes in
+    (0, a) at p > 1 or the two ends of the amplitude range at p = 1, with
+    their periods."""
+    require_family(kind, rp)
+    if kind == "sign-changing":
+        return InversionSetup(kind, zero_limit=period_zero_amplitude_limit(rp))
+    a = stationary_abscissa(rp, nl)
+    if rp.p == 1.0:
+        mubar = _p1_mubar(rp, nl)
+        if rp.b == 1.0 and rp.d == 0.0:
+            raise DomainError("constant period function: amplitude undetermined")
+        lo = mubar + 1e-9 * (a - mubar) if mubar > 0.0 else 1e-9 * a
+        grid = [lo, a * (1.0 - 1e-9)]
+    else:
+        grid = (a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]).tolist()
+    return InversionSetup(kind, amplitudes=tuple(grid), periods=tuple(
+        period_sample(kind, amp, rp, nl, cfg).period for amp in grid))
+
+
 def find_amplitude_for_period(
     t_target: float,
     kind: str,
     rp: ReducedParams,
     nl: Nonlinearity,
     cfg: IntegratorConfig | None = None,
+    *,
+    setup: InversionSetup | None = None,
 ) -> list[float]:
     """Amplitudes whose least period equals the target.
 
     Sign-changing periods are strictly decreasing, so a single bisected root
     is returned; positive periods are scanned at 60 amplitudes and every
     bracketed root is polished (their monotonicity is not guaranteed in
-    general).
+    general). T_0 and the scan do not depend on the target: a solution set
+    computes them once with inversion_setup and passes them to every mode as
+    ``setup``, while a call without ``setup`` computes its own.
     """
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
     require_family(kind, rp)
+    if setup is None:
+        setup = inversion_setup(kind, rp, nl, cfg)
+    elif setup.kind != kind:
+        raise DomainError(f"inversion setup is for {setup.kind!r}, not {kind!r}")
     T = lambda amp: period_sample(kind, amp, rp, nl, cfg).period
 
     if kind == "sign-changing":
-        supremum = period_zero_amplitude_limit(rp)
+        supremum = setup.zero_limit
         if t_target >= supremum:
             raise OutOfRangeError("target above the attainable periods",
                                   attained=(0.0, supremum))
         lo = hi = 1.0
-        t_lo = T(lo)
+        t_lo = t_hi = T(lo)
         for _ in range(60):
             if t_lo > t_target:
                 break
@@ -579,7 +628,6 @@ def find_amplitude_for_period(
         else:
             raise OutOfRangeError("target above the attainable periods",
                                   attained=(0.0, t_lo))
-        t_hi = T(hi)
         for _ in range(60):
             if t_hi < t_target:
                 break
@@ -588,34 +636,25 @@ def find_amplitude_for_period(
         root = brentq(lambda nu: T(nu) - t_target, lo, hi, xtol=1e-12, rtol=1e-12)
         return [root]
 
+    grid, vals = setup.amplitudes, setup.periods
     if rp.p == 1.0:
-        a = stationary_abscissa(rp, nl)
-        mubar = _p1_mubar(rp, nl)
-        if rp.b == 1.0 and rp.d == 0.0:
-            raise DomainError("constant period function: amplitude undetermined")
-        lo = mubar + 1e-9 * (a - mubar) if mubar > 0.0 else 1e-9 * a
-        hi = a * (1.0 - 1e-9)
-        t_lo, t_hi = T(lo), T(hi)
-        lo_v, hi_v = sorted((t_lo, t_hi))
+        lo_v, hi_v = sorted(vals)
         if not lo_v <= t_target <= hi_v:
             raise OutOfRangeError("target outside the attainable periods",
                                   attained=(lo_v, hi_v))
-        return [brentq(lambda mu: T(mu) - t_target, lo, hi, xtol=1e-13)]
+        return [brentq(lambda mu: T(mu) - t_target, grid[0], grid[1], xtol=1e-13)]
 
-    a = stationary_abscissa(rp, nl)
-    grid = a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]
-    vals = np.array([T(mu) for mu in grid])
     roots = []
     for i in range(len(grid) - 1):
         f0, f1 = vals[i] - t_target, vals[i + 1] - t_target
         if f0 == 0.0:
-            roots.append(float(grid[i]))
+            roots.append(grid[i])
         elif f0 * f1 < 0.0:
             roots.append(brentq(lambda mu: T(mu) - t_target,
                                 grid[i], grid[i + 1], xtol=1e-12))
     if not roots:
         raise OutOfRangeError("target outside the scanned periods",
-                              attained=(float(vals.min()), float(vals.max())))
+                              attained=(min(vals), max(vals)))
     return roots
 
 

@@ -27,7 +27,13 @@ from .params import (
     reduce_params,
     reduced_nonlinearity,
 )
-from .periods import ModeBounds, find_amplitude_for_period, mode_bounds
+from .periods import (
+    InversionSetup,
+    ModeBounds,
+    find_amplitude_for_period,
+    inversion_setup,
+    mode_bounds,
+)
 
 __all__ = [
     "AngularProfile",
@@ -256,19 +262,19 @@ def p1_explicit(family, q: float, n: int = 4096) -> AngularProfile:
 def _fold(dense_traj, tau_end: float, taus: np.ndarray, quarter: bool) -> np.ndarray:
     """Evaluate a full period from the upper half orbit (positive) or from one
     quarter (sign-changing) via the reflections (w, y) -> (w, -y) and
-    (w, y) -> (-w, -y)."""
+    (w, y) -> (-w, -y), with one sample of the dense output."""
     tt = np.mod(taus, (4.0 if quarter else 2.0) * tau_end)
-    w = np.empty_like(tt)
-    for i, t in enumerate(tt):
-        sign = 1.0
-        if quarter and t > 2.0 * tau_end:
-            t, sign = t - 2.0 * tau_end, -1.0
-        s = t if t <= tau_end else 2.0 * tau_end - t
-        w[i] = sign * dense_traj.sample([s])[0, 0]
-    return w
+    sign = np.ones_like(tt)
+    if quarter:
+        back = tt > 2.0 * tau_end
+        tt = np.where(back, tt - 2.0 * tau_end, tt)
+        sign[back] = -1.0
+    s = np.where(tt <= tau_end, tt, 2.0 * tau_end - tt)
+    return sign * dense_traj.sample(s)[:, 0]
 
 
-def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg) -> ModeEntry:
+def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg,
+                setup: InversionSetup) -> ModeEntry:
     """Mode k of a family: the amplitude of reduced period t_k, one quarter
     (sign-changing, from (0, nu)) or half (positive, from (mu, 0)) orbit up to
     its section, folded over the period, lifted, and verified."""
@@ -276,7 +282,7 @@ def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg) -> ModeEn
     # reduced time per unit angle: beta for p > 1, 1 at p = 1
     scale = decay_exponent(p, params.q) if p > 1.0 else 1.0
     t_k = 2.0 * math.pi * scale / k
-    roots = find_amplitude_for_period(t_k, kind, rp, nl, cfg)
+    roots = find_amplitude_for_period(t_k, kind, rp, nl, cfg, setup=setup)
     note = "" if len(roots) == 1 else f"{len(roots)} amplitude roots; using the first"
     quarter = kind == "sign-changing"
     rhs = p1_slope_rhs(rp, nl) if p == 1.0 else cartesian_rhs(rp, nl)
@@ -339,9 +345,19 @@ def build_solution_set(
                                  "profile": p1_explicit("omega0plus", q, n=n)})
 
     entries: dict[str, list[ModeEntry]] = {"sign-changing": [], "positive": []}
+    # the target-independent part of each family's inversion, or its failure,
+    # which then fails every mode of the family
+    setups: dict[str, InversionSetup | SeplaneError] = {}
     for kind, k in modes:
+        if kind not in setups:
+            try:
+                setups[kind] = inversion_setup(kind, rp, nl, cfg)
+            except SeplaneError as exc:
+                setups[kind] = exc
         try:
-            entries[kind].append(_mode_entry(kind, k, params, rp, nl, cfg))
+            if isinstance(setups[kind], SeplaneError):
+                raise setups[kind]
+            entries[kind].append(_mode_entry(kind, k, params, rp, nl, cfg, setups[kind]))
         except SeplaneError as exc:
             notes.append(f"{kind} mode {k} failed: {exc}")
     if "literal_reading" in bounds.notes:

@@ -71,6 +71,29 @@ class TestParamsCommand:
         assert code == 0
         assert len(calls) == 1
 
+    def test_zero_amplitude_limit_computed_once_per_solution_set(self, capsys,
+                                                                 monkeypatch):
+        # mode_bounds and the sign-changing inversion each compute T_0 once,
+        # however many modes the set holds
+        from seplane import periods
+
+        calls = []
+        original = periods.period_zero_amplitude_limit
+
+        def counted(rp):
+            calls.append(rp)
+            return original(rp)
+
+        monkeypatch.setattr(periods, "period_zero_amplitude_limit", counted)
+        counts = []
+        for k_max in ("4", "8"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "solve-set", "-p", "2", "-q", "3", "-c", "0",
+                                 "--k-max", k_max)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 2
+
     def test_threshold_at_critical_potential(self, capsys):
         from seplane.params import ProblemParams
         from seplane.periods import mode_bounds
@@ -275,6 +298,35 @@ class TestConfigAndChecks:
         code, _, err = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "-c", "0",
                                "--start", "0", "1", "--config", str(cfg))
         assert code == 2
+
+    def test_missing_config_file_is_invalid_input(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "--start", "0", "1",
+                                 "--config", str(tmp_path / "missing.cfg"))
+        assert code == 2
+        assert out == "" and "invalid input" in err and "missing.cfg" in err
+
+    def test_non_numeric_config_value_is_invalid_input(self, capsys, tmp_path):
+        cfg = tmp_path / "integ.cfg"
+        cfg.write_text("rel_tol = tight\n")
+        code, _, err = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "--start", "0", "1",
+                               "--config", str(cfg))
+        assert code == 2
+        assert "invalid input" in err and "rel_tol" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--tol-rel", "-5"),
+        ("--tol-rel", "1e-8"),
+        ("--tol-abs", "1e-9"),
+        ("--config", "missing.cfg"),
+    ], ids=["tol-rel-negative", "tol-rel", "tol-abs", "config"])
+    @pytest.mark.parametrize("argv", [
+        ("params", "-p", "2", "-q", "3"),
+        ("sector", "-p", "2", "-q", "3", "--theta", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_integrator_flags_refused_where_nothing_integrates(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 2
+        assert out == "" and "invalid input" in err
 
     def test_solve_set_flags_apply_to_the_profile_config(self, capsys, monkeypatch,
                                                          tmp_path):

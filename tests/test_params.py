@@ -18,6 +18,7 @@ from seplane.params import (
     invert_slope_potential,
     lift_profile,
     mode_threshold_zero_c,
+    odd_power,
     reduce_params,
     slope_map,
     slope_map_inv,
@@ -311,3 +312,30 @@ class TestNonlinearity:
         grid = np.linspace(0.01, 5.0, 200)
         vals = [nl.h(s) for s in grid]
         assert np.all(np.diff(vals) > 0.0)
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+class TestOddPower:
+    # every finite float: zeros, subnormals and values whose power overflows
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    exponent = st.floats(0.3, 6.0) | st.sampled_from([0.5, 1.0, 2.0, 3.0])
+
+    @settings(max_examples=1000)
+    @given(finite, exponent)
+    def test_scalar_path_matches_array_path_bit_for_bit(self, s, e):
+        # the array path on a 0-d array is what a scalar took before the
+        # scalar path existed
+        with np.errstate(over="ignore"):
+            want = odd_power(np.asarray(s), e)
+            for x in (s, np.float64(s)):
+                got = odd_power(x, e)
+                assert type(got) is float
+                assert _bits(got) == _bits(want), (x, e, got, want)
+
+    @pytest.mark.parametrize("s", [0.0, -0.0])
+    @pytest.mark.parametrize("e", [0.5, 1.0, 3.0])
+    def test_zero_maps_to_positive_zero(self, s, e):
+        assert _bits(odd_power(s, e)) == _bits(0.0)

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from seplane.errors import DomainError
+from seplane import periods, solutions
+from seplane.errors import DomainError, NoCrossingError
 from seplane.params import (
     ProblemParams,
     ReducedParams,
     critical_potential,
+    reduce_params,
+    reduced_nonlinearity,
 )
-from seplane.periods import mode_bounds
+from seplane.periods import inversion_setup, mode_bounds
 from seplane.solutions import (
+    PROFILE_CONFIG,
     AngularProfile,
     _near_zero,
     build_solution_set,
@@ -202,12 +206,102 @@ class TestBuildSolutionSet:
         with pytest.raises(IndexError):
             build_solution_set(ProblemParams(2.0, 3.0, 0.0), k_max=2)
 
+    def test_positive_scan_runs_once_per_set(self, monkeypatch):
+        # every positive period evaluation beyond the one 60-amplitude scan
+        # is a brentq polish of some mode's root
+        evals, polish = [], []
+        period_positive, brentq = periods.period_positive, periods.brentq
+
+        def counted_period(*args, **kwargs):
+            evals.append(args[0])
+            return period_positive(*args, **kwargs)
+
+        def counted_brentq(f, *args, **kwargs):
+            def g(x):
+                polish.append(x)
+                return f(x)
+            return brentq(g, *args, **kwargs)
+
+        monkeypatch.setattr(periods, "period_positive", counted_period)
+        monkeypatch.setattr(periods, "brentq", counted_brentq)
+        ss = build_solution_set(ProblemParams(2.0, 3.0, 9.0), k_max=0)
+        assert [e.k for e in ss.positive] == [1, 2, 3]
+        assert not ss.sign_changing
+        assert len(evals) == 60 + len(polish)
+
+    def test_failed_inversion_setup_fails_every_mode_of_its_family(self, monkeypatch):
+        calls = []
+
+        def failing(kind, *args):
+            calls.append(kind)
+            raise NoCrossingError("scan failed")
+
+        monkeypatch.setattr(solutions, "inversion_setup", failing)
+        ss = build_solution_set(ProblemParams(2.0, 3.0, 9.0), k_max=0)
+        assert calls == ["positive"]
+        assert not ss.positive
+        assert [n for n in ss.notes if "failed" in n] == [
+            f"positive mode {k} failed: scan failed" for k in (1, 2, 3)]
+
     def test_describe_is_json_ready(self):
         import json
 
         ss = build_solution_set(ProblemParams(1.0, 2.0, 3.0))
         text = json.dumps(ss.describe(), sort_keys=True)
         assert "positive" in text
+
+
+def _fold_by_point(traj, tau_end, taus, quarter):
+    """Reference fold: one one-point sample of the dense output per grid
+    point. Returns the folded values, the sampled abscissae and the samples."""
+    tt = np.mod(taus, (4.0 if quarter else 2.0) * tau_end)
+    w, abscissae, raw = (np.empty_like(tt) for _ in range(3))
+    for i, t in enumerate(tt):
+        sign = 1.0
+        if quarter and t > 2.0 * tau_end:
+            t, sign = t - 2.0 * tau_end, -1.0
+        abscissae[i] = t if t <= tau_end else 2.0 * tau_end - t
+        raw[i] = traj.sample([abscissae[i]])[0, 0]
+        w[i] = sign * raw[i]
+    return w, abscissae, raw
+
+
+def _mode_entry_fold(monkeypatch, params, kind, k):
+    """Arguments and result of the fold that builds mode k."""
+    calls = []
+    fold = solutions._fold
+
+    def recording(traj, tau_end, taus, quarter):
+        out = fold(traj, tau_end, taus, quarter)
+        calls.append(((traj, tau_end, taus, quarter), out))
+        return out
+
+    monkeypatch.setattr(solutions, "_fold", recording)
+    rp, nl = reduce_params(params), reduced_nonlinearity(params)
+    setup = inversion_setup(kind, rp, nl, PROFILE_CONFIG)
+    solutions._mode_entry(kind, k, params, rp, nl, PROFILE_CONFIG, setup)
+    return calls[0]
+
+
+class TestFold:
+    @pytest.mark.parametrize("params, kind, k", [
+        (ProblemParams(3.0, 5.0, critical_potential(3.0, 5.0) - 1.0), "sign-changing", 3),
+        (ProblemParams(2.5, 4.0, critical_potential(2.5, 4.0) + 20.0), "positive", 3),
+        (ProblemParams(1.0, 2.0, 3.0), "positive", 3),
+    ], ids=["sign-changing-quarter", "positive-half", "p1-positive"])
+    def test_one_sample_matches_the_per_point_loop(self, monkeypatch, params, kind, k):
+        args, folded = _mode_entry_fold(monkeypatch, params, kind, k)
+        traj, tau_end, taus, quarter = args
+        looped, abscissae, raw = _fold_by_point(traj, tau_end, taus, quarter)
+        assert len(folded) == 2048 * k
+        # one matrix product over the grid may sum the interpolant's terms in
+        # another order than the one-point product
+        assert np.all(np.abs(folded - looped) <= 4.0 * np.spacing(np.abs(looped)))
+        # where the batched evaluation of the loop's abscissae agrees with the
+        # one-point one, the reflections must add nothing
+        same = traj.sample(abscissae)[:, 0] == raw
+        assert np.mean(same) > 0.5
+        assert np.array_equal(folded[same], looped[same])
 
 
 class TestSector:
