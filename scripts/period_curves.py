@@ -10,8 +10,8 @@ import pathlib
 
 import numpy as np
 
-from seplane.params import Nonlinearity, ProblemParams, reduce_params
-from seplane.periods import period_positive_p1, period_scan
+from seplane.params import Nonlinearity, ProblemParams, ReducedParams, reduce_params
+from seplane.periods import _p1_mubar, period_positive_p1, period_scan
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
@@ -41,12 +41,9 @@ def main() -> None:
     # p = 1 positive periods across d, including the constant d = 0 curve
     nl1 = Nonlinearity(1.0, 1.0)
     for d in (-0.5, 0.0, 1.0):
-        from seplane.params import ReducedParams
-        from seplane.periods import _p1_mubar
-
         rp = ReducedParams(1.0, 2.0, 1.0, d)
         a = 1.0 + d
-        mubar = _p1_mubar(rp, nl1)
+        mubar = _p1_mubar(d)
         mus = np.linspace(mubar + 1e-3 * (a - mubar), a * (1.0 - 1e-3), 40)
         path = OUT / f"period_positive_p1_d{d}.csv"
         with path.open("w") as fh:

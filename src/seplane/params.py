@@ -325,12 +325,12 @@ def damping_coefficient(xi, p: float, q: float, b: float):
 
 
 def mode_threshold_zero_c(p: float, q: float) -> float:
-    """Closed form of the mode threshold at c = 0 (2/(q-1) at p = 2)."""
+    """Closed form of the mode threshold at c = 0, (p - 2) m / (((p - 1) m + 1)
+    (m - 1)) with m^2 - 1 = (p - 2)(q + 1 - p)/(p (p - 1)), written with the
+    factor p - 2 cancelled (2/(q-1) at p = 2)."""
     _require(p > 1.0, "defined for p > 1")
     _require(q > p - 1.0, "need q > p - 1")
-    if p == 2.0:
-        return 2.0 / (q - 1.0)
     msq = (2.0 * (p - 1.0) + (p - 2.0) * q) / (p * (p - 1.0))
     _require(msq >= 0.0, "no finite threshold: c = 0 exceeds the critical potential here")
     m = math.sqrt(msq)
-    return (p - 2.0) * m / (((p - 1.0) * m + 1.0) * (m - 1.0)) if m != 0.0 else 0.0
+    return m * (m + 1.0) * p * (p - 1.0) / (((p - 1.0) * m + 1.0) * (q + 1.0 - p))

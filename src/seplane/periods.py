@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 from .errors import DomainError, OutOfRangeError
 from .fields import cartesian_rhs
 from .integrate import IntegratorConfig, integrate_to_section
-from .orbits import _s1_and_r, first_integral_p1
 from .params import (
     Nonlinearity,
     ProblemParams,
@@ -242,27 +241,14 @@ def p1_turning_from_amplitude(mu: float, d: float) -> float:
     return math.sqrt(max(s, 0.0))
 
 
-def _p1_mubar(rp: ReducedParams, nl: Nonlinearity) -> float:
-    """Left amplitude endpoint of the p = 1 positive family for d > 0 (0 for
-    d <= 0): the w in (0, a) where the first integral on y = 0, H(w), equals
-    M' = d R(d) - S1(d), its limit as |u| -> 1 at w = d."""
-    b, d = rp.b, rp.d
+def _p1_mubar(d: float) -> float:
+    """Left amplitude endpoint of the p = 1 positive family: for d > 0 the
+    amplitude where the orbit's peak slope reaches |u| = 1, the smaller root
+    1 + d - sqrt(1 + 2d) of mu^2 - 2(1 + d) mu + d^2, written without
+    cancellation; 0 for d <= 0."""
     if d <= 0.0:
         return 0.0
-    a = stationary_abscissa(rp, nl)
-    H = lambda w: first_integral_p1((w, 0.0), rp, nl)
-    s1, r = _s1_and_r(d, b, nl)
-    mprime = d * r - s1
-    # H increases on (0, a) toward its peak; descend from a until H < M'
-    lo = a
-    for _ in range(2000):
-        lo *= 0.5
-        try:
-            if H(lo) < mprime:
-                break
-        except OverflowError:
-            break
-    return brentq(lambda w: H(w) - mprime, lo, a, xtol=1e-14)
+    return d * d / (1.0 + d + math.sqrt(1.0 + 2.0 * d))
 
 
 def period_positive_p1(
@@ -271,163 +257,29 @@ def period_positive_p1(
     nl: Nonlinearity,
     cfg: IntegratorConfig | None = None,
 ) -> PeriodSample:
-    """Least period of the p = 1 positive orbit through (mu, 0) by quadrature
-    of the first integral; b = 1 uses the symmetric reduction, other b invert
-    the two monotone branches of the transit function."""
+    """Least period of the p = 1 (b = 1) positive orbit through (mu, 0) by
+    quadrature of the first integral in its symmetric reduction."""
     if rp.p != 1.0:
         raise DomainError("defined at p = 1")
     require_family("positive", rp)
-    b, d = rp.b, rp.d
+    d = rp.d
     a = stationary_abscissa(rp, nl)
-    mubar = _p1_mubar(rp, nl)
+    mubar = _p1_mubar(d)
     if not mubar < mu < a:
         raise DomainError(f"need mu in ({mubar}, {a}), got {mu}")
+    ustar = p1_turning_from_amplitude(mu, d)
+    s = ustar * ustar
+    root_s = math.sqrt(1.0 - s)
 
-    if b == 1.0:
-        ustar = p1_turning_from_amplitude(mu, d)
-        s = ustar * ustar
-        root_s = math.sqrt(1.0 - s)
+    # after lam = sin(phi) the (1 - lam^2) zero cancels exactly:
+    # Psi(s, sin(phi)) = cos(phi)^2 (2d + A + B)/(A + B)
+    def integrand(phi):
+        a_root = math.sqrt(1.0 - s * math.sin(phi) ** 2)
+        return math.sqrt((a_root + root_s) / (2.0 * d + a_root + root_s))
 
-        # after lam = sin(phi) the (1 - lam^2) zero cancels exactly:
-        # Psi(s, sin(phi)) = cos(phi)^2 (2d + A + B)/(A + B)
-        def integrand(phi):
-            a_root = math.sqrt(1.0 - s * math.sin(phi) ** 2)
-            return math.sqrt((a_root + root_s) / (2.0 * d + a_root + root_s))
-
-        val, est = quad(integrand, 0.0, math.pi / 2.0, epsabs=P1_QUAD_ABS_TOL,
-                        epsrel=1e-12, limit=400)
-        return PeriodSample(mu, 4.0 * val, "quadrature", 4.0 * est + 1e-10)
-
-    period = _p1_two_branch_period(mu, rp, nl)
-    return PeriodSample(mu, period, "quadrature", 1e-8)
-
-
-def _transit_minus_one(z: float, b: float) -> float:
-    """G(z) - 1 for the p = 1 transit function, stable for small z."""
-    return math.expm1(b / (b + 1.0) * math.log1p(-z)
-                      + math.log1p(b * z) / (b + 1.0))
-
-
-def _invert_transit(qm1: float, b: float, left: bool) -> float:
-    """z > 0 with G(z) - 1 = qm1 on the branch left of the peak
-    (w = base (1 - z)), or G(-z) - 1 = qm1 on the right one."""
-    sgn = 1.0 if left else -1.0
-    g = lambda s: _transit_minus_one(sgn * s, b)
-    if qm1 == 0.0:
-        return 0.0
-    if b > 0.0:
-        zmax = 1.0 if left else 1.0 / b
-    else:
-        zmax = min(1.0, -1.0 / b) if left else math.inf
-    hi = 0.5 if not math.isfinite(zmax) else 0.5 * zmax
-    for _ in range(200):
-        gh = g(hi)
-        if (qm1 < 0.0 and gh <= qm1) or (qm1 > 0.0 and gh >= qm1):
-            break
-        hi = 2.0 * hi if not math.isfinite(zmax) else hi + 0.5 * (zmax - hi)
-        if math.isfinite(zmax) and zmax - hi < 1e-14 * zmax:
-            break
-    try:
-        return brentq(lambda s: g(s) - qm1, 0.0, hi, xtol=1e-15)
-    except ValueError as exc:
-        # the growth stopped at zmax without bracketing the level
-        raise OutOfRangeError(
-            f"transit level {qm1} not reached on the {'left' if left else 'right'} "
-            f"branch for z up to {hi}") from exc
-
-
-def _branch_root(G, top: float, peak: float, drop: float, left: bool) -> float:
-    """w on the requested side of the peak of G with top - G(w) = drop > 0."""
-    f = lambda w: (top - G(w)) - drop
-    if left:
-        return brentq(f, 1e-300, peak, xtol=1e-15)
-    hi = 2.0 * peak
-    while top - G(hi) < drop:
-        hi *= 2.0
-    return brentq(f, peak, hi, xtol=1e-15)
-
-
-def _p1_two_branch_period(mu: float, rp: ReducedParams, nl: Nonlinearity) -> float:
-    """General-b p = 1 period from the two monotone inverse branches.
-
-    After lam = sin(phi), each level a = sqrt(1 - lam^2 u*^2) meets the orbit
-    left and right of base = d + b a, and the transit time is one quadrature
-    over phi in (0, pi/2) per side. At b = 0 and b = -1 the first integral
-    reads G(w) = top - drop with a logarithmic G; other b invert the transit
-    function G(z) of w = base (1 - z).
-    """
-    b, d = rp.b, rp.d
-    logarithmic = b == 0.0 or b == -1.0
-    if logarithmic:
-        if b == 0.0:
-            G = lambda w: 1.0 + d * math.log(w) - w
-            peak, top = d, G(d)
-            ustar_sq = 1.0 - (1.0 + G(mu) - top) ** 2
-        else:
-            if d <= 1.0:
-                raise DomainError("b = -1 positive orbits need d > 1")
-            # first integral: d - sqrt(1-u^2) = (B+1) w - w ln w with B = -(C+1)
-            B = -(first_integral_p1((mu, 0.0), rp, nl) + 1.0)
-            G = lambda w: (B + 1.0) * w - w * math.log(w)
-            peak = top = math.exp(B)
-            ustar_sq = 1.0 - (d - peak) ** 2
-        if not 0.0 < ustar_sq <= 1.0:
-            raise DomainError("amplitude outside the admissible interval")
-        ustar = math.sqrt(ustar_sq)
-    else:
-        ustar = _p1_ustar_general(mu, rp, nl)
-        ustar_sq = ustar * ustar
-    root_s = math.sqrt(1.0 - ustar_sq)
-
-    def integrand(phi, left):
-        lam = math.sin(phi)
-        a_root = math.sqrt(1.0 - lam * lam * ustar_sq)
-        base = d + b * a_root
-        if logarithmic:
-            # top - G(w), written without cancellation
-            drop = ustar_sq * math.cos(phi) ** 2 / (a_root + root_s)
-            gap = abs(base - _branch_root(G, top, peak, drop, left)) if drop > 0.0 else 0.0
-        else:
-            # Q - 1 = (d + b sqrt(1 - u*^2) - base)/base without cancellation
-            qm1 = -b * ustar_sq * math.cos(phi) ** 2 / (base * (a_root + root_s))
-            gap = base * _invert_transit(qm1, b, left)
-        if gap == 0.0:
-            # analytic endpoint limit of cos(phi)/gap
-            return 2.0 * ustar / (base * math.sqrt(2.0 * ustar_sq / (base * (a_root + root_s))))
-        return 2.0 * ustar * math.cos(phi) / gap
-
-    t_left, _ = quad(lambda ph: integrand(ph, True), 0.0, math.pi / 2.0,
-                     epsabs=P1_QUAD_ABS_TOL, limit=300)
-    t_right, _ = quad(lambda ph: integrand(ph, False), 0.0, math.pi / 2.0,
-                      epsabs=P1_QUAD_ABS_TOL, limit=300)
-    return t_left + t_right
-
-
-def _p1_ustar_general(mu: float, rp: ReducedParams, nl: Nonlinearity) -> float:
-    """Peak transformed slope on the p = 1 orbit through (mu, 0), general b,
-    from conservation of the first integral."""
-    b, d = rp.b, rp.d
-    c_val = first_integral_p1((mu, 0.0), rp, nl)
-    # at the peak, w* = d + b sqrt(1-u*^2) and w*^b sqrt(1-u*^2) - S1 + dR = C
-
-    def mismatch(us):
-        root = math.sqrt(1.0 - us * us)
-        wstar = d + b * root
-        if wstar <= 0.0:
-            return math.inf
-        return first_integral_p1((wstar, us), rp, nl) - c_val
-
-    # u* in (0, 1), below the slope where w* reaches 0 when d < 0;
-    # mismatch decreasing in us near the solution
-    lo, hi = 1e-12, 1.0 - 1e-12
-    if d < 0.0:
-        hi = min(hi, math.sqrt(1.0 - (d / b) ** 2) * (1.0 - 1e-12))
-    try:
-        return brentq(mismatch, lo, hi, xtol=1e-14)
-    except ValueError as exc:
-        raise OutOfRangeError(
-            f"no peak slope in ({lo}, {hi}) conserves the first integral of the "
-            f"orbit through ({mu}, 0)") from exc
+    val, est = quad(integrand, 0.0, math.pi / 2.0, epsabs=P1_QUAD_ABS_TOL,
+                    epsrel=1e-12, limit=400)
+    return PeriodSample(mu, 4.0 * val, "quadrature", 4.0 * est + 1e-10)
 
 
 def period_infimum_p1(d: float) -> float:
@@ -470,26 +322,29 @@ def period_infimum_p1(d: float) -> float:
 def period_limits(rp: ReducedParams, nl: Nonlinearity, kind: str) -> PeriodLimits:
     """Endpoints of the requested period function. Sign-changing: the
     zero-amplitude limit (inf where it diverges) and 0 at large amplitude.
-    Positive: inf toward the family's left end (the infimum at p = 1, b = 1,
+    Positive: inf toward the family's left end (the infimum at p = 1,
     d >= 0) and the small-oscillation period at the center."""
     require_family(kind, rp)
     if kind == "sign-changing":
         return PeriodLimits(period_zero_amplitude_limit(rp), 0.0)
     small = 2.0 * math.pi / math.sqrt((nl.power + 1.0 - rp.p) * (rp.b + rp.d))
-    if rp.p == 1.0 and rp.b == 1.0 and rp.d >= 0.0:
+    if rp.p == 1.0 and rp.d >= 0.0:
         return PeriodLimits(period_infimum_p1(rp.d), small)
     return PeriodLimits(math.inf, small)
 
 
 def require_family(kind: str, rp: ReducedParams) -> None:
     """Raise DomainError unless ``kind`` names an orbit family that exists
-    for rp: sign-changing orbits need p > 1, positive orbits b + d > 0."""
+    for rp: sign-changing orbits need p > 1, positive orbits b + d > 0, and
+    at p = 1 the periods are those of b = 1, the only b the reduction gives."""
     if kind == "sign-changing":
         if rp.p <= 1.0:
             raise DomainError("sign-changing periods run the p > 1 phase plane")
     elif kind == "positive":
         if rp.b + rp.d <= 0.0:
             raise DomainError("positive orbits need b + d > 0")
+        if rp.p == 1.0 and rp.b != 1.0:
+            raise DomainError("p = 1 positive periods need b = 1")
     else:
         raise DomainError(f"unknown kind {kind!r}")
 
@@ -575,11 +430,10 @@ def inversion_setup(
         return InversionSetup(kind, zero_limit=period_zero_amplitude_limit(rp))
     a = stationary_abscissa(rp, nl)
     if rp.p == 1.0:
-        mubar = _p1_mubar(rp, nl)
-        if rp.b == 1.0 and rp.d == 0.0:
+        if rp.d == 0.0:
             raise DomainError("constant period function: amplitude undetermined")
-        lo = mubar + 1e-9 * (a - mubar) if mubar > 0.0 else 1e-9 * a
-        grid = [lo, a * (1.0 - 1e-9)]
+        mubar = _p1_mubar(rp.d)
+        grid = [mubar + 1e-9 * (a - mubar), a * (1.0 - 1e-9)]
     else:
         grid = (a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]).tolist()
     return InversionSetup(kind, amplitudes=tuple(grid), periods=tuple(
@@ -602,7 +456,8 @@ def find_amplitude_for_period(
     bracketed root is polished (their monotonicity is not guaranteed in
     general). T_0 and the scan do not depend on the target: a solution set
     computes them once with inversion_setup and passes them to every mode as
-    ``setup``, while a call without ``setup`` computes its own.
+    ``setup``, while a call without ``setup`` computes its own. Within one
+    call no amplitude's period is computed twice.
     """
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
@@ -611,7 +466,13 @@ def find_amplitude_for_period(
         setup = inversion_setup(kind, rp, nl, cfg)
     elif setup.kind != kind:
         raise DomainError(f"inversion setup is for {setup.kind!r}, not {kind!r}")
-    T = lambda amp: period_sample(kind, amp, rp, nl, cfg).period
+    # brentq evaluates both ends of a bracket whose periods are known already
+    known = dict(zip(setup.amplitudes, setup.periods))
+
+    def T(amp):
+        if amp not in known:
+            known[amp] = period_sample(kind, amp, rp, nl, cfg).period
+        return known[amp]
 
     if kind == "sign-changing":
         supremum = setup.zero_limit

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports; a name listed in
-the module's ``__all__`` counts as used."""
+the module's ``__all__`` counts as used. Every private module-level name is
+used somewhere in the package outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,58 @@ def test_guard_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], f"{path.name} imports names it never uses"
+
+
+def private_definitions(tree: ast.Module):
+    """Module-level private names (dunders aside) with their defining nodes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def references(tree: ast.AST):
+    """(name, node) for every read of a name, attribute or imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    refs = {name: list(references(tree)) for name, tree in trees.items()}
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree):
+            inside = {id(n) for n in ast.walk(definition)}
+            if not any(ref == name and (other != module or id(node) not in inside)
+                       for other in trees for ref, node in refs[other]):
+                dead.append(f"{module}.{name}")
+    return sorted(dead)
+
+
+def test_dead_code_guard_sees_unreferenced_private_names():
+    sources = {
+        "a": "def _used():\n    return 1\n\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+             "_CONST = 3\n_LONE = 4\n__version__ = '1'\n",
+        "b": "from .a import _used\nimport a\nx = _used() + a._CONST\n",
+    }
+    assert unreferenced_private(sources) == ["a._LONE", "a._recursive"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private(sources) == []

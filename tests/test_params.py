@@ -240,6 +240,14 @@ class TestModeThreshold:
             quad_val = mode_threshold(ProblemParams(p, q, 0.0))
             assert rel_err(quad_val, mode_threshold_zero_c(p, q)) < 1e-8
 
+    @pytest.mark.parametrize("q", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("p", [math.nextafter(2.0, 1.0), math.nextafter(2.0, 3.0),
+                                   2.0 - 1e-8, 2.0 + 1e-8])
+    def test_closed_form_continuous_across_p2(self, p, q):
+        # one ulp off p = 2 the factor p - 2 must cancel, not divide 0 by 0
+        quad_val = mode_threshold(ProblemParams(p, q, 0.0))
+        assert rel_err(quad_val, mode_threshold_zero_c(p, q)) < 1e-8
+
     def test_vanishes_on_the_critical_line(self):
         # c = c_q = 0 exactly for this pair; the limit period diverges
         assert mode_threshold(ProblemParams(1.5, 2.0, 0.0)) == 0.0

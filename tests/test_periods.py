@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -19,9 +20,12 @@ from seplane.params import (
     stationary_abscissa,
 )
 from seplane.periods import (
+    _p1_mubar,
     find_amplitude_for_period,
+    inversion_setup,
     mode_bounds,
     mode_threshold,
+    p1_turning_from_amplitude,
     period_infimum_p1,
     period_limits,
     period_positive,
@@ -56,6 +60,9 @@ NL1 = Nonlinearity(1.0, 1.0)
 CUBIC = ReducedParams(2.0, 3.0, -1.0, 0.0)  # b + d < 0: no positive family
 P1 = ReducedParams(1.0, 2.0, 1.0, 0.0)  # p = 1: no sign-changing family
 P1_NO_POSITIVE = ReducedParams(1.0, 2.0, 1.0, -1.5)
+# p = 1 reduces to b = 1 only; any other b, one ulp off included, is refused
+P1_OFF_B = [ReducedParams(1.0, 2.0, b, 2.0) for b in
+            (0.0, -1.0, 2.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))]
 
 
 @pytest.mark.parametrize("call", [
@@ -76,10 +83,15 @@ P1_NO_POSITIVE = ReducedParams(1.0, 2.0, 1.0, -1.5)
     lambda: find_amplitude_for_period(3.0, "positive", CUBIC, NL),
     lambda: find_amplitude_for_period(3.0, "positive", P1_NO_POSITIVE, NL1),
     lambda: find_amplitude_for_period(3.0, "bogus", CUBIC, NL),
-], ids=["sc", "pos", "pos-p1", "zero-amp", "limits-sc", "limits-pos",
-        "limits-pos-p1", "limits-kind", "sample-sc", "sample-pos", "sample-pos-p1",
-        "sample-kind", "scan-kind", "invert-sc", "invert-pos", "invert-pos-p1",
-        "invert-kind"])
+] + [call for rp in P1_OFF_B for call in (
+    lambda rp=rp: period_positive_p1(0.9 * (rp.b + rp.d), rp, NL1),
+    lambda rp=rp: period_limits(rp, NL1, "positive"),
+    lambda rp=rp: inversion_setup("positive", rp, NL1),
+)], ids=["sc", "pos", "pos-p1", "zero-amp", "limits-sc", "limits-pos",
+         "limits-pos-p1", "limits-kind", "sample-sc", "sample-pos", "sample-pos-p1",
+         "sample-kind", "scan-kind", "invert-sc", "invert-pos", "invert-pos-p1",
+         "invert-kind"] + [f"{name}-p1-b{rp.b!r}" for rp in P1_OFF_B
+                           for name in ("pos", "limits-pos", "setup-pos")])
 def test_missing_family_or_unknown_kind(call):
     with pytest.raises(DomainError):
         call()
@@ -251,16 +263,10 @@ class TestP1Periods:
         assert rel_err(scan.samples[-1].period,
                        2.0 * math.pi / math.sqrt(0.5)) < 1e-3
 
-    @pytest.mark.parametrize("b,d", [(2.0, 0.5), (0.5, 0.7), (0.0, 1.5),
-                                     (-0.5, 1.0), (-1.0, 2.0), (-1.5, 2.5),
-                                     (2.0, -0.5), (0.5, -0.2)])
-    def test_general_b_against_event_timing(self, b, d, p1_power):
-        from seplane.periods import _p1_mubar
-
-        rp = ReducedParams(1.0, 2.0, b, d)
-        a = b + d
-        mubar = _p1_mubar(rp, p1_power)
-        mu = 0.5 * (mubar + a)
+    @pytest.mark.parametrize("d", [-0.5, 0.5, 1.0, 3.0, 20.0])
+    def test_against_event_timing(self, d, p1_power):
+        rp = ReducedParams(1.0, 2.0, 1.0, d)
+        mu = 0.5 * (_p1_mubar(d) + 1.0 + d)
         quad_period = period_positive_p1(mu, rp, p1_power).period
         traj = integrate(p1_slope_rhs(rp, p1_power), (mu, 0.0), (0.0, 200.0),
                          events=[EventSpec("u=0", lambda t, s: s[1],
@@ -268,14 +274,18 @@ class TestP1Periods:
                          cfg=TIGHT)
         assert rel_err(quad_period, 2.0 * traj.events[-1].tau) < 1e-7
 
-    @pytest.mark.parametrize("b,d,frac", [(2.0, -0.5, 1e-9), (3.0, -2.9, 1e-5)])
-    def test_general_b_transit_level_out_of_reach(self, b, d, frac, p1_power):
-        # so close to the origin the transit level lies past the end of the
-        # right branch, which is a typed failure, not a scipy bracket error
-        rp = ReducedParams(1.0, 2.0, b, d)
-        mu = frac * stationary_abscissa(rp, p1_power)
-        with pytest.raises(OutOfRangeError):
-            period_positive_p1(mu, rp, p1_power)
+    def test_mubar_closed_form(self):
+        # against 1 + d - sqrt(1 + 2d) in 50-digit decimal arithmetic, where
+        # the float difference would cancel
+        for d in np.geomspace(1e-12, 1e12, 97).tolist():
+            with decimal.localcontext(prec=50):
+                dd = decimal.Decimal(d)
+                exact = 1 + dd - (1 + 2 * dd).sqrt()
+                assert abs(decimal.Decimal(_p1_mubar(d)) / exact - 1) < 4e-16
+            # at the endpoint the peak slope reaches |u| = 1
+            assert abs(p1_turning_from_amplitude(_p1_mubar(d) * (1.0 + 1e-9), d)
+                       - 1.0) < 1e-4
+        assert _p1_mubar(0.0) == _p1_mubar(-0.5) == 0.0
 
     def test_admissible_interval(self, p1_power):
         rp = ReducedParams(1.0, 2.0, 1.0, 1.0)

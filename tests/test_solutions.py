@@ -208,8 +208,9 @@ class TestBuildSolutionSet:
 
     def test_positive_scan_runs_once_per_set(self, monkeypatch):
         # every positive period evaluation beyond the one 60-amplitude scan
-        # is a brentq polish of some mode's root
-        evals, polish = [], []
+        # is a brentq polish of some mode's root, less the two bracket ends
+        # whose periods the scan already holds
+        evals, polish, roots = [], [], []
         period_positive, brentq = periods.period_positive, periods.brentq
 
         def counted_period(*args, **kwargs):
@@ -220,14 +221,45 @@ class TestBuildSolutionSet:
             def g(x):
                 polish.append(x)
                 return f(x)
-            return brentq(g, *args, **kwargs)
+            roots.append(brentq(g, *args, **kwargs))
+            return roots[-1]
 
         monkeypatch.setattr(periods, "period_positive", counted_period)
         monkeypatch.setattr(periods, "brentq", counted_brentq)
         ss = build_solution_set(ProblemParams(2.0, 3.0, 9.0), k_max=0)
         assert [e.k for e in ss.positive] == [1, 2, 3]
         assert not ss.sign_changing
-        assert len(evals) == 60 + len(polish)
+        assert len(roots) == 3
+        assert len(evals) == 60 + len(polish) - 2 * len(roots)
+
+    @pytest.mark.parametrize("params,k_max", [(ProblemParams(2.0, 3.0, 0.0), 4),
+                                              (ProblemParams(2.0, 3.0, 9.0), None)])
+    def test_inversion_never_repeats_an_amplitude(self, params, k_max, monkeypatch):
+        # within one inversion, the setup's amplitudes and every amplitude
+        # the bracket search or brentq visits are each evaluated once
+        calls, current = [], None
+        sample, find = periods.period_sample, solutions.find_amplitude_for_period
+
+        def counted_sample(kind, amp, *args, **kwargs):
+            if current is not None:
+                current.append(amp)
+            return sample(kind, amp, *args, **kwargs)
+
+        def counted_find(t_k, kind, *args, setup, **kwargs):
+            nonlocal current
+            current = list(setup.amplitudes)
+            try:
+                return find(t_k, kind, *args, setup=setup, **kwargs)
+            finally:
+                calls.append(current)
+                current = None
+
+        monkeypatch.setattr(periods, "period_sample", counted_sample)
+        monkeypatch.setattr(solutions, "find_amplitude_for_period", counted_find)
+        ss = build_solution_set(params, k_max=k_max)
+        assert len(calls) == len(ss.sign_changing) + len(ss.positive) > 0
+        for amps in calls:
+            assert len(set(amps)) == len(amps)
 
     def test_failed_inversion_setup_fails_every_mode_of_its_family(self, monkeypatch):
         calls = []
