@@ -97,11 +97,12 @@ def classify_orbit(
     The backward branch decides: reaching w = 0 with y > 0 means a closed
     orbit around the origin, reaching y = 0 left of the center means a closed
     orbit around it, and converging into a shrinking origin ball with slope at
-    a root of the slope potential means the homoclinic separatrix. A start on
-    the y axis already witnesses the first class (the separatrix never meets
-    that axis). Transverse error grows exponentially while tracking a
-    separatrix backward, so the origin ball cannot be taken much below
-    1e-6 of the initial radius at binary64.
+    a root of the slope potential means the homoclinic separatrix; a branch
+    that crosses the ball at any other slope is passing the origin and is
+    followed on past it. A start on the y axis already witnesses the first
+    class (the separatrix never meets that axis). Transverse error grows
+    exponentially while tracking a separatrix backward, so the origin ball
+    cannot be taken much below 1e-6 of the initial radius at binary64.
     """
     if rp.p <= 1.0:
         raise DomainError("classification runs the p > 1 phase plane")
@@ -139,6 +140,22 @@ def classify_orbit(
             "backward branch resolved no criterion within the horizon",
             {"horizon": CLASSIFY_HORIZON, "max_radius": bound, "last": back.states[-1].tolist()})
     ev = back.events[-1]
+    if ev.kind == "origin":
+        wb, yb = float(ev.state[0]), float(ev.state[1])
+        slope = yb / wb if wb != 0.0 else math.inf
+        mismatch = abs(slope_potential(slope, rp.p, rp.b) - rp.d)
+        if mismatch > slope_tol * (1.0 + abs(rp.d)):
+            # the branch crosses the ball at a slope that is no root of the
+            # slope potential: it passes the origin rather than entering it,
+            # so it resumes from the ball without the origin event
+            back = integrate(reversed_rhs(rhs), tuple(ev.state), (ev.tau, CLASSIFY_HORIZON),
+                             events=[ev_w, ev_y], cfg=cfg)
+            if back.status != "terminal-event":
+                raise InconclusiveOrbitError(
+                    "backward branch passed the origin and resolved no criterion",
+                    {"slope": slope, "mismatch": mismatch, "last": back.states[-1].tolist()})
+            bound = max(bound, float(np.max(np.hypot(back.states[:, 0], back.states[:, 1]))))
+            ev = back.events[-1]
 
     if ev.kind == "w=0":
         ybar = float(ev.state[1])
@@ -160,16 +177,13 @@ def classify_orbit(
                           {"left": crossings[0], "right": crossings[-1],
                            "center": a, "max_radius": bound})
 
-    # origin ball entered backward: check slope against the potential root
-    wb, yb = float(ev.state[0]), float(ev.state[1])
-    slope = yb / wb if wb != 0.0 else math.inf
-    mismatch = abs(slope_potential(slope, rp.p, rp.b) - rp.d)
+    # origin ball entered backward at a root slope: the approach must shrink
     tail = back.states[-min(1000, len(back.states)):]
     rhos = np.hypot(tail[:, 0], tail[:, 1])
     monotone = bool(np.all(np.diff(rhos) <= 1e-12 * rhos[:-1] + 1e-300))
-    if mismatch > slope_tol * (1.0 + abs(rp.d)) or not monotone:
+    if not monotone:
         raise InconclusiveOrbitError(
-            "origin approach without a matching slope-potential root",
+            "origin approach with a radius that does not shrink",
             {"slope": slope, "mismatch": mismatch, "rho_monotone": monotone})
     fwd = integrate(rhs, (w0, y0), (0.0, CLASSIFY_HORIZON),
                     events=[ev_origin, ev_w], cfg=cfg)
@@ -238,8 +252,7 @@ def shoot_homoclinic(
     taus = np.linspace(0.0, tau_apex, 2000)
     vu = traj.sample(taus)
     w = np.maximum(vu[:, 0], 0.0) ** e
-    xi = np.array([slope_map_inv(float(u), p) for u in vu[:, 1]])
-    y = xi * w
+    y = slope_map_inv(vu[:, 1], p) * w
 
     full_tau = np.concatenate([taus, 2.0 * tau_apex - taus[-2::-1]])
     full_w = np.concatenate([w, w[-2::-1]])

@@ -9,6 +9,7 @@ the slope-chart dynamics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,11 @@ def lift_profile(tau, w, params: ProblemParams):
 def slope_potential(xi, p: float, b: float):
     """((p-1) xi^2 - b)(1 + xi^2)^(p/2 - 1); its roots are the slopes of
     orbits entering the origin."""
+    if isinstance(xi, float):
+        try:
+            return ((p - 1.0) * xi * xi - b) * (1.0 + xi * xi) ** (p / 2.0 - 1.0)
+        except OverflowError:
+            pass
     xi = np.asarray(xi, dtype=float)
     val = ((p - 1.0) * xi**2 - b) * (1.0 + xi**2) ** (p / 2.0 - 1.0)
     return float(val) if val.ndim == 0 else val
@@ -251,20 +257,47 @@ def invert_slope_potential(value: float, p: float, b: float) -> float:
 
 def slope_map(xi, p: float):
     """u = (1 + xi^2)^((p-2)/2) xi, strictly increasing in the slope xi."""
+    if isinstance(xi, float):
+        try:
+            return (1.0 + xi * xi) ** ((p - 2.0) / 2.0) * xi
+        except OverflowError:
+            pass
     xi = np.asarray(xi, dtype=float)
     val = (1.0 + xi**2) ** ((p - 2.0) / 2.0) * xi
     return float(val) if val.ndim == 0 else val
 
 
 def slope_map_deriv(xi, p: float):
+    if isinstance(xi, float):
+        try:
+            return (1.0 + xi * xi) ** ((p - 4.0) / 2.0) * (1.0 + (p - 1.0) * xi * xi)
+        except OverflowError:
+            pass
     xi = np.asarray(xi, dtype=float)
     val = (1.0 + xi**2) ** ((p - 4.0) / 2.0) * (1.0 + (p - 1.0) * xi**2)
     return float(val) if val.ndim == 0 else val
 
 
-def slope_map_inv(u: float, p: float) -> float:
-    """Slope xi recovering u under the slope map; closed form at p in {1, 2},
-    monotone root-find otherwise."""
+# Newton in t = log xi solves g(t) = ((p-2)/2) log(1 + e^(2t)) + t - log|u| = 0.
+# g' = (1 + (p-1) e^(2t)) / (1 + e^(2t)) lies between 1 and p - 1, and g'' has
+# the sign of p - 2, so from t0 = log|u| (|u| <= 1) or log|u| / (p-1) (|u| > 1)
+# the iterates approach the root from one side without overshooting it.
+# Both forms of g and g' below keep e = exp(-2|t|) <= 1 and write the linear
+# part as (p-1) t for t > 0, so nothing overflows or cancels as p -> 1.
+# A step below _NEWTON_TOL leaves an error of order its square, which the
+# closing Newton step in xi squares again.
+_NEWTON_STEPS = 100
+_NEWTON_TOL = 1e-6
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def slope_map_inv(u, p: float):
+    """Slope xi recovering u under the slope map, elementwise for an array;
+    closed form at p in {1, 2}, Newton in log xi otherwise, finished by one
+    Newton step in xi itself. Raises DomainError where the iteration does
+    not converge or the preimage exceeds the largest float."""
+    if isinstance(u, np.ndarray):
+        return _slope_map_inv_array(u, p)
     if u == 0.0:
         return 0.0
     sign = 1.0 if u > 0.0 else -1.0
@@ -274,7 +307,67 @@ def slope_map_inv(u: float, p: float) -> float:
     if p == 1.0:
         _require(a < 1.0, f"the p=1 slope map has range (-1, 1); got |u| = {a}")
         return sign * a / math.sqrt(1.0 - a * a)
-    return sign * _invert_increasing(lambda x: slope_map(x, p), a, 0.0)
+    _require(math.isfinite(a), f"slope map inverse needs a finite u, got {u}")
+    pm1, half, la = p - 1.0, (p - 2.0) / 2.0, math.log(a)
+    t = la if a <= 1.0 else la / pm1
+    for _ in range(_NEWTON_STEPS):
+        e = math.exp(-2.0 * abs(t))
+        if t > 0.0:
+            step = (pm1 * t + half * math.log1p(e) - la) * (e + 1.0) / (e + pm1)
+        else:
+            step = (t + half * math.log1p(e) - la) * (1.0 + e) / (1.0 + pm1 * e)
+        t -= step
+        if abs(step) <= _NEWTON_TOL:
+            break
+    else:
+        raise DomainError(f"slope map inverse did not converge at u={u}, p={p}")
+    _require(t < _LOG_FLOAT_MAX,
+             f"slope map preimage of u={u} at p={p} exceeds the largest float")
+    xi = math.exp(t)
+    # (u - a) / u' with u = s^half xi, s = 1 + xi^2, and u' = u (1 + (p-1) xi^2)
+    # / (s xi); past xi^2 = inf or u = inf the correction is nan and xi stands
+    s = 1.0 + xi * xi
+    uxi = s**half * xi
+    corr = xi * ((uxi - a) / uxi) * (s / (1.0 + pm1 * xi * xi))
+    if math.isfinite(corr):
+        xi -= corr
+    return sign * xi
+
+
+def _slope_map_inv_array(u: np.ndarray, p: float) -> np.ndarray:
+    """slope_map_inv over an array: the same iteration on every element."""
+    u = np.asarray(u, dtype=float)
+    a = np.abs(u)
+    if p == 2.0:
+        return u.copy()
+    if p == 1.0:
+        _require(bool(np.all(a < 1.0)), "the p=1 slope map has range (-1, 1)")
+        return u / np.sqrt(1.0 - u * u)
+    _require(bool(np.all(np.isfinite(a))), "slope map inverse needs a finite u")
+    nz = a > 0.0
+    a = a[nz]
+    pm1, half, la = p - 1.0, (p - 2.0) / 2.0, np.log(a)
+    t = np.where(a <= 1.0, la, la / pm1)
+    for _ in range(_NEWTON_STEPS):
+        e = np.exp(-2.0 * np.abs(t))
+        pos = t > 0.0
+        step = (np.where(pos, pm1 * t, t) + half * np.log1p(e) - la) \
+            * np.where(pos, (e + 1.0) / (e + pm1), (1.0 + e) / (1.0 + pm1 * e))
+        t = t - step
+        if np.all(np.abs(step) <= _NEWTON_TOL):
+            break
+    else:
+        raise DomainError(f"slope map inverse did not converge at p={p}")
+    _require(bool(np.all(t < _LOG_FLOAT_MAX)),
+             f"slope map preimage at p={p} exceeds the largest float")
+    x = np.exp(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 1.0 + x * x
+        ux = s**half * x
+        corr = x * ((ux - a) / ux) * (s / (1.0 + pm1 * x * x))
+    xi = np.zeros_like(u)
+    xi[nz] = np.where(np.isfinite(corr), x - corr, x)
+    return np.copysign(xi, u)
 
 
 def _invert_increasing(f, target: float, lo: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -407,12 +407,18 @@ class InversionSetup:
     """What amplitude inversion of one family reuses across target periods:
     the zero-amplitude limit of the sign-changing period, or the positive
     period sampled at the scan amplitudes (at p = 1, the two ends of the
-    amplitude range)."""
+    amplitude range). ``known`` maps every amplitude whose period an
+    inversion with this setup has computed, the scan included, to that
+    period."""
 
     kind: str
     zero_limit: float | None = None
     amplitudes: tuple[float, ...] = ()
     periods: tuple[float, ...] = ()
+    known: dict[float, float] = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.known.update(zip(self.amplitudes, self.periods))
 
 
 def inversion_setup(
@@ -456,8 +462,9 @@ def find_amplitude_for_period(
     bracketed root is polished (their monotonicity is not guaranteed in
     general). T_0 and the scan do not depend on the target: a solution set
     computes them once with inversion_setup and passes them to every mode as
-    ``setup``, while a call without ``setup`` computes its own. Within one
-    call no amplitude's period is computed twice.
+    ``setup``, while a call without ``setup`` computes its own. No amplitude's
+    period is computed twice with one setup: the sign-changing bracket search
+    of every mode walks the same powers of 4 from amplitude 1.
     """
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
@@ -466,8 +473,7 @@ def find_amplitude_for_period(
         setup = inversion_setup(kind, rp, nl, cfg)
     elif setup.kind != kind:
         raise DomainError(f"inversion setup is for {setup.kind!r}, not {kind!r}")
-    # brentq evaluates both ends of a bracket whose periods are known already
-    known = dict(zip(setup.amplitudes, setup.periods))
+    known = setup.known
 
     def T(amp):
         if amp not in known:
@@ -528,6 +534,11 @@ def mode_threshold(params: ProblemParams) -> float:
     """Lower mode threshold 2 pi beta / T_0 for sign-changing profiles when
     c <= c_q, with T_0 the zero-amplitude period limit; 0 at c = c_q, where
     T_0 diverges."""
+    return _threshold_and_zero_limit(params)[0]
+
+
+def _threshold_and_zero_limit(params: ProblemParams) -> tuple[float, float | None]:
+    """mode_threshold and the T_0 it was read from (None at c = c_q)."""
     p, q, c = params.p, params.q, params.c
     if p <= 1.0:
         raise DomainError("mode threshold is defined for p > 1")
@@ -535,9 +546,9 @@ def mode_threshold(params: ProblemParams) -> float:
     if c > cq:
         raise DomainError(f"mode threshold needs c <= c_q, got c={c} > c_q={cq}")
     if c == cq:
-        return 0.0
-    return 2.0 * math.pi * decay_exponent(p, q) \
-        / period_zero_amplitude_limit(reduce_params(params))
+        return 0.0, None
+    t0 = period_zero_amplitude_limit(reduce_params(params))
+    return 2.0 * math.pi * decay_exponent(p, q) / t0, t0
 
 
 def _snap(x: float) -> float:
@@ -562,6 +573,8 @@ class ModeBounds:
     positive_nonconstant_exists: bool
     mode_threshold: float | None
     notes: dict
+    # T_0 where mode_threshold computed it, for the sign-changing inversion
+    zero_limit: float | None
 
 
 def mode_bounds(params: ProblemParams) -> ModeBounds:
@@ -571,16 +584,18 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
     p, q, c = params.p, params.q, params.c
     rp = reduce_params(params)
     notes: dict = {}
+    mq = t0 = None
     if p > 1.0:
         scale = decay_exponent(p, q)
-        mq = None if c > critical_potential(p, q) else mode_threshold(params)
+        if c <= critical_potential(p, q):
+            mq, t0 = _threshold_and_zero_limit(params)
         k_sc = 1 if mq is None else _smallest_int_above(mq)
         notes["positive_mode_cap"] = "largest integer strictly below sqrt(p beta^(1-p)(c - c_q))"
     else:
-        scale, mq = 1.0, None
+        scale = 1.0
         k_sc = 1 if (c == 0.0 and q <= 1.0) else None
     if rp.b + rp.d <= 0.0:
-        return ModeBounds(k_sc, (), False, mq, notes)
+        return ModeBounds(k_sc, (), False, mq, notes, t0)
     lims = period_limits(rp, reduced_nonlinearity(params), "positive")
     lower, upper = sorted(2.0 * math.pi * scale / t
                           for t in (lims.at_zero, lims.at_upper))
@@ -593,4 +608,4 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
             "k1_smallest_above_half_pi_times_integral": _smallest_int_above(
                 math.pi * lims.at_zero / 8.0),
         }
-    return ModeBounds(k_sc, positive, bool(positive), mq, notes)
+    return ModeBounds(k_sc, positive, bool(positive), mq, notes, t0)

@@ -346,8 +346,10 @@ def build_solution_set(
 
     entries: dict[str, list[ModeEntry]] = {"sign-changing": [], "positive": []}
     # the target-independent part of each family's inversion, or its failure,
-    # which then fails every mode of the family
+    # which then fails every mode of the family; mode_bounds has T_0 already
     setups: dict[str, InversionSetup | SeplaneError] = {}
+    if bounds.zero_limit is not None:
+        setups["sign-changing"] = InversionSetup("sign-changing", zero_limit=bounds.zero_limit)
     for kind, k in modes:
         if kind not in setups:
             try:

@@ -73,7 +73,7 @@ class TestParamsCommand:
 
     def test_zero_amplitude_limit_computed_once_per_solution_set(self, capsys,
                                                                  monkeypatch):
-        # mode_bounds and the sign-changing inversion each compute T_0 once,
+        # mode_bounds computes T_0 and the sign-changing inversion reuses it,
         # however many modes the set holds
         from seplane import periods
 
@@ -92,7 +92,7 @@ class TestParamsCommand:
                                  "--k-max", k_max)
             assert code == 0
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 2
+        assert counts[0] == counts[1] == 1
 
     def test_threshold_at_critical_potential(self, capsys):
         from seplane.params import ProblemParams
@@ -128,6 +128,14 @@ class TestOrbitCommand:
         meta = tail_json(out)
         assert meta["homoclinic"]["m_d"] == pytest.approx(1.0, abs=1e-10)
         assert meta["homoclinic"]["apex_w"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
+
+    def test_homoclinic_near_p1_is_a_typed_failure(self, capsys):
+        # the launch point's slope preimage overflows a float at p = 1 + 1e-7
+        code, out, err = run_cli(capsys, "orbit", "-p", "1.0000001", "-q", "2", "-c", "2",
+                                 "--homoclinic")
+        assert code == 3
+        assert "slope map" in err
+        assert "Traceback" not in err + out
 
     def test_stationary_start(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "-c", "2",

@@ -50,7 +50,7 @@ CLI_CASES = [
      False, 0, "ccf0cf5c940cb7a1b5fcc6adb534c63a1925922a0d547977fa92f97bfba2a17b"),
     ("orbit-homoclinic-json", ["orbit", "-p", "2.5", "-q", "4", "-c", "10",
                                "--homoclinic", "--format", "json"], False, 0,
-     "f269264453bb7316a10732d98b29efb19ffaca897bca0bb3af1d3d0c7bf769bf"),
+     "5fdba58caa91f2f59b3c3622d89de02b7628a3c9380f96268d52d578638a2b3a"),
     ("scan-positive-json", ["period-scan", "-p", "2", "-q", "3", "-c", "2", "--kind",
                             "positive", "--grid", "0.1:0.9:8", "--format", "json"],
      False, 0, "8ffda2c93bcd55a54e1ea5734bc8eeb2a0eda759378bbc354706b04e88088661"),

@@ -64,6 +64,20 @@ class TestClassify:
         assert oc.tag == HOMOCLINIC
         assert abs(oc.witness["slope"] - 1.0) < 1e-2
 
+    @pytest.mark.parametrize("sign,tag", [(-1.0, CLOSED_AROUND_CENTER),
+                                          (1.0, CLOSED_AROUND_ORIGIN)])
+    def test_branch_passing_the_origin_ball(self, center_case, sign, tag):
+        # on the level sign * eps of the energy y^2/2 - w^2/2 + w^4/4 the
+        # backward branch passes the origin at about sqrt(2 eps) = 0.8 delta,
+        # so it crosses the delta ball at a slope near 0.5 (inside) or 2
+        # (outside), not at the root slope 1, and leaves it again
+        rp, nl = center_case
+        shrink = 1e-2
+        delta = shrink * math.hypot(1.0, math.sqrt(0.5))
+        eps = sign * (0.8 * delta) ** 2 / 2.0
+        start = (1.0, math.sqrt(2.0 * eps + 0.5))
+        assert classify_orbit(start, rp, nl, origin_shrink=shrink).tag == tag
+
     def test_degenerate_band(self):
         eta, emin = slope_potential_min(3.0, 10.0)
         rp = ReducedParams(3.0, 5.0, 10.0, emin)
@@ -281,13 +295,9 @@ class TestFirstIntegralU:
         nl = Nonlinearity(3.0, 5.0)
         arc = integrate(regularized_rhs(rp, nl), (0.5, 0.1), (0.0, 4.0),
                         cfg=TIGHT, dense=True)
-        ts = np.linspace(0.0, 4.0, 200)
-        vals = []
-        for t in ts:
-            v, u = arc.sample([t])[0]
-            xi = slope_map_inv(u, rp.p)
-            du = -slope_potential(xi, rp.p, rp.b) - v + rp.d
-            vals.append(first_integral_u(u, du, rp))
+        v, u = arc.sample(np.linspace(0.0, 4.0, 200)).T
+        du = -slope_potential(slope_map_inv(u, rp.p), rp.p, rp.b) - v + rp.d
+        vals = [first_integral_u(ui, dui, rp) for ui, dui in zip(u, du)]
         assert max(vals) - min(vals) < 1e-8 * max(1.0, abs(vals[0]))
 
     def test_p2_reduction_against_quadrature(self):

@@ -1,5 +1,8 @@
 import fractions
 import math
+import random
+import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from seplane import params as params_mod
 from seplane.errors import DomainError
 from seplane.params import (
     Nonlinearity,
@@ -21,6 +25,7 @@ from seplane.params import (
     odd_power,
     reduce_params,
     slope_map,
+    slope_map_deriv,
     slope_map_inv,
     slope_map_primitive,
     slope_potential,
@@ -206,6 +211,97 @@ class TestSlopeMap:
 
     def test_primitive_even(self):
         assert slope_map_primitive(-1.2, 3.0) == slope_map_primitive(1.2, 3.0)
+
+
+def _oracle_inverse(u: float, p: float, start: float) -> Decimal:
+    """Root of xi (1 + xi^2)^((p-2)/2) = u at 50 digits, by Newton from start."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        U, P = Decimal(u), Decimal(p)
+        h = (P - 2) / 2
+        x = Decimal(start)
+        for _ in range(20):
+            s = 1 + x * x
+            dx = (x * s**h - U) / (s ** (h - 1) * (1 + (P - 1) * x * x))
+            x -= dx
+            if abs(dx) < Decimal("1e-45") * x:
+                return x
+    raise AssertionError(f"oracle did not converge at u={u}, p={p}")
+
+
+class TestSlopeMapInverse:
+    def test_against_decimal_oracle(self):
+        rng = random.Random(2024)
+        worst = 0.0
+        for _ in range(2000):
+            p = rng.uniform(1.0, 6.0)
+            xi = 10.0 ** rng.uniform(-8.0, 8.0)
+            u = slope_map(xi, p)
+            ref = _oracle_inverse(u, p, xi)
+            worst = max(worst, float(abs(Decimal(slope_map_inv(u, p)) / ref - 1)))
+        assert worst <= 1e-14
+
+    @given(st.floats(1.05, 6.0), st.floats(-1e3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_within_4_ulp(self, p, u):
+        # plus the step of u across one ulp of xi: the map stretches it up to
+        # p - 1 ulp of u, so even the correctly rounded xi can miss 4 ulp
+        xi = slope_map_inv(u, p)
+        assert abs(slope_map(xi, p) - u) \
+            <= 4.0 * math.ulp(u) + slope_map_deriv(xi, p) * math.ulp(xi)
+
+    @pytest.mark.parametrize("p", [1.0, 1.0 + 1e-12, 1.3, 1.9, 2.0, 2.7, 4.5])
+    def test_array_path_matches_scalar(self, p):
+        # both paths end with the same Newton step in xi, but numpy's array
+        # power and the C library's pow may round its residual apart by an
+        # ulp, which the condition number 1/g' = (1 + xi^2)/(1 + (p-1) xi^2)
+        # carries into xi
+        rng = np.random.default_rng(7)
+        top = 0.0 if p < 1.5 else 8.0
+        u = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-8.0, top, 500)
+        u = np.concatenate([u, [0.0]])
+        if p == 1.0:
+            u *= 0.9
+        arr = slope_map_inv(u, p)
+        scalar = np.array([slope_map_inv(float(v), p) for v in u])
+        cond = (1.0 + scalar**2) / (1.0 + (p - 1.0) * scalar**2)
+        assert arr.shape == u.shape
+        assert np.all(np.abs(arr - scalar)
+                      <= 2.0 * np.spacing(np.abs(scalar)) * np.maximum(1.0, cond))
+
+    def test_continuous_across_p2(self):
+        u = np.concatenate([-np.geomspace(1e-6, 1e6, 61), np.geomspace(1e-6, 1e6, 61)])
+        at_two = slope_map_inv(u, 2.0)
+        for p in (math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0)):
+            for v, ref in zip(u, at_two):
+                assert rel_err(slope_map_inv(float(v), p), ref) <= 1e-14
+
+    def test_continuous_across_p1(self):
+        # the exact inverse moves by about 4e-12 relative at |u| = 0.9
+        for v in np.linspace(-0.9, 0.9, 73):
+            assert rel_err(slope_map_inv(float(v), 1.0 + 1e-12),
+                           slope_map_inv(float(v), 1.0)) <= 1e-11
+
+    def test_typed_failure_near_p1(self):
+        # the preimage of 1.1 at p = 1 + 1e-7 is about exp(9.5e5)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="slope map"):
+            slope_map_inv(1.1, 1.0000001)
+        with pytest.raises(DomainError, match="slope map"):
+            slope_map_inv(np.array([0.5, -1.1]), 1.0000001)
+        assert time.perf_counter() - t0 < 1.0
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                slope_map_inv(bad, 2.5)
+
+    def test_no_root_find(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("slope_map_inv root-finds")
+
+        monkeypatch.setattr(params_mod, "brentq", forbidden)
+        monkeypatch.setattr(params_mod, "_invert_increasing", forbidden)
+        assert slope_map_inv(slope_map(2.0, 3.0), 3.0) == 2.0
+        assert slope_map_inv(np.array([slope_map(2.0, 3.0)]), 3.0)[0] == 2.0
 
 
 class TestDampingCoefficient:

@@ -233,33 +233,23 @@ class TestBuildSolutionSet:
         assert len(evals) == 60 + len(polish) - 2 * len(roots)
 
     @pytest.mark.parametrize("params,k_max", [(ProblemParams(2.0, 3.0, 0.0), 4),
-                                              (ProblemParams(2.0, 3.0, 9.0), None)])
+                                              (ProblemParams(2.0, 3.0, 9.0), None),
+                                              (ProblemParams(3.0, 5.0, 1.0), 5)])
     def test_inversion_never_repeats_an_amplitude(self, params, k_max, monkeypatch):
-        # within one inversion, the setup's amplitudes and every amplitude
-        # the bracket search or brentq visits are each evaluated once
-        calls, current = [], None
-        sample, find = periods.period_sample, solutions.find_amplitude_for_period
+        # across the whole set, the setup's scan and every amplitude the
+        # bracket searches or brentq visit are each evaluated once per family
+        calls = []
+        sample = periods.period_sample
 
         def counted_sample(kind, amp, *args, **kwargs):
-            if current is not None:
-                current.append(amp)
+            calls.append((kind, amp))
             return sample(kind, amp, *args, **kwargs)
 
-        def counted_find(t_k, kind, *args, setup, **kwargs):
-            nonlocal current
-            current = list(setup.amplitudes)
-            try:
-                return find(t_k, kind, *args, setup=setup, **kwargs)
-            finally:
-                calls.append(current)
-                current = None
-
         monkeypatch.setattr(periods, "period_sample", counted_sample)
-        monkeypatch.setattr(solutions, "find_amplitude_for_period", counted_find)
         ss = build_solution_set(params, k_max=k_max)
-        assert len(calls) == len(ss.sign_changing) + len(ss.positive) > 0
-        for amps in calls:
-            assert len(set(amps)) == len(amps)
+        assert len(ss.sign_changing) + len(ss.positive) > 1
+        assert calls
+        assert len(set(calls)) == len(calls)
 
     def test_failed_inversion_setup_fails_every_mode_of_its_family(self, monkeypatch):
         calls = []
