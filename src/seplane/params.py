@@ -244,7 +244,10 @@ def zero_amplitude_divergent(rp: ReducedParams) -> bool:
 
 def invert_slope_potential(value: float, p: float, b: float) -> float:
     """Root of the slope potential on its increasing branch (xi > eta when an
-    interior minimum exists)."""
+    interior minimum exists), accurate in relative terms: it solves
+    E(xi) + b = value + b with E + b = (p-1) xi^2 s - b (s - 1),
+    s = (1 + xi^2)^(p/2 - 1), formed with log1p and expm1, so that nothing
+    cancels at small roots."""
     mn = slope_potential_min(p, b) if p > 1.0 else None
     lo = mn[0] if mn is not None else 0.0
     floor = mn[1] if mn is not None else slope_potential(0.0, p, b)
@@ -252,27 +255,26 @@ def invert_slope_potential(value: float, p: float, b: float) -> float:
         raise DomainError(f"value {value} below the minimum {floor} of the slope potential")
     if value <= floor:
         return lo
-    return _invert_increasing(lambda x: slope_potential(x, p, b), value, lo)
+    k = p / 2.0 - 1.0
+
+    def shifted(x):
+        lg = k * math.log1p(x * x)
+        try:
+            return (p - 1.0) * x * x * math.exp(lg) - b * math.expm1(lg)
+        except OverflowError:
+            return math.inf
+
+    return _invert_increasing(shifted, value + b, lo)
 
 
 def slope_map(xi, p: float):
     """u = (1 + xi^2)^((p-2)/2) xi, strictly increasing in the slope xi."""
-    if isinstance(xi, float):
-        try:
-            return (1.0 + xi * xi) ** ((p - 2.0) / 2.0) * xi
-        except OverflowError:
-            pass
     xi = np.asarray(xi, dtype=float)
     val = (1.0 + xi**2) ** ((p - 2.0) / 2.0) * xi
     return float(val) if val.ndim == 0 else val
 
 
 def slope_map_deriv(xi, p: float):
-    if isinstance(xi, float):
-        try:
-            return (1.0 + xi * xi) ** ((p - 4.0) / 2.0) * (1.0 + (p - 1.0) * xi * xi)
-        except OverflowError:
-            pass
     xi = np.asarray(xi, dtype=float)
     val = (1.0 + xi**2) ** ((p - 4.0) / 2.0) * (1.0 + (p - 1.0) * xi**2)
     return float(val) if val.ndim == 0 else val
@@ -371,22 +373,31 @@ def _slope_map_inv_array(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def _invert_increasing(f, target: float, lo: float) -> float:
-    """Solve f(x) = target for increasing f on [lo, inf) with f(lo) <= target;
-    the upper bracket end grows fourfold away from lo."""
-    g = lambda x: f(x) - target
+    """Solve f(x) = target for increasing f on [lo, inf) with f(lo) <= target
+    to a relative tolerance of 4 machine epsilons. The bracket is [lo, lo + w],
+    with w = max(1, |lo|) grown fourfold until it holds the root, or shrunk
+    fourfold while lo + w/4 still does, so that a root near lo = 0 lies in
+    the top three quarters of its bracket."""
+    # in units of |target|, so that tiny targets leave brentq no underflow
+    scale = abs(target) or 1.0
+    g = lambda x: (f(x) - target) / scale
     glo = g(lo)
     if glo > 0.0:
         raise DomainError(f"target {target} below the increasing branch start f({lo}) = {f(lo)}")
     if glo == 0.0:
         return lo
-    hi = lo + max(1.0, abs(lo))
-    for _ in range(200):
-        if not g(hi) < 0.0:  # a sign change, a root, or NaN ends the growth
-            break
-        hi = lo + 4.0 * (hi - lo)
+    w = max(1.0, abs(lo))
+    if g(lo + w) < 0.0:
+        for _ in range(200):
+            w *= 4.0
+            if not g(lo + w) < 0.0:  # a sign change, a root, or NaN ends the growth
+                break
+        else:
+            raise DomainError("could not bracket a sign change while growing upward")
     else:
-        raise DomainError("could not bracket a sign change while growing upward")
-    return brentq(g, lo, hi, xtol=1e-12)
+        while lo + w / 4.0 > lo and g(lo + w / 4.0) >= 0.0:
+            w /= 4.0
+    return brentq(g, lo, lo + w, xtol=sys.float_info.min, rtol=4.0 * sys.float_info.epsilon)
 
 
 def slope_map_primitive(u: float, p: float) -> float:

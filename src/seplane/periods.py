@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .params import (
     Nonlinearity,
     ProblemParams,
     ReducedParams,
-    critical_potential,
     decay_exponent,
     origin_slope,
     reduce_params,
@@ -49,8 +48,6 @@ __all__ = [
     "period_sample",
     "monotonicity",
     "period_scan",
-    "InversionSetup",
-    "inversion_setup",
     "find_amplitude_for_period",
     "period_limits",
     "ModeBounds",
@@ -402,50 +399,6 @@ def period_scan(
     return ScanResult(samples, verdict, violation)
 
 
-@dataclass(frozen=True)
-class InversionSetup:
-    """What amplitude inversion of one family reuses across target periods:
-    the zero-amplitude limit of the sign-changing period, or the positive
-    period sampled at the scan amplitudes (at p = 1, the two ends of the
-    amplitude range). ``known`` maps every amplitude whose period an
-    inversion with this setup has computed, the scan included, to that
-    period."""
-
-    kind: str
-    zero_limit: float | None = None
-    amplitudes: tuple[float, ...] = ()
-    periods: tuple[float, ...] = ()
-    known: dict[float, float] = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.known.update(zip(self.amplitudes, self.periods))
-
-
-def inversion_setup(
-    kind: str,
-    rp: ReducedParams,
-    nl: Nonlinearity,
-    cfg: IntegratorConfig | None = None,
-) -> InversionSetup:
-    """The target-independent part of find_amplitude_for_period: T_0 for
-    sign-changing periods; for positive periods, 60 scan amplitudes in
-    (0, a) at p > 1 or the two ends of the amplitude range at p = 1, with
-    their periods."""
-    require_family(kind, rp)
-    if kind == "sign-changing":
-        return InversionSetup(kind, zero_limit=period_zero_amplitude_limit(rp))
-    a = stationary_abscissa(rp, nl)
-    if rp.p == 1.0:
-        if rp.d == 0.0:
-            raise DomainError("constant period function: amplitude undetermined")
-        mubar = _p1_mubar(rp.d)
-        grid = [mubar + 1e-9 * (a - mubar), a * (1.0 - 1e-9)]
-    else:
-        grid = (a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]).tolist()
-    return InversionSetup(kind, amplitudes=tuple(grid), periods=tuple(
-        period_sample(kind, amp, rp, nl, cfg).period for amp in grid))
-
-
 def find_amplitude_for_period(
     t_target: float,
     kind: str,
@@ -453,27 +406,23 @@ def find_amplitude_for_period(
     nl: Nonlinearity,
     cfg: IntegratorConfig | None = None,
     *,
-    setup: InversionSetup | None = None,
+    known: dict[float, float] | None = None,
 ) -> list[float]:
     """Amplitudes whose least period equals the target.
 
     Sign-changing periods are strictly decreasing, so a single bisected root
-    is returned; positive periods are scanned at 60 amplitudes and every
-    bracketed root is polished (their monotonicity is not guaranteed in
-    general). T_0 and the scan do not depend on the target: a solution set
-    computes them once with inversion_setup and passes them to every mode as
-    ``setup``, while a call without ``setup`` computes its own. No amplitude's
-    period is computed twice with one setup: the sign-changing bracket search
-    of every mode walks the same powers of 4 from amplitude 1.
+    is returned; positive periods are scanned at 60 amplitudes in (0, a) (at
+    p = 1, the two ends of the amplitude range) and every bracketed root is
+    polished (their monotonicity is not guaranteed in general). ``known`` maps
+    amplitudes of the family to their periods, T_0 at amplitude 0; every
+    period is read from it or computed and added to it, so inversions of one
+    family that share the dict compute no period twice (the sign-changing
+    bracket search of every target walks the same powers of 4 from 1).
     """
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
     require_family(kind, rp)
-    if setup is None:
-        setup = inversion_setup(kind, rp, nl, cfg)
-    elif setup.kind != kind:
-        raise DomainError(f"inversion setup is for {setup.kind!r}, not {kind!r}")
-    known = setup.known
+    known = {} if known is None else known
 
     def T(amp):
         if amp not in known:
@@ -481,10 +430,11 @@ def find_amplitude_for_period(
         return known[amp]
 
     if kind == "sign-changing":
-        supremum = setup.zero_limit
-        if t_target >= supremum:
+        if 0.0 not in known:
+            known[0.0] = period_zero_amplitude_limit(rp)
+        if t_target >= known[0.0]:
             raise OutOfRangeError("target above the attainable periods",
-                                  attained=(0.0, supremum))
+                                  attained=(0.0, known[0.0]))
         lo = hi = 1.0
         t_lo = t_hi = T(lo)
         for _ in range(60):
@@ -503,14 +453,20 @@ def find_amplitude_for_period(
         root = brentq(lambda nu: T(nu) - t_target, lo, hi, xtol=1e-12, rtol=1e-12)
         return [root]
 
-    grid, vals = setup.amplitudes, setup.periods
+    a = stationary_abscissa(rp, nl)
     if rp.p == 1.0:
-        lo_v, hi_v = sorted(vals)
+        if rp.d == 0.0:
+            raise DomainError("constant period function: amplitude undetermined")
+        mubar = _p1_mubar(rp.d)
+        ends = [mubar + 1e-9 * (a - mubar), a * (1.0 - 1e-9)]
+        lo_v, hi_v = sorted(T(mu) for mu in ends)
         if not lo_v <= t_target <= hi_v:
             raise OutOfRangeError("target outside the attainable periods",
                                   attained=(lo_v, hi_v))
-        return [brentq(lambda mu: T(mu) - t_target, grid[0], grid[1], xtol=1e-13)]
+        return [brentq(lambda mu: T(mu) - t_target, ends[0], ends[1], xtol=1e-13)]
 
+    grid = (a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]).tolist()
+    vals = [T(amp) for amp in grid]
     roots = []
     for i in range(len(grid) - 1):
         f0, f1 = vals[i] - t_target, vals[i + 1] - t_target
@@ -532,22 +488,20 @@ def find_amplitude_for_period(
 
 def mode_threshold(params: ProblemParams) -> float:
     """Lower mode threshold 2 pi beta / T_0 for sign-changing profiles when
-    c <= c_q, with T_0 the zero-amplitude period limit; 0 at c = c_q, where
-    T_0 diverges."""
+    b + d <= 0 (c <= c_q), with T_0 the zero-amplitude period limit; 0 where
+    T_0 diverges, c = c_q included."""
     return _threshold_and_zero_limit(params)[0]
 
 
-def _threshold_and_zero_limit(params: ProblemParams) -> tuple[float, float | None]:
-    """mode_threshold and the T_0 it was read from (None at c = c_q)."""
-    p, q, c = params.p, params.q, params.c
+def _threshold_and_zero_limit(params: ProblemParams) -> tuple[float, float]:
+    """mode_threshold and the T_0 it was read from."""
+    p, q = params.p, params.q
     if p <= 1.0:
         raise DomainError("mode threshold is defined for p > 1")
-    cq = critical_potential(p, q)
-    if c > cq:
-        raise DomainError(f"mode threshold needs c <= c_q, got c={c} > c_q={cq}")
-    if c == cq:
-        return 0.0, None
-    t0 = period_zero_amplitude_limit(reduce_params(params))
+    rp = reduce_params(params)
+    if rp.b + rp.d > 0.0:
+        raise DomainError(f"mode threshold needs c <= c_q, got b + d = {rp.b + rp.d} > 0")
+    t0 = period_zero_amplitude_limit(rp)
     return 2.0 * math.pi * decay_exponent(p, q) / t0, t0
 
 
@@ -573,7 +527,8 @@ class ModeBounds:
     positive_nonconstant_exists: bool
     mode_threshold: float | None
     notes: dict
-    # T_0 where mode_threshold computed it, for the sign-changing inversion
+    # T_0 where mode_threshold computed it (b + d <= 0), for the sign-changing
+    # inversion
     zero_limit: float | None
 
 
@@ -587,7 +542,7 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
     mq = t0 = None
     if p > 1.0:
         scale = decay_exponent(p, q)
-        if c <= critical_potential(p, q):
+        if rp.b + rp.d <= 0.0:
             mq, t0 = _threshold_and_zero_limit(params)
         k_sc = 1 if mq is None else _smallest_int_above(mq)
         notes["positive_mode_cap"] = "largest integer strictly below sqrt(p beta^(1-p)(c - c_q))"

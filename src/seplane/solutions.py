@@ -20,20 +20,14 @@ from .params import (
     ProblemParams,
     ReducedParams,
     angular_eigenvalue,
-    critical_potential,
     decay_exponent,
     lift_profile,
     odd_power,
     reduce_params,
     reduced_nonlinearity,
+    stationary_abscissa,
 )
-from .periods import (
-    InversionSetup,
-    ModeBounds,
-    find_amplitude_for_period,
-    inversion_setup,
-    mode_bounds,
-)
+from .periods import ModeBounds, find_amplitude_for_period, mode_bounds
 
 __all__ = [
     "AngularProfile",
@@ -274,15 +268,16 @@ def _fold(dense_traj, tau_end: float, taus: np.ndarray, quarter: bool) -> np.nda
 
 
 def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg,
-                setup: InversionSetup) -> ModeEntry:
-    """Mode k of a family: the amplitude of reduced period t_k, one quarter
-    (sign-changing, from (0, nu)) or half (positive, from (mu, 0)) orbit up to
-    its section, folded over the period, lifted, and verified."""
+                known: dict[float, float]) -> ModeEntry:
+    """Mode k of a family: the amplitude of reduced period t_k (inverted with
+    the family's known periods), one quarter (sign-changing, from (0, nu)) or
+    half (positive, from (mu, 0)) orbit up to its section, folded over the
+    period, lifted, and verified."""
     p = params.p
     # reduced time per unit angle: beta for p > 1, 1 at p = 1
     scale = decay_exponent(p, params.q) if p > 1.0 else 1.0
     t_k = 2.0 * math.pi * scale / k
-    roots = find_amplitude_for_period(t_k, kind, rp, nl, cfg, setup=setup)
+    roots = find_amplitude_for_period(t_k, kind, rp, nl, cfg, known=known)
     note = "" if len(roots) == 1 else f"{len(roots)} amplitude roots; using the first"
     quarter = kind == "sign-changing"
     rhs = p1_slope_rhs(rp, nl) if p == 1.0 else cartesian_rhs(rp, nl)
@@ -317,20 +312,17 @@ def build_solution_set(
         "reduced-period convention: mode k uses the w-period 2 pi beta / k, "
         "the reading forced by least angular period 2 pi / k",
     ]
-    constants: list[float] = []
+    # the lifted phase-plane center, which exists iff c > c_q
+    constants = [float(lift_profile(0.0, stationary_abscissa(rp, nl), params)[1])] \
+        if rp.b + rp.d > 0.0 else []
     families: list[dict] = []
     modes = [("positive", k) for k in bounds.positive_modes]
 
     if p > 1.0:
-        cq = critical_potential(p, q)
-        if c > cq:
-            constants.append((c - cq) ** (1.0 / (q + 1.0 - p)))
         k_lo = bounds.k_sign_changing_min
         k_hi = k_max if k_max is not None else k_lo + 2
         modes = [("sign-changing", k) for k in range(k_lo, k_hi + 1)] + modes
     else:
-        if c > -1.0:
-            constants.append((c + 1.0) ** (1.0 / q))
         n = 4 * POINTS_PER_PERIOD
         if c == 0.0 and q <= 1.0:
             families.append({"family": "omega0", "q": q, "kind": "sign-changing",
@@ -345,21 +337,14 @@ def build_solution_set(
                                  "profile": p1_explicit("omega0plus", q, n=n)})
 
     entries: dict[str, list[ModeEntry]] = {"sign-changing": [], "positive": []}
-    # the target-independent part of each family's inversion, or its failure,
-    # which then fails every mode of the family; mode_bounds has T_0 already
-    setups: dict[str, InversionSetup | SeplaneError] = {}
-    if bounds.zero_limit is not None:
-        setups["sign-changing"] = InversionSetup("sign-changing", zero_limit=bounds.zero_limit)
+    # the periods each family's inversions have computed, shared by its modes;
+    # mode_bounds has T_0 already where b + d <= 0
+    known: dict[str, dict[float, float]] = {
+        "sign-changing": {} if bounds.zero_limit is None else {0.0: bounds.zero_limit},
+        "positive": {}}
     for kind, k in modes:
-        if kind not in setups:
-            try:
-                setups[kind] = inversion_setup(kind, rp, nl, cfg)
-            except SeplaneError as exc:
-                setups[kind] = exc
         try:
-            if isinstance(setups[kind], SeplaneError):
-                raise setups[kind]
-            entries[kind].append(_mode_entry(kind, k, params, rp, nl, cfg, setups[kind]))
+            entries[kind].append(_mode_entry(kind, k, params, rp, nl, cfg, known[kind]))
         except SeplaneError as exc:
             notes.append(f"{kind} mode {k} failed: {exc}")
     if "literal_reading" in bounds.notes:

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports; a name listed in
-the module's ``__all__`` counts as used. Every private module-level name is
-used somewhere in the package outside its own definition."""
+the module's ``__all__`` counts as used. Every ``__all__`` entry is defined or
+imported at module level. Every private module-level name is used somewhere
+in the package outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,36 @@ def test_guard_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], f"{path.name} imports names it never uses"
+
+
+def undefined_exports(source: str) -> list[str]:
+    """``__all__`` entries that the module neither defines nor imports at
+    module level (a stale entry fails only on ``import *``)."""
+    defined, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - defined)
+
+
+def test_export_guard_sees_stale_entries():
+    source = ("from os import sep\nX = 1\nY: int = 2\ndef f():\n    Z = 3\n"
+              "class C:\n    pass\n__all__ = ['sep', 'X', 'Y', 'f', 'C', 'Z', 'Gone']\n")
+    assert undefined_exports(source) == ["Gone", "Z"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == [], \
+        f"{path.name} lists names in __all__ that it does not define"
 
 
 def private_definitions(tree: ast.Module):

@@ -182,6 +182,49 @@ class TestSlopePotential:
         back = slope_potential(xi_back, p, b)
         assert abs(back - val) < 1e-10 * (1.0 + abs(val))
 
+    def test_inverse_against_decimal_oracle(self):
+        # relative accuracy, down to the small roots of d -> -b+ (c -> c_q+)
+        rng = random.Random(2026)
+        cases = [(3.0, 1.0, -1.0 + 1e-10), (3.0, 1.0, -1.0 + 1e-6), (1.5, 1.0, -0.99999),
+                 (3.0, 0.0, 1e-300), (2.5, 0.0, 1e-200)]
+        while len(cases) < 400:
+            p, b = rng.uniform(1.05, 6.0), rng.uniform(-5.0, 5.0)
+            mn = slope_potential_min(p, b)
+            if mn is None:
+                cases.append((p, b, -b + max(1.0, abs(b)) * 10.0 ** rng.uniform(-12.0, 2.0)))
+            else:  # clear of the flat branch start eta
+                xi = mn[0] * (1.0 + 10.0 ** rng.uniform(-1.0, 2.0))
+                cases.append((p, b, slope_potential(xi, p, b)))
+        worst = 0.0
+        for p, b, d in cases:
+            xi = invert_slope_potential(d, p, b)
+            ref = _oracle_potential_root(d, p, b, xi)
+            # E + b = (p-1) xi^2 s - b (s - 1) cancels where (p-2) b nears
+            # 2(p-1), the onset of an interior minimum; scale by that cancellation
+            lg = (p / 2.0 - 1.0) * math.log1p(xi * xi)
+            terms = ((p - 1.0) * xi * xi * math.exp(lg), b * math.expm1(lg))
+            cond = (abs(terms[0]) + abs(terms[1])) / abs(terms[0] - terms[1])
+            worst = max(worst, float(abs(Decimal(xi) / ref - 1)) / max(1.0, cond))
+        assert worst <= 1e-14
+
+
+def _oracle_potential_root(value: float, p: float, b: float, start: float) -> Decimal:
+    """Root of ((p-1) xi^2 - b)(1 + xi^2)^(p/2 - 1) = value to 30 digits, by
+    Newton from start at 80 digits, which absorb the cancellation of value
+    against -b."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        V, P, B = Decimal(value), Decimal(p), Decimal(b)
+        k = P / 2 - 1
+        x = Decimal(start)
+        for _ in range(40):
+            s, inner = 1 + x * x, (P - 1) * x * x - B
+            dx = (inner * s**k - V) / (2 * x * s ** (k - 1) * ((P - 1) * s + k * inner))
+            x -= dx
+            if abs(dx) < Decimal("1e-30") * x:
+                return x
+    raise AssertionError(f"oracle did not converge at value={value}, p={p}, b={b}")
+
 
 class TestSlopeMap:
     def test_p2_identity(self):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from seplane import periods
 from seplane.errors import DomainError, OutOfRangeError
 from seplane.fields import check_scaling_conditions, p1_slope_rhs
 from seplane.integrate import EventSpec, IntegratorConfig, integrate
@@ -22,7 +23,6 @@ from seplane.params import (
 from seplane.periods import (
     _p1_mubar,
     find_amplitude_for_period,
-    inversion_setup,
     mode_bounds,
     mode_threshold,
     p1_turning_from_amplitude,
@@ -86,7 +86,7 @@ P1_OFF_B = [ReducedParams(1.0, 2.0, b, 2.0) for b in
 ] + [call for rp in P1_OFF_B for call in (
     lambda rp=rp: period_positive_p1(0.9 * (rp.b + rp.d), rp, NL1),
     lambda rp=rp: period_limits(rp, NL1, "positive"),
-    lambda rp=rp: inversion_setup("positive", rp, NL1),
+    lambda rp=rp: find_amplitude_for_period(3.0, "positive", rp, NL1),
 )], ids=["sc", "pos", "pos-p1", "zero-amp", "limits-sc", "limits-pos",
          "limits-pos-p1", "limits-kind", "sample-sc", "sample-pos", "sample-pos-p1",
          "sample-kind", "scan-kind", "invert-sc", "invert-pos", "invert-pos-p1",
@@ -188,8 +188,8 @@ class TestZeroAmplitudeLimit:
                 td = period_zero_amplitude_limit(rp)
                 assert 0.99 <= td * math.sqrt(eps0 * curv) / (2.0 * math.pi) <= 1.01
             thresholds.append(mode_threshold(params))
-        # c_q - 1e-10 rounds to c_q at (4.5, 3.6), where the threshold is 0
-        assert (thresholds[0] > 0.0) == (cq - 1e-10 < cq)
+        # at (4.5, 3.6) c_q - 1e-10 rounds to c_q, but b + d < 0 gives a finite T_0
+        assert thresholds[0] > 0.0
         assert 0.0 <= thresholds[0] < thresholds[1] < thresholds[2]
 
     def test_mode_threshold_tie(self):
@@ -359,6 +359,41 @@ class TestAmplitudeForPeriod:
         assert roots
         for mu in roots:
             assert rel_err(period_positive(mu, rp, nl).period, target) < 1e-7
+
+    def test_known_zero_limit_is_not_recomputed(self, duffing_soft, monkeypatch):
+        rp, nl = duffing_soft
+        known = {0.0: period_zero_amplitude_limit(rp)}
+
+        def forbidden(*args):
+            raise AssertionError("T_0 recomputed")
+
+        monkeypatch.setattr(periods, "period_zero_amplitude_limit", forbidden)
+        roots = find_amplitude_for_period(5.0, "sign-changing", rp, nl, known=known)
+        assert len(roots) == 1 and roots[0] in known
+
+    @pytest.mark.parametrize("kind, fixture, targets", [
+        ("sign-changing", "duffing_soft", (5.0, 3.0)),
+        ("positive", "center_case", (5.2, 5.0)),
+    ])
+    def test_shared_known_periods_are_not_recomputed(self, kind, fixture, targets,
+                                                     request, monkeypatch):
+        rp, nl = request.getfixturevalue(fixture)
+        sample, calls = periods.period_sample, []
+
+        def counted(kind, amp, *args, **kwargs):
+            calls.append(amp)
+            return sample(kind, amp, *args, **kwargs)
+
+        monkeypatch.setattr(periods, "period_sample", counted)
+        known: dict[float, float] = {}
+        first = find_amplitude_for_period(targets[0], kind, rp, nl, known=known)
+        held, calls[:] = dict(known), []
+        second = find_amplitude_for_period(targets[1], kind, rp, nl, known=known)
+        assert calls and not set(calls) & set(held)
+        assert set(known) == set(held) | set(calls)
+        # sharing the dict changes no root
+        assert first == find_amplitude_for_period(targets[0], kind, rp, nl)
+        assert second == find_amplitude_for_period(targets[1], kind, rp, nl)
 
 
 @given(st.one_of(st.just(1.0), st.floats(1.05, 4.5)), st.floats(0.1, 8.0),

@@ -12,7 +12,7 @@ from seplane.params import (
     reduce_params,
     reduced_nonlinearity,
 )
-from seplane.periods import inversion_setup, mode_bounds
+from seplane.periods import mode_bounds
 from seplane.solutions import (
     PROFILE_CONFIG,
     AngularProfile,
@@ -236,7 +236,7 @@ class TestBuildSolutionSet:
                                               (ProblemParams(2.0, 3.0, 9.0), None),
                                               (ProblemParams(3.0, 5.0, 1.0), 5)])
     def test_inversion_never_repeats_an_amplitude(self, params, k_max, monkeypatch):
-        # across the whole set, the setup's scan and every amplitude the
+        # across the whole set, the positive scan and every amplitude the
         # bracket searches or brentq visit are each evaluated once per family
         calls = []
         sample = periods.period_sample
@@ -251,16 +251,12 @@ class TestBuildSolutionSet:
         assert calls
         assert len(set(calls)) == len(calls)
 
-    def test_failed_inversion_setup_fails_every_mode_of_its_family(self, monkeypatch):
-        calls = []
-
-        def failing(kind, *args):
-            calls.append(kind)
+    def test_failed_scan_fails_every_mode_of_its_family(self, monkeypatch):
+        def failing(*args, **kwargs):
             raise NoCrossingError("scan failed")
 
-        monkeypatch.setattr(solutions, "inversion_setup", failing)
+        monkeypatch.setattr(periods, "period_positive", failing)
         ss = build_solution_set(ProblemParams(2.0, 3.0, 9.0), k_max=0)
-        assert calls == ["positive"]
         assert not ss.positive
         assert [n for n in ss.notes if "failed" in n] == [
             f"positive mode {k} failed: scan failed" for k in (1, 2, 3)]
@@ -300,8 +296,7 @@ def _mode_entry_fold(monkeypatch, params, kind, k):
 
     monkeypatch.setattr(solutions, "_fold", recording)
     rp, nl = reduce_params(params), reduced_nonlinearity(params)
-    setup = inversion_setup(kind, rp, nl, PROFILE_CONFIG)
-    solutions._mode_entry(kind, k, params, rp, nl, PROFILE_CONFIG, setup)
+    solutions._mode_entry(kind, k, params, rp, nl, PROFILE_CONFIG, {})
     return calls[0]
 
 
