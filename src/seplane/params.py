@@ -258,9 +258,15 @@ def invert_slope_potential(value: float, p: float, b: float) -> float:
     k = p / 2.0 - 1.0
 
     def shifted(x):
-        lg = k * math.log1p(x * x)
         try:
-            return (p - 1.0) * x * x * math.exp(lg) - b * math.expm1(lg)
+            if x * x < math.inf:
+                lg = k * math.log1p(x * x)
+                return (p - 1.0) * x * x * math.exp(lg) - b * math.expm1(lg)
+            # x^2 overflows: the same in logs, with log1p(x^2) = 2 log x
+            lx = math.log(x)
+            lg = 2.0 * k * lx
+            lead = 0.0 if p == 1.0 else math.exp(math.log(p - 1.0) + 2.0 * lx + lg)
+            return lead - b * math.expm1(lg)
         except OverflowError:
             return math.inf
 
@@ -378,6 +384,8 @@ def _invert_increasing(f, target: float, lo: float) -> float:
     with w = max(1, |lo|) grown fourfold until it holds the root, or shrunk
     fourfold while lo + w/4 still does, so that a root near lo = 0 lies in
     the top three quarters of its bracket."""
+    if not math.isfinite(target):
+        raise DomainError(f"cannot invert toward the target {target}")
     # in units of |target|, so that tiny targets leave brentq no underflow
     scale = abs(target) or 1.0
     g = lambda x: (f(x) - target) / scale
@@ -388,12 +396,12 @@ def _invert_increasing(f, target: float, lo: float) -> float:
         return lo
     w = max(1.0, abs(lo))
     if g(lo + w) < 0.0:
-        for _ in range(200):
+        while True:
+            if not math.isfinite(lo + 4.0 * w):
+                raise DomainError("could not bracket a sign change while growing upward")
             w *= 4.0
             if not g(lo + w) < 0.0:  # a sign change, a root, or NaN ends the growth
                 break
-        else:
-            raise DomainError("could not bracket a sign change while growing upward")
     else:
         while lo + w / 4.0 > lo and g(lo + w / 4.0) >= 0.0:
             w /= 4.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,6 +95,23 @@ def _theta_form_denominator(t: float, costheta: float, p: float, b: float,
     return (p - 1.0) * t * t - b + (hval - d) * costheta ** (p - 2.0)
 
 
+def _pchip_on_floats(x: np.ndarray, y: np.ndarray):
+    """scipy's PCHIP through (x, y), evaluated on one float in [x[0], x[-1]]
+    without numpy: the piece's cubic in z = th - x[i], summed in the order of
+    scipy's own evaluation, so the values are the same to the bit."""
+    c = PchipInterpolator(x, y).c
+    knots, last = x.tolist(), len(x) - 2
+    pieces = list(zip(c[0].tolist(), c[1].tolist(), c[2].tolist(), c[3].tolist()))
+
+    def at(th: float) -> float:
+        i = min(bisect_right(knots, th) - 1, last)
+        c0, c1, c2, c3 = pieces[i]
+        z = th - knots[i]
+        return c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
+
+    return at
+
+
 def period_sign_changing(
     nu: float,
     rp: ReducedParams,
@@ -131,17 +149,18 @@ def period_sign_changing(
     order = np.argsort(theta)
     theta_s, w_s = theta[order], np.maximum(w[order], 0.0)
     theta_s, keep = np.unique(theta_s, return_index=True)
-    w_of_theta = PchipInterpolator(theta_s, w_s[keep])
+    w_of_theta = _pchip_on_floats(theta_s, w_s[keep])
     p, b, d = rp.p, rp.b, rp.d
+    first, last = float(theta_s[0]), float(theta_s[-1])
 
     def integrand(th):
         t = math.tan(th)
-        if th <= theta_s[0]:
+        if th <= first:
             wv = w_s[0]
-        elif th >= theta_s[-1]:
+        elif th >= last:
             wv = 0.0
         else:
-            wv = max(float(w_of_theta(th)), 0.0)
+            wv = max(w_of_theta(th), 0.0)
         den = _theta_form_denominator(t, math.cos(th), p, b, d, nl.h(wv))
         return (1.0 + (p - 1.0) * t * t) / den
 
@@ -324,7 +343,10 @@ def period_limits(rp: ReducedParams, nl: Nonlinearity, kind: str) -> PeriodLimit
     require_family(kind, rp)
     if kind == "sign-changing":
         return PeriodLimits(period_zero_amplitude_limit(rp), 0.0)
-    small = 2.0 * math.pi / math.sqrt((nl.power + 1.0 - rp.p) * (rp.b + rp.d))
+    stiffness = (nl.power + 1.0 - rp.p) * (rp.b + rp.d)
+    if not math.isfinite(stiffness):
+        raise DomainError(f"(q + 1 - p)(b + d) overflows at b + d = {rp.b + rp.d}")
+    small = 2.0 * math.pi / math.sqrt(stiffness)
     if rp.p == 1.0 and rp.d >= 0.0:
         return PeriodLimits(period_infimum_p1(rp.d), small)
     return PeriodLimits(math.inf, small)
@@ -505,6 +527,10 @@ def _threshold_and_zero_limit(params: ProblemParams) -> tuple[float, float]:
     return 2.0 * math.pi * decay_exponent(p, q) / t0, t0
 
 
+# above 2**53 consecutive integers are no longer distinct floats
+_EXACT_INTEGERS = 2.0 ** 53
+
+
 def _snap(x: float) -> float:
     r = round(x)
     return float(r) if abs(x - r) < 1e-9 else x
@@ -554,6 +580,9 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
     lims = period_limits(rp, reduced_nonlinearity(params), "positive")
     lower, upper = sorted(2.0 * math.pi * scale / t
                           for t in (lims.at_zero, lims.at_upper))
+    if upper > _EXACT_INTEGERS:
+        raise DomainError(f"positive modes reach {upper:.3g}, beyond the exactly "
+                          "represented integers")
     positive = tuple(range(_smallest_int_above(lower), _largest_int_below(upper) + 1))
     if p == 1.0 and c > 0.0:
         notes["period_derived_bounds"] = (lower, upper)

@@ -56,6 +56,13 @@ class TestParamsCommand:
         assert code == 2
         assert "invalid input" in err
 
+    @pytest.mark.parametrize("p,q,c", [("6", "6", "1e300"), ("2", "3", "1e308")],
+                             ids=["modes-beyond-exact-integers", "center-stiffness-overflow"])
+    def test_huge_potential_exits_2(self, capsys, p, q, c):
+        code, _, err = run_cli(capsys, "params", "-p", p, "-q", q, "-c", c)
+        assert code == 2
+        assert "invalid input" in err and "Traceback" not in err
+
     def test_zero_amplitude_limit_computed_once(self, capsys, monkeypatch):
         from seplane import periods
 

@@ -25,42 +25,42 @@ CLI_CASES = [
     ("readme-params", ["params", "-p", "2", "-q", "3", "-c", "0"], False, 0,
      "2f3f42e7dc342c46a756a599747a55c51b2f0b164893bd7829eaf1ed793435e9"),
     ("readme-homoclinic", ["orbit", "-p", "2", "-q", "3", "-c", "2", "--homoclinic"],
-     False, 0, "1552ed3359e641227f7b3277b2f47d0ce65f093760e3d585cc119aca05540332"),
+     False, 0, "8d8eb87f02d1fb00bb95cdeaca544e12b7086003670793ac831a67614fb5b134"),
     ("readme-p1-circle", ["orbit", "-p", "1", "-q", "2", "-c", "0", "--start", "0", "2",
                           "--span", "7"], False, 0, "83be65d822ba0e6cfb7036c0dd72ae16e7a7a7377b9315a5d15cb34e15fd41f6"),
     ("readme-scan", ["period-scan", "-p", "2", "-q", "3", "-c", "0", "--kind",
                      "sign-changing", "--grid", "0.01:100:30:log"], False, 0,
-     "2dfa4bcd2a94c05dc598ba772b066efabba820fe7306ae9629045fd8c99495ad"),
+     "48ff690107b08e6408748addedbf1885f0b0dfba927c223681168bbee5c0426f"),
     ("readme-solve-set", ["solve-set", "-p", "1", "-q", "2", "-c", "3"], True, 0,
-     "439a2138ae00ce1cd3aed34fe2c23f4b5106d0f6ae215044cd83970bedb4a30d"),
+     "4e86c5b0b76e0c55fe4738795014f7ca58ac8cf4c6544ec634a634437b4bdfac"),
     ("readme-sector", ["sector", "-p", "2", "-q", "3", "--theta", "3.141592653589793"],
      False, 0, "2bbf0d02c35536ef9ac23e56deefeb8e36371cccf830fce9705f4d55a6fe8487"),
     ("params-p1", ["params", "-p", "1", "-q", "2", "-c", "3"], False, 0, "527ce197cd2c9d44431653ebeac4827e64f070b0b074d0be5165bb2b5d171285"),
     ("params-p3", ["params", "-p", "3", "-q", "5", "-c", "30"], False, 0, "9d22420365ef54b854cdebc39aef44d3b610aff3aad1607f1331c7abbc094090"),
     ("orbit-b1", ["orbit", "-p", "1.5", "-q", "5", "-c", "0.5", "--start", "0", "1"],
-     False, 0, "91fa791825bbdd070cdfcb5677dc94e4b142440dff0107af3ec1b71d74292d72"),
+     False, 0, "e2120e069fd83ca4bc2653edc5a53f699b63fe30d9b40a0d21ff2daa64db00a0"),
     ("orbit-p2-energy", ["orbit", "-p", "2", "-q", "3", "-c", "0", "--start", "0", "1"],
-     False, 0, "587f68364e117ecf3df9b2654cb0bbe1065c8c0ba3dc15bb7353bb8b7fb2c065"),
+     False, 0, "a3ef75f7b587ffc4ca451093b52f6e039a1f3ac84829ac7d1e473e2d8c8d6d61"),
     ("orbit-p1-off-circle", ["orbit", "-p", "1", "-q", "2", "-c", "0.5", "--start",
                              "1.2", "0", "--span", "5"], False, 0,
-     "320afaf6a36b827482bbcfd9b4f006a93cf887b6e49cc8f53e77a784c89dcb06"),
+     "f0e7d75b6bc0d1696418d92a12ed4497da52610e982a42e1b20bbaab90a9a5f4"),
     ("orbit-center", ["orbit", "-p", "3", "-q", "5", "-c", "30", "--start", "2", "0"],
-     False, 0, "ecc57e12ae4eec136d5823d7b4646bc10152b260771e4e4b208e42d964176546"),
+     False, 0, "787ffc569c1d9c80779cae522f689204f1bec34c5a6c54e89c0ff9ddaeeaff99"),
     ("orbit-stationary", ["orbit", "-p", "2", "-q", "3", "-c", "2", "--start", "1", "0"],
      False, 0, "ccf0cf5c940cb7a1b5fcc6adb534c63a1925922a0d547977fa92f97bfba2a17b"),
     ("orbit-homoclinic-json", ["orbit", "-p", "2.5", "-q", "4", "-c", "10",
                                "--homoclinic", "--format", "json"], False, 0,
-     "5fdba58caa91f2f59b3c3622d89de02b7628a3c9380f96268d52d578638a2b3a"),
+     "d01f8a9355dc56a89ad911ef42ca1879fe54752dc55cb6e31ebcf14812d239be"),
     ("scan-positive-json", ["period-scan", "-p", "2", "-q", "3", "-c", "2", "--kind",
                             "positive", "--grid", "0.1:0.9:8", "--format", "json"],
-     False, 0, "8ffda2c93bcd55a54e1ea5734bc8eeb2a0eda759378bbc354706b04e88088661"),
+     False, 0, "454caec3ced789f36e14aa1f0b0b8970ec9a37423276e01c4cf8acec3e8ac5bd"),
     ("scan-positive-p1", ["period-scan", "-p", "1", "-q", "2", "-c", "1", "--kind",
                           "positive", "--grid", "0.01:2.5:10"], False, 3,
      "ede5caf4ca607c056a3ad6691428f5c111bedb089120fba6afac866fbbe0d197"),
     ("solve-set-sc", ["solve-set", "-p", "2", "-q", "3", "-c", "0", "--k-max", "3"],
-     False, 0, "94c19b3278c957013c4878c1d363b3a4ba211ab25707983f68aeb523cf6e8a90"),
+     False, 0, "4040076ef34b1ee3a4f35d8e3737009addb07ef494b7ffa8e729380c72d57a2e"),
     ("solve-set-pos", ["solve-set", "-p", "2", "-q", "3", "-c", "3", "--k-max", "1"],
-     False, 0, "c23d830a3712a5756c21071d730aee4558157e69746be781d074c36b28c97ec0"),
+     False, 0, "ade33e48d74885ed8366e38a292e8c0a4ff840704f5218f34381584ce0d9dd0e"),
     ("solve-set-explicit", ["solve-set", "-p", "1", "-q", "0.5", "-c", "0"], True, 0,
      "effa052d8ac2321376be7783e9f1ae466002bcaea1ea48f3bf14e5e1e0f4bb83"),
 ]
@@ -68,8 +68,8 @@ CLI_CASES = [
 # script file name -> sha256 of the tree it writes under OUT
 SCRIPT_CASES = {
     "mode_atlas.py": "5254f829d8eae6ca873351a9c4d18958052acec87eddb74fe5b05dcb0f04a299",
-    "period_curves.py": "5c1e7133b570c7757351f69b06c478c69aa3675f3ad31c0a9fdbde1ccd993d0b",
-    "phase_portraits.py": "93ab0a49b3f2f6123ec5dfee7df3b616576c67189bf29dfdab402ad9b354dfa1",
+    "period_curves.py": "c4f996bdfa22d69435c12daf5356a97327bba086624403050fcd39e3d503e393",
+    "phase_portraits.py": "88f991605efeee82c107c80bfa3121fbf0c7c6964863edbb13ce99453adfb971",
 }
 
 def tree_digest(root: Path) -> str:

@@ -122,3 +122,31 @@ def test_dead_code_guard_sees_unreferenced_private_names():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private(sources) == []
+
+
+def scipy_integrate_imports(source: str) -> list[str]:
+    """Names a module takes from scipy.integrate, by any import form."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.startswith("scipy.integrate")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "scipy.integrate" or node.module.startswith("scipy.integrate."):
+                names += [f"{node.module}.{a.name}" for a in node.names]
+            elif node.module == "scipy":
+                names += [f"scipy.{a.name}" for a in node.names if a.name == "integrate"]
+    return sorted(names)
+
+
+def test_scipy_integrate_guard_sees_every_form():
+    source = ("import scipy.integrate\nfrom scipy import integrate, optimize\n"
+              "from scipy.integrate import RK45\nfrom scipy.integrate._ivp import rk\n"
+              "from scipy.optimize import brentq\n")
+    assert scipy_integrate_imports(source) == [
+        "scipy.integrate", "scipy.integrate", "scipy.integrate.RK45",
+        "scipy.integrate._ivp.rk"]
+
+
+def test_stepper_is_the_only_stepper():
+    # integrate.py owns its Dormand-Prince stepper; no scipy solver beside it
+    assert scipy_integrate_imports((PACKAGE / "integrate.py").read_text()) == []

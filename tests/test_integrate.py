@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from seplane.errors import IntegrationError, MaxStepsError, NoCrossingError
+from seplane.errors import (
+    DomainError,
+    IntegrationError,
+    MaxStepsError,
+    NoCrossingError,
+    StepUnderflowError,
+)
 from seplane.fields import cartesian_rhs, p1_cartesian_rhs
 from seplane.integrate import (
     EventSpec,
@@ -12,7 +18,13 @@ from seplane.integrate import (
     integrate,
     integrate_to_section,
 )
-from seplane.params import ReducedParams
+from seplane.params import (
+    ProblemParams,
+    ReducedParams,
+    critical_potential,
+    reduce_params,
+    reduced_nonlinearity,
+)
 
 
 def cubic_quarter_time_oracle():
@@ -123,6 +135,29 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(rhs, (1.0, 2.0), (0.0, 1.0))
 
+    def test_error_on_first_call_propagates_as_raised(self):
+        def rhs(t, s):
+            raise DomainError("start outside the chart")
+
+        with pytest.raises(DomainError) as info:
+            integrate(rhs, (1.0, 2.0), (0.0, 1.0))
+        assert not isinstance(info.value, IntegrationError)
+
+    @pytest.mark.parametrize("start,span,message", [
+        ((1.0, 0.0), (0.0, 2.0), "shrank below 1e-14 of the span"),
+        ((-1.0, 0.0), (0.0, -2.0), "shrank below 1e-14 of the span"),
+        # ten ulps of tau = 1e20 exceed the steps that the blow-up allows
+        ((1e-5, 0.0), (1e20, 1e20 + 1e6), "step size underflow at tau=1e\\+20"),
+    ], ids=["forward", "backward", "ten-ulp-floor"])
+    def test_blow_up_is_step_underflow(self, start, span, message):
+        # y' = y^2 leaves every float at tau = tau_0 + 1/y_0
+        with pytest.raises(StepUnderflowError, match=message):
+            integrate(lambda t, s: np.array([s[0] ** 2, 0.0]), start, span)
+
+    def test_planar_states_only(self):
+        with pytest.raises(DomainError):
+            integrate(lambda t, s: -s, (1.0, 2.0, 3.0), (0.0, 1.0))
+
 
 class TestAdvanceToAxis:
     """Advancing a start point to its first crossing of an axis or of a line
@@ -162,3 +197,96 @@ class TestAdvanceToAxis:
         # the quarter orbit from (0, 1) takes about 1.4 to reach the section
         with pytest.raises(NoCrossingError):
             integrate_to_section(cartesian_rhs(rp, nl), (0.0, 1.0), 1.0)
+
+
+def oracle_cases(n=12, seed=7):
+    """Seeded (p, q, c, nu), p in (1.2, 4.5), c alternately below and above
+    c_q, with the Cartesian rhs of each."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        p = rng.uniform(1.2, 4.5)
+        q = p - 1.0 + rng.uniform(0.3, 5.0)
+        cq = critical_potential(p, q)
+        c = cq + (1.0 if i % 2 else -1.0) * rng.uniform(0.1, 3.0) * max(1.0, abs(cq))
+        params = ProblemParams(p, q, c)
+        rhs = cartesian_rhs(reduce_params(params), reduced_nonlinearity(params))
+        yield pytest.param(rhs, 10.0 ** rng.uniform(-1.0, 1.0),
+                           id=f"p{p:.2f}-c{'+' if c > cq else '-'}{i}")
+
+
+def scipy_rk45(rhs, start, span, cfg=IntegratorConfig(), events=(), dense=False):
+    return solve_ivp(rhs, span, list(start), method="RK45", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, events=list(events), dense_output=dense)
+
+
+def y_falling(t, y):
+    return y[1]
+
+
+y_falling.terminal, y_falling.direction = True, -1
+
+
+class TestAgainstScipyRK45:
+    """The float stepper runs the arithmetic and step control of scipy's RK45,
+    which serves as the oracle at the same tolerances."""
+
+    @pytest.mark.parametrize("rhs,nu", oracle_cases())
+    def test_quarter_orbit(self, rhs, nu):
+        tau, traj = integrate_to_section(rhs, (0.0, nu), 1e4)
+        ref = scipy_rk45(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling])
+        ref_tau, ref_state = ref.t_events[0][0], ref.y_events[0][0]
+        assert abs(tau - ref_tau) <= 1e-9 * ref_tau
+        assert np.max(np.abs(traj.events[-1].state - ref_state)) \
+            <= 1e-9 * np.max(np.abs(ref_state))
+        steps, ref_steps = len(traj.taus) - 1, len(ref.t) - 1
+        assert abs(steps - ref_steps) <= 0.01 * ref_steps
+        assert abs(traj.events[-1].state[1]) < 1e-10
+
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=11)))
+    def test_backward_span_and_dense_output(self, rhs, nu):
+        span = (3.0, -2.0)
+        traj = integrate(rhs, (0.0, nu), span, dense=True)
+        ref = scipy_rk45(rhs, (0.0, nu), span, dense=True)
+        assert traj.status == "completed" and traj.taus[-1] == span[1]
+        assert np.all(np.diff(traj.taus) < 0.0)
+        assert abs(len(traj.taus) - len(ref.t)) <= 0.01 * len(ref.t)
+        scale = np.max(np.abs(ref.y))
+        assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-9 * scale
+        ts = np.linspace(*span, 301)
+        assert np.max(np.abs(traj.sample(ts) - ref.sol(ts).T)) <= 1e-9 * scale
+
+    def test_backward_events(self, duffing_soft):
+        rp, nl = duffing_soft
+        rhs = cartesian_rhs(rp, nl)
+        traj = integrate(rhs, (0.3, 0.8), (0.0, -12.0),
+                         events=[EventSpec("w=0", lambda t, s: s[0]),
+                                 EventSpec("y=0", lambda t, s: s[1])])
+
+        def w_axis(t, y):
+            return y[0]
+
+        def y_axis(t, y):
+            return y[1]
+
+        ref = scipy_rk45(rhs, (0.3, 0.8), (0.0, -12.0), events=[w_axis, y_axis])
+        expected = sorted([(t, "w=0") for t in ref.t_events[0]]
+                          + [(t, "y=0") for t in ref.t_events[1]], reverse=True)
+        assert len(expected) >= 6
+        assert [ev.kind for ev in traj.events] == [k for _, k in expected]
+        assert max(abs(ev.tau - t) for ev, (t, _) in zip(traj.events, expected)) < 1e-9
+        for ev in traj.events:
+            assert abs(ev.state[0 if ev.kind == "w=0" else 1]) < 1e-10
+
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=3)))
+    def test_sample_at_nodes_and_events(self, rhs, nu):
+        events = [EventSpec("w=0", lambda t, s: s[0]),
+                  EventSpec("slope", lambda t, s: s[1] - 0.5 * s[0])]
+        traj = integrate(rhs, (0.0, nu), (0.0, 20.0), events=events, dense=True)
+        assert np.max(np.abs(traj.sample(traj.taus) - traj.states)) <= 1e-12 * max(
+            1.0, np.max(np.abs(traj.states)))
+        assert traj.events
+        for ev in traj.events:
+            s = ev.state
+            assert abs(s[0] if ev.kind == "w=0" else s[1] - 0.5 * s[0]) < 1e-10
+            # an event state is the interpolant's value at its time
+            assert np.array_equal(traj.sample(ev.tau), s)

@@ -1,6 +1,7 @@
 import fractions
 import math
 import random
+import sys
 import time
 from decimal import Decimal, localcontext
 
@@ -206,6 +207,16 @@ class TestSlopePotential:
             cond = (abs(terms[0]) + abs(terms[1])) / abs(terms[0] - terms[1])
             worst = max(worst, float(abs(Decimal(xi) / ref - 1)) / max(1.0, cond))
         assert worst <= 1e-14
+
+    def test_inverse_brackets_roots_near_the_float_range(self):
+        # at p = 2, b = 1 the shifted potential is xi^2: the root of 1e308 is 1e154,
+        # past the 200 fourfold growths (4^200 ~ 2.6e120) the bracket used to stop at
+        assert rel_err(invert_slope_potential(1e308, 2.0, 1.0), 1e154) \
+            <= 4.0 * sys.float_info.epsilon
+        # near p = 1 the root of 1e308 lies beyond the largest float
+        for value in (1e308, math.inf):
+            with pytest.raises(DomainError):
+                invert_slope_potential(value, 1.001, 1.0)
 
 
 def _oracle_potential_root(value: float, p: float, b: float, start: float) -> Decimal:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from seplane import periods
 from seplane.errors import DomainError, OutOfRangeError
@@ -125,6 +126,17 @@ class TestSignChanging:
                 assert rel_err(s.period, s.cross_check) < 1e-6
                 assert abs(s.period - s.cross_check) <= 10.0 * s.est_error \
                     + 1e-12
+
+    def test_float_pchip_matches_scipy_bit_for_bit(self):
+        # the quadrature route evaluates the orbit's PCHIP on floats
+        rng = np.random.default_rng(20240610)
+        for _ in range(20):
+            x = np.unique(rng.uniform(0.0, math.pi / 2.0, 1500))
+            y = np.cumsum(rng.uniform(-0.1, 1.0, x.size))
+            scipy_pchip = PchipInterpolator(x, y)
+            on_floats = periods._pchip_on_floats(x, y)
+            ths = rng.uniform(x[0], x[-1], 2000).tolist() + x[:-1].tolist()[::97]
+            assert all(on_floats(th) == float(scipy_pchip(th)) for th in ths)
 
     def test_domain(self, duffing_soft):
         rp, nl = duffing_soft
