@@ -23,7 +23,6 @@ from .errors import (
     StepUnderflowError,
 )
 from .fields import (
-    FieldEval,
     check_scaling_conditions,
     field_cartesian,
     field_p1_cartesian,

@@ -454,39 +454,34 @@ def check_chart_suite(seed: int = 12345) -> CheckResult:
         rp = cases[i % len(cases)]
         nl = Nonlinearity(rp.p, rp.q)
         w, y = rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)
-        f1 = field_cartesian((w, y), rp, nl)
-        f2 = field_cartesian((-w, -y), rp, nl)
-        if abs(f1.d1 + f2.d1) > 1e-14 * (1 + abs(f1.d1)) \
-                or abs(f1.d2 + f2.d2) > 1e-14 * (1 + abs(f1.d2)):
+        f1, g1 = field_cartesian((w, y), rp, nl)
+        f2, g2 = field_cartesian((-w, -y), rp, nl)
+        if abs(f1 + f2) > 1e-14 * (1 + abs(f1)) or abs(g1 + g2) > 1e-14 * (1 + abs(g1)):
             failures.append(f"odd symmetry broken at {(w, y)}")
             break
-        f3 = field_cartesian((w, -y), rp, nl)
-        if abs(f3.d1 + f1.d1) > 1e-14 * (1 + abs(f1.d1)) \
-                or abs(f3.d2 - f1.d2) > 1e-14 * (1 + abs(f1.d2)):
+        f3, g3 = field_cartesian((w, -y), rp, nl)
+        if abs(f3 + f1) > 1e-14 * (1 + abs(f1)) or abs(g3 - g1) > 1e-14 * (1 + abs(g1)):
             failures.append(f"time-reversal symmetry broken at {(w, y)}")
             break
         rho, theta = math.hypot(w, y), math.atan2(y, w)
         pol = field_polar(theta, rho, rp, nl)
-        dth = (w * f1.d2 - y * f1.d1) / rho**2
-        drho = (w * f1.d1 + y * f1.d2) / rho
-        if abs(pol.d1 - dth) > 1e-9 * (1 + abs(dth)) \
-                or abs(pol.d2 - drho) > 1e-9 * (1 + abs(drho)):
+        dth = (w * g1 - y * f1) / rho**2
+        drho = (w * f1 + y * g1) / rho
+        if abs(pol[0] - dth) > 1e-9 * (1 + abs(dth)) or abs(pol[1] - drho) > 1e-9 * (1 + abs(drho)):
             failures.append(f"polar chart off at {(w, y)}: {pol} vs {(dth, drho)}")
             break
         xi = y / w
         u = slope_map(xi, rp.p)
         sl = field_slope((w, u), rp, nl)
-        du = slope_map_deriv(xi, rp.p) * (f1.d2 - xi * f1.d1) / w
-        if abs(sl.d1 - f1.d1) > 1e-9 * (1 + abs(f1.d1)) \
-                or abs(sl.d2 - du) > 1e-9 * (1 + abs(du)):
+        du = slope_map_deriv(xi, rp.p) * (g1 - xi * f1) / w
+        if abs(sl[0] - f1) > 1e-9 * (1 + abs(f1)) or abs(sl[1] - du) > 1e-9 * (1 + abs(du)):
             failures.append(f"slope chart off at {(w, y)}")
             break
         e = rp.q + 1.0 - rp.p
         v = w**e
         rg = field_regularized((v, u), rp, nl)
-        dv = e * w ** (e - 1.0) * f1.d1
-        if abs(rg.d1 - dv) > 1e-9 * (1 + abs(dv)) \
-                or abs(rg.d2 - du) > 1e-9 * (1 + abs(du)):
+        dv = e * w ** (e - 1.0) * f1
+        if abs(rg[0] - dv) > 1e-9 * (1 + abs(dv)) or abs(rg[1] - du) > 1e-9 * (1 + abs(du)):
             failures.append(f"regularized chart off at {(w, y)}")
             break
 
@@ -499,16 +494,13 @@ def check_chart_suite(seed: int = 12345) -> CheckResult:
             for y in np.linspace(-3.0, 3.0, 41):
                 if math.hypot(w, y) < 0.2:
                     continue
-                fv = field_cartesian((w, y), rp, nl)
-                norm = math.hypot(fv.d1, fv.d2)
+                norm = math.hypot(*field_cartesian((w, y), rp, nl))
                 near = has_center and min(math.hypot(w - a, y),
                                           math.hypot(w + a, y)) < 0.25
                 if norm < 1e-8 and not near:
                     failures.append(f"spurious stationary point at {(w, y)} for {rp}")
-        if has_center:
-            fv = field_cartesian((a, 0.0), rp, nl)
-            if math.hypot(fv.d1, fv.d2) > 1e-12:
-                failures.append(f"center not stationary for {rp}")
+        if has_center and math.hypot(*field_cartesian((a, 0.0), rp, nl)) > 1e-12:
+            failures.append(f"center not stationary for {rp}")
 
     # transformed-slope acceleration along an integrated regularized arc
     # kept inside the loop region of a center so the chart never degenerates

@@ -242,8 +242,7 @@ def cmd_orbit(args) -> int:
         taus, states = _p1_circle_samples(w0, y0, rp, args.span, meta)
         return _finish_orbit(args, taus, states, rp, nl, meta)
     if rp.p > 1.0:
-        fv = field_cartesian((w0, y0), rp, nl)
-        if math.hypot(fv.d1, fv.d2) < 1e-12:
+        if math.hypot(*field_cartesian((w0, y0), rp, nl)) < 1e-12:
             meta["orbit_class"] = "closed-around-P0"
             meta["stationary"] = True
             _write_orbit(args, np.array([0.0]), np.array([[w0, y0]]), meta)

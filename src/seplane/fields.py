@@ -1,14 +1,17 @@
 """Right-hand sides of the phase-plane dynamics in each coordinate chart.
 
-All evaluations are pure; a point outside a chart, or one where the field
-has no finite value, raises.
+Each factory ``*_rhs(rp, nl)`` binds its chart's constants and returns
+``rhs(t, s)``: a state pair of Python floats in, the velocity pair (d1, d2)
+of floats out; the ``field_*`` point evaluators run the same closures. All
+evaluations are pure; a point outside a chart, or one where the field has no
+finite value, raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .params import (
 )
 
 __all__ = [
-    "FieldEval",
     "field_cartesian",
     "field_polar",
     "field_slope",
@@ -41,116 +43,124 @@ __all__ = [
 ]
 
 
-class FieldEval(NamedTuple):
-    """Chart velocity (d1, d2)."""
-
-    d1: float
-    d2: float
-
-
-def field_cartesian(pt, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
+def cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
     """(w, y) velocity of the reduced second-order equation, p > 1."""
-    w, y = float(pt[0]), float(pt[1])
-    if w == 0.0 and y == 0.0:
-        raise SingularOriginError("the phase-plane field is singular at (0, 0)")
-    p, b, d = rp.p, rp.b, rp.d
-    if p <= 1.0:
-        raise DomainError("use the p = 1 charts at p = 1")
-    r2 = w * w + y * y
-    num = b * w**3 + (b + 2.0 - p) * w * y * y \
-        - (nl.f(w) - d * odd_power(w, p - 1.0)) * r2 ** (2.0 - p / 2.0)
-    den = w * w + (p - 1.0) * y * y
-    return FieldEval(y, num / den)
+    p, b, d, q = rp.p, rp.b, rp.d, nl.power
+    pm1, b2p, ex = p - 1.0, b + 2.0 - p, 2.0 - p / 2.0
+    def rhs(t, s):
+        w, y = s
+        if w == 0.0 and y == 0.0:
+            raise SingularOriginError("the phase-plane field is singular at (0, 0)")
+        if p <= 1.0:
+            raise DomainError("use the p = 1 charts at p = 1")
+        r2 = w * w + y * y
+        num = b * w**3 + b2p * w * y * y - (odd_power(w, q) - d * odd_power(w, pm1)) * r2**ex
+        return y, num / (w * w + pm1 * y * y)
+    return rhs
 
 
-def field_polar(theta: float, rho: float, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
+def polar_rhs(rp: ReducedParams, nl: Nonlinearity):
     """(theta, rho) velocity in polar coordinates on the open first quadrant."""
-    if not 0.0 < theta < math.pi / 2.0:
-        raise DomainError("polar chart needs theta strictly inside (0, pi/2)")
-    if rho <= 0.0:
-        raise DomainError("polar chart needs rho > 0")
-    p, b, d = rp.p, rp.b, rp.d
-    t = math.tan(theta)
-    dtheta = (b - (p - 1.0) * t * t
-              + (d - nl.h(rho * math.cos(theta))) * math.cos(theta) ** (p - 2.0)) \
-        / (1.0 + (p - 1.0) * t * t)
-    drho = rho * (1.0 + dtheta) * t
-    return FieldEval(dtheta, drho)
+    b, d, pm1, pm2 = rp.b, rp.d, rp.p - 1.0, rp.p - 2.0
+    def rhs(t, s):
+        theta, rho = s
+        if not 0.0 < theta < math.pi / 2.0:
+            raise DomainError("polar chart needs theta strictly inside (0, pi/2)")
+        if rho <= 0.0:
+            raise DomainError("polar chart needs rho > 0")
+        tn, cs = math.tan(theta), math.cos(theta)
+        dtheta = (b - pm1 * tn * tn + (d - nl.h(rho * cs)) * cs**pm2) / (1.0 + pm1 * tn * tn)
+        return dtheta, rho * (1.0 + dtheta) * tn
+    return rhs
 
 
-def field_slope(st, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
+def slope_rhs(rp: ReducedParams, nl: Nonlinearity):
     """(w, u) velocity in the slope chart, u the transformed slope."""
-    w, u = st
-    if w < 0.0:
-        raise DomainError("slope chart covers w >= 0")
-    xi = slope_map_inv(u, rp.p)
-    du = -slope_potential(xi, rp.p, rp.b) - nl.h(w) + rp.d
-    return FieldEval(w * xi, du)
+    # the inverse is looked up per factory call, so a wrapped one is seen
+    p, b, d, inv = rp.p, rp.b, rp.d, slope_map_inv
+    def rhs(t, s):
+        w, u = s
+        if w < 0.0:
+            raise DomainError("slope chart covers w >= 0")
+        xi = inv(u, p)
+        return w * xi, -slope_potential(xi, p, b) - nl.h(w) + d
+    return rhs
 
 
-def field_regularized(st, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
+def regularized_rhs(rp: ReducedParams, nl: Nonlinearity):
     """(v, u) velocity with v = w^(q+1-p); regular across v = 0, where the
     power source reads h = v."""
-    v, u = st
-    if v < 0.0:
-        raise DomainError("regularized chart covers v >= 0")
-    p, q = rp.p, rp.q
-    xi = slope_map_inv(u, p)
-    dv = (q + 1.0 - p) * v * xi
-    du = -slope_potential(xi, p, rp.b) - v + rp.d
-    return FieldEval(dv, du)
+    p, b, d, e, inv = rp.p, rp.b, rp.d, rp.q + 1.0 - rp.p, slope_map_inv
+    def rhs(t, s):
+        v, u = s
+        if v < 0.0:
+            raise DomainError("regularized chart covers v >= 0")
+        xi = inv(u, p)
+        return e * v * xi, -slope_potential(xi, p, b) - v + d
+    return rhs
 
 
-def field_p1_slope(st, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
+def p1_slope_rhs(rp: ReducedParams, nl: Nonlinearity):
     """(w, u) velocity at p = 1 where the slope map has range (-1, 1)."""
-    w, u = st
-    if abs(u) >= 1.0:
-        raise DomainError("p = 1 slope chart needs |u| < 1")
-    root = math.sqrt(1.0 - u * u)
-    return FieldEval(w * u / root, rp.b * root - nl.f(w) + rp.d)
+    b, d, q = rp.b, rp.d, nl.power
+    def rhs(t, s):
+        w, u = s
+        if abs(u) >= 1.0:
+            raise DomainError("p = 1 slope chart needs |u| < 1")
+        root = math.sqrt(1.0 - u * u)
+        return w * u / root, b * root - odd_power(w, q) + d
+    return rhs
 
 
-def field_p1_cartesian(pt, rp: ReducedParams, nl: Nonlinearity) -> FieldEval:
+def p1_cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
     """(w, y) velocity at p = 1; display chart, singular on the line w = 0.
 
     At w = 0 with d = 0 the unique crossing trajectory has the finite limit
     (y, 0); for d != 0 no trajectory crosses and the evaluation fails.
     """
-    w, y = pt
-    if w == 0.0:
-        if y == 0.0:
-            raise SingularOriginError("the phase-plane field is singular at (0, 0)")
-        if rp.d != 0.0:
-            raise SingularFieldError("no finite limit on w = 0 when d != 0 at p = 1")
-        return FieldEval(y, 0.0)
-    b, d = rp.b, rp.d
-    r2 = w * w + y * y
-    num = b * w**3 + (b + 1.0) * w * y * y \
-        - (nl.f(w) - d * math.copysign(1.0, w)) * r2**1.5
-    return FieldEval(y, num / (w * w))
+    b, d, b1, q = rp.b, rp.d, rp.b + 1.0, nl.power
+    def rhs(t, s):
+        w, y = s
+        if w == 0.0:
+            if y == 0.0:
+                raise SingularOriginError("the phase-plane field is singular at (0, 0)")
+            if d != 0.0:
+                raise SingularFieldError("no finite limit on w = 0 when d != 0 at p = 1")
+            return y, 0.0
+        r2 = w * w + y * y
+        num = b * w**3 + b1 * w * y * y - (odd_power(w, q) - d * math.copysign(1.0, w)) * r2**1.5
+        return y, num / (w * w)
+    return rhs
 
 
-def _chart_rhs(chart_field):
-    """Factory (rp, nl) -> rhs(t, s) feeding one chart field to the integrator."""
-    def factory(rp: ReducedParams, nl: Nonlinearity):
-        def rhs(t, s):
-            fe = chart_field((s[0], s[1]), rp, nl)
-            return np.array([fe.d1, fe.d2])
-        return rhs
-    return factory
+def _at_point(factory):
+    """Point evaluator (pt, rp, nl) -> (d1, d2) on the closure of ``factory``,
+    held here rather than called through its public (wrappable) name."""
+    def at(pt, rp: ReducedParams, nl: Nonlinearity) -> tuple[float, float]:
+        return factory(rp, nl)(0.0, (float(pt[0]), float(pt[1])))
+    at.__doc__ = factory.__doc__
+    return at
 
 
-cartesian_rhs = _chart_rhs(field_cartesian)
-polar_rhs = _chart_rhs(lambda st, rp, nl: field_polar(st[0], st[1], rp, nl))
-slope_rhs = _chart_rhs(field_slope)
-regularized_rhs = _chart_rhs(field_regularized)
-p1_slope_rhs = _chart_rhs(field_p1_slope)
-p1_cartesian_rhs = _chart_rhs(field_p1_cartesian)
+field_cartesian = _at_point(cartesian_rhs)
+field_slope = _at_point(slope_rhs)
+field_regularized = _at_point(regularized_rhs)
+field_p1_slope = _at_point(p1_slope_rhs)
+field_p1_cartesian = _at_point(p1_cartesian_rhs)
+_field_polar = _at_point(polar_rhs)
+
+
+def field_polar(theta, rho, rp: ReducedParams, nl: Nonlinearity) -> tuple[float, float]:
+    """(theta, rho) velocity in polar coordinates on the open first quadrant."""
+    return _field_polar((theta, rho), rp, nl)
 
 
 def reversed_rhs(rhs):
     """Time-reversed autonomous field: forward orbits trace backward ones."""
-    return lambda t, s: -rhs(t, s)
+    def back(t, s):
+        d1, d2 = rhs(t, s)
+        return -d1, -d2
+    return back
 
 
 @dataclass
@@ -177,9 +187,7 @@ def check_scaling_conditions(
     if rp.p <= 1.0:
         raise DomainError("scaling check applies to the p > 1 field")
     if planar_field is None:
-        def planar_field(w, y):
-            fe = field_cartesian((w, y), rp, nl)
-            return fe.d1, fe.d2
+        planar_field = lambda w, y: field_cartesian((w, y), rp, nl)
     points = [(0.3, 0.2), (1.0, 1.0), (0.5, 1.5), (2.0, 0.7), (1.2, 0.4)]
     lambdas = np.geomspace(0.5, 2.0, 9)
 

@@ -1,13 +1,13 @@
 """Adaptive time stepping with dense output and event localization.
 
-Chart-agnostic plumbing: the stepper advances any planar rhs(t, state)
-callable with the Dormand-Prince 5(4) pair on Python floats, records sampled
-states, and polishes every sign change of the registered scalar monitors on
-the step's quartic interpolant. The pair, its error norm and its step-size
-control are those of Dormand & Prince (J. Comput. Appl. Math. 6, 1980) and
-Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6, with the continuous
-extension of Shampine (Math. Comp. 46, 1986), in the arithmetic of scipy's
-RK45.
+Chart-agnostic plumbing: the stepper advances any planar rhs(t, s), which
+maps the state pair s of Python floats to the pair of its derivatives, by the
+Dormand-Prince 5(4) pair on floats, records sampled states, and polishes every
+sign change of the scalar monitors g(t, s) on the step's quartic interpolant.
+The pair, its error norm and its step-size control are those of Dormand &
+Prince (J. Comput. Appl. Math. 6, 1980) and Hairer, Norsett & Wanner, Solving
+ODEs I, II.4-II.6, with the continuous extension of Shampine (Math. Comp. 46,
+1986), in the arithmetic of scipy's RK45.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar monitor g(tau, state); an event is a root of g along the path.
+    """Scalar monitor g(tau, s) of the float pair s; events are its roots on the path.
 
     direction > 0 keeps only rising crossings, < 0 only falling, 0 both.
     """
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, tuple[float, float]], float]
     terminal: bool = False
     direction: int = 0
 
@@ -111,32 +111,26 @@ _EXPONENT = -1 / 5   # the error of the embedded fourth-order pair is O(h^5)
 _SQRT2 = 2 ** 0.5
 
 
-def _eval(rhs, t: float, a: float, b: float) -> tuple[float, float]:
-    """rhs at (a, b), handed over as a float array and read back as floats."""
-    f0, f1 = map(float, rhs(t, np.array((a, b))))
-    return f0, f1
-
-
 def _dp_step(rhs, t, h, y0, y1, k10, k11):
     """One Dormand-Prince step of size h from (y0, y1) with derivative
     (k10, k11): the fifth-order state and the seven stage derivatives, flat."""
-    k20, k21 = _eval(rhs, t + _C2 * h, y0 + k10 * _A21 * h, y1 + k11 * _A21 * h)
-    k30, k31 = _eval(rhs, t + _C3 * h, y0 + (k10 * _A31 + k20 * _A32) * h,
-                     y1 + (k11 * _A31 + k21 * _A32) * h)
-    k40, k41 = _eval(rhs, t + _C4 * h,
-                     y0 + (k10 * _A41 + k20 * _A42 + k30 * _A43) * h,
-                     y1 + (k11 * _A41 + k21 * _A42 + k31 * _A43) * h)
-    k50, k51 = _eval(rhs, t + _C5 * h,
-                     y0 + (k10 * _A51 + k20 * _A52 + k30 * _A53 + k40 * _A54) * h,
-                     y1 + (k11 * _A51 + k21 * _A52 + k31 * _A53 + k41 * _A54) * h)
-    k60, k61 = _eval(rhs, t + h,
-                     y0 + (k10 * _A61 + k20 * _A62 + k30 * _A63 + k40 * _A64
-                           + k50 * _A65) * h,
-                     y1 + (k11 * _A61 + k21 * _A62 + k31 * _A63 + k41 * _A64
-                           + k51 * _A65) * h)
+    k20, k21 = rhs(t + _C2 * h, (y0 + k10 * _A21 * h, y1 + k11 * _A21 * h))
+    k30, k31 = rhs(t + _C3 * h, (y0 + (k10 * _A31 + k20 * _A32) * h,
+                                 y1 + (k11 * _A31 + k21 * _A32) * h))
+    k40, k41 = rhs(t + _C4 * h,
+                   (y0 + (k10 * _A41 + k20 * _A42 + k30 * _A43) * h,
+                    y1 + (k11 * _A41 + k21 * _A42 + k31 * _A43) * h))
+    k50, k51 = rhs(t + _C5 * h,
+                   (y0 + (k10 * _A51 + k20 * _A52 + k30 * _A53 + k40 * _A54) * h,
+                    y1 + (k11 * _A51 + k21 * _A52 + k31 * _A53 + k41 * _A54) * h))
+    k60, k61 = rhs(t + h,
+                   (y0 + (k10 * _A61 + k20 * _A62 + k30 * _A63 + k40 * _A64
+                          + k50 * _A65) * h,
+                    y1 + (k11 * _A61 + k21 * _A62 + k31 * _A63 + k41 * _A64
+                          + k51 * _A65) * h))
     n0 = y0 + h * (k10 * _B1 + k30 * _B3 + k40 * _B4 + k50 * _B5 + k60 * _B6)
     n1 = y1 + h * (k11 * _B1 + k31 * _B3 + k41 * _B4 + k51 * _B5 + k61 * _B6)
-    k70, k71 = _eval(rhs, t + h, n0, n1)
+    k70, k71 = rhs(t + h, (n0, n1))
     return n0, n1, (k10, k11, k30, k31, k40, k41, k50, k51, k60, k61, k70, k71)
 
 
@@ -173,8 +167,8 @@ def _initial_step(rhs, t0, y0, y1, f0, f1, t1, direction, cfg) -> float:
     d1 = _rms(f0 / s0, f1 / s1)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    g0, g1 = _eval(rhs, t0 + h0 * direction, y0 + h0 * direction * f0,
-                   y1 + h0 * direction * f1)
+    g0, g1 = rhs(t0 + h0 * direction, (y0 + h0 * direction * f0,
+                                        y1 + h0 * direction * f1))
     d2 = _rms((g0 - f0) / s0, (g1 - f1) / s1) / h0
     if not (d1 > 1e-15 or d2 > 1e-15):
         h1 = max(1e-6, h0 * 1e-3)
@@ -248,19 +242,19 @@ def _crossed(g_old: float, g_new: float, direction: int) -> bool:
 
 
 def _interpolant(t_old, h, y0, y1, q):
-    """State at tau on one step's quartic, as a float array."""
+    """State at tau on one step's quartic, as a pair of floats."""
     def at(tau):
         x = (tau - t_old) / h
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return np.array((h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * x4) + y0,
-                         h * (q[4] * x + q[5] * x2 + q[6] * x3 + q[7] * x4) + y1))
+        return (h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * x4) + y0,
+                h * (q[4] * x + q[5] * x2 + q[6] * x3 + q[7] * x4) + y1)
     return at
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, tuple[float, float]], tuple[float, float]],
     start,
     tau_span: tuple[float, float],
     events: Sequence[EventSpec] = (),
@@ -270,12 +264,13 @@ def integrate(
 ) -> Trajectory:
     """Advance the planar state over tau_span, localizing events to event_tol.
 
-    ``rhs(t, s)`` receives the state as a float array of length 2 and returns
-    its two derivatives. Stops at the span end, at the first terminal event,
-    or with an error at the step budget / step underflow. An error raised by
-    the first two rhs calls (the start and the trial of the first step size)
-    propagates as it is; a chart-domain, arithmetic or value error on a later
-    stage becomes an IntegrationError.
+    ``rhs(t, s)`` receives the state as a pair of Python floats and returns
+    its two derivatives as floats; event monitors receive the same pair.
+    Stops at the span end, at the first terminal event, or with an error at
+    the step budget / step underflow. An error raised by the first two rhs
+    calls (the start and the trial of the first step size) propagates as it
+    is; a chart-domain, arithmetic or value error on a later stage becomes an
+    IntegrationError.
     """
     cfg = cfg or DEFAULT_CONFIG
     t0, t1 = float(tau_span[0]), float(tau_span[1])
@@ -289,13 +284,13 @@ def integrate(
     direction = 1.0 if t1 > t0 else -1.0
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     t, (y0, y1) = t0, y_start.tolist()
-    f0, f1 = _eval(rhs, t0, y0, y1)
+    f0, f1 = rhs(t0, (y0, y1))
     h_abs = _initial_step(rhs, t0, y0, y1, f0, f1, t1, direction, cfg)
     taus = [t0]
     states = [(y0, y1)]
     steps_h, steps_q = [], []
     recorded: list[TrajEvent] = []
-    g_prev = [ev.fn(t0, y_start) for ev in events]
+    g_prev = [ev.fn(t0, (y0, y1)) for ev in events]
     status = None
 
     for _ in range(cfg.max_steps):
@@ -336,8 +331,7 @@ def integrate(
 
         hits = []
         if events:
-            y_new = np.array((n0, n1))
-            g_now = [ev.fn(t_new, y_new) for ev in events]
+            g_now = [ev.fn(t_new, (n0, n1)) for ev in events]
             for i, ev in enumerate(events):
                 if _crossed(g_prev[i], g_now[i], ev.direction):
                     if q is None:
@@ -353,8 +347,9 @@ def integrate(
         stop = None
         for t_ev, ev, at in hits:
             s_ev = at(t_ev)
-            s_ev.flags.writeable = False
-            recorded.append(TrajEvent(t_ev, ev.name, s_ev))
+            state = np.array(s_ev)
+            state.flags.writeable = False
+            recorded.append(TrajEvent(t_ev, ev.name, state))
             if ev.terminal:
                 stop = (t_ev, s_ev)
                 break
@@ -363,7 +358,7 @@ def integrate(
             steps_q.append(q)
         if stop is not None:
             taus.append(stop[0])
-            states.append(tuple(stop[1].tolist()))
+            states.append(stop[1])
             status = "terminal-event"
             break
         t, y0, y1, f0, f1 = t_new, n0, n1, k[10], k[11]

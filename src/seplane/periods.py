@@ -527,8 +527,9 @@ def _threshold_and_zero_limit(params: ProblemParams) -> tuple[float, float]:
     return 2.0 * math.pi * decay_exponent(p, q) / t0, t0
 
 
-# above 2**53 consecutive integers are no longer distinct floats
-_EXACT_INTEGERS = 2.0 ** 53
+# above 2**53 consecutive integers are no longer distinct floats; a ModeBounds
+# lists at most _MAX_POSITIVE_MODES positive modes, each a profile to build
+_EXACT_INTEGERS, _MAX_POSITIVE_MODES = 2.0 ** 53, 10**5
 
 
 def _snap(x: float) -> float:
@@ -583,7 +584,11 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
     if upper > _EXACT_INTEGERS:
         raise DomainError(f"positive modes reach {upper:.3g}, beyond the exactly "
                           "represented integers")
-    positive = tuple(range(_smallest_int_above(lower), _largest_int_below(upper) + 1))
+    first, last = _smallest_int_above(lower), _largest_int_below(upper)
+    if last - first + 1 > _MAX_POSITIVE_MODES:
+        raise DomainError(f"{last - first + 1} positive modes, k = {first} to {last}, "
+                          f"exceed the {_MAX_POSITIVE_MODES} that a mode list holds")
+    positive = tuple(range(first, last + 1))
     if p == 1.0 and c > 0.0:
         notes["period_derived_bounds"] = (lower, upper)
         # alternative literal reading of the printed bounds, kept for traceability

@@ -80,3 +80,33 @@ def test_workloads_use_existing_names(perfbench_on_path):
     missing = sorted(name for name in used if not hasattr(seplane, name))
     assert not missing, f"perfbench/workloads.py uses missing names {missing}"
     assert callable(workloads.cli.main)
+
+
+
+def test_tracer_counts_rhs_and_slope_inverse_calls(perfbench_on_path):
+    # the chart closures must run through the names the tracer wraps: a field
+    # reached past its factory, or an inverse bound at import, would run
+    # uncounted and read 0 here
+    from tracing import Tracer
+
+    from seplane import fields, periods
+    from seplane.params import ProblemParams, ReducedParams, reduce_params, \
+        reduced_nonlinearity
+
+    params = ProblemParams(2.0, 3.0, 9.0)
+    rp_reg = ReducedParams(2.5, 4.0, -1.0, 3.0)
+    nl_reg = reduced_nonlinearity(ProblemParams(2.5, 4.0, 0.0))
+    tracer = Tracer()
+    try:
+        tracer.install()
+        periods.period_positive(0.5, reduce_params(params), reduced_nonlinearity(params))
+        cartesian_calls = tracer.stats["fields.rhs_calls"]
+        sys.modules["seplane.integrate"].integrate(
+            fields.regularized_rhs(rp_reg, nl_reg), (1.0, 0.2), (0.0, 2.0))
+    finally:
+        tracer.uninstall()
+    stats = tracer.metrics()
+    assert stats["integrate.calls"] == 2
+    assert cartesian_calls > 0
+    assert stats["fields.rhs_calls"] > cartesian_calls
+    assert stats["params.slope_map_inv_calls"] > 0

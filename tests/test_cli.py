@@ -1,5 +1,6 @@
 import json
 import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,21 @@ class TestParamsCommand:
         code, _, err = run_cli(capsys, "params", "-p", p, "-q", q, "-c", c)
         assert code == 2
         assert "invalid input" in err and "Traceback" not in err
+
+    def test_huge_mode_count_exits_2_quickly(self):
+        # about 1.4e8 positive modes: the count is refused before any list is
+        # built; the child runs under a time and an address-space limit
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "seplane", "params", "-p", "2", "-q", "3", "-c", "1e16"],
+            capture_output=True, text=True, timeout=5, preexec_fn=limit_memory,
+            cwd=Path(__file__).resolve().parents[1],
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2
+        assert "141421356 positive modes, k = 1 to 141421356" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_zero_amplitude_limit_computed_once(self, capsys, monkeypatch):
         from seplane import periods

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seplane.errors import DomainError, SingularFieldError, SingularOriginError
 from seplane.fields import (
+    cartesian_rhs,
     check_scaling_conditions,
     field_cartesian,
     field_p1_cartesian,
@@ -14,7 +15,12 @@ from seplane.fields import (
     field_polar,
     field_regularized,
     field_slope,
+    p1_cartesian_rhs,
     p1_slope_rhs,
+    polar_rhs,
+    regularized_rhs,
+    reversed_rhs,
+    slope_rhs,
 )
 from seplane.integrate import IntegratorConfig, integrate
 from seplane.orbits import saddle_data
@@ -35,8 +41,8 @@ class TestCartesian:
     def test_stationary_point(self, center_case):
         rp, nl = center_case
         a = stationary_abscissa(rp, nl)
-        fv = field_cartesian((a, 0.0), rp, nl)
-        assert math.hypot(fv.d1, fv.d2) < 1e-13
+        d1, d2 = field_cartesian((a, 0.0), rp, nl)
+        assert math.hypot(d1, d2) < 1e-13
 
     def test_p2_collapse(self, duffing_soft):
         # at p = 2 the second component collapses to (b+d) w - f(w)
@@ -44,9 +50,9 @@ class TestCartesian:
         fv = field_cartesian((1.0, 0.0), rp, nl)
         assert fv == (0.0, -2.0)
         for w, y in [(0.5, 0.3), (1.2, -0.7)]:
-            fv = field_cartesian((w, y), rp, nl)
-            assert fv.d1 == y
-            assert fv.d2 == pytest.approx((rp.b + rp.d) * w - w**3, rel=1e-14)
+            d1, d2 = field_cartesian((w, y), rp, nl)
+            assert d1 == y
+            assert d2 == pytest.approx((rp.b + rp.d) * w - w**3, rel=1e-14)
 
     def test_origin_raises(self, duffing_soft):
         rp, nl = duffing_soft
@@ -60,13 +66,13 @@ class TestCartesian:
     def test_equivariance(self, w, y, case):
         rp = ReducedParams(*case)
         nl = Nonlinearity(rp.p, rp.q)
-        f = field_cartesian((w, y), rp, nl)
-        g = field_cartesian((-w, -y), rp, nl)
-        assert abs(f.d1 + g.d1) <= 1e-14 * (1.0 + abs(f.d1))
-        assert abs(f.d2 + g.d2) <= 1e-14 * (1.0 + abs(f.d2))
-        h = field_cartesian((w, -y), rp, nl)
-        assert abs(h.d1 + f.d1) <= 1e-14 * (1.0 + abs(f.d1))
-        assert abs(h.d2 - f.d2) <= 1e-14 * (1.0 + abs(f.d2))
+        f1, f2 = field_cartesian((w, y), rp, nl)
+        g1, g2 = field_cartesian((-w, -y), rp, nl)
+        assert abs(f1 + g1) <= 1e-14 * (1.0 + abs(f1))
+        assert abs(f2 + g2) <= 1e-14 * (1.0 + abs(f2))
+        h1, h2 = field_cartesian((w, -y), rp, nl)
+        assert abs(h1 + f1) <= 1e-14 * (1.0 + abs(f1))
+        assert abs(h2 - f2) <= 1e-14 * (1.0 + abs(f2))
 
 
 class TestChartConsistency:
@@ -77,42 +83,42 @@ class TestChartConsistency:
     def test_pushforwards_match(self, w, y, case):
         rp = ReducedParams(*case)
         nl = Nonlinearity(rp.p, rp.q)
-        f = field_cartesian((w, y), rp, nl)
+        f1, f2 = field_cartesian((w, y), rp, nl)
 
         rho, theta = math.hypot(w, y), math.atan2(y, w)
-        pol = field_polar(theta, rho, rp, nl)
-        dtheta = (w * f.d2 - y * f.d1) / rho**2
-        drho = (w * f.d1 + y * f.d2) / rho
-        assert abs(pol.d1 - dtheta) <= 1e-9 * (1.0 + abs(dtheta))
-        assert abs(pol.d2 - drho) <= 1e-9 * (1.0 + abs(drho))
+        pol1, pol2 = field_polar(theta, rho, rp, nl)
+        dtheta = (w * f2 - y * f1) / rho**2
+        drho = (w * f1 + y * f2) / rho
+        assert abs(pol1 - dtheta) <= 1e-9 * (1.0 + abs(dtheta))
+        assert abs(pol2 - drho) <= 1e-9 * (1.0 + abs(drho))
 
         xi = y / w
         u = slope_map(xi, rp.p)
-        sl = field_slope((w, u), rp, nl)
-        du = slope_map_deriv(xi, rp.p) * (f.d2 - xi * f.d1) / w
-        assert abs(sl.d1 - f.d1) <= 1e-9 * (1.0 + abs(f.d1))
-        assert abs(sl.d2 - du) <= 1e-9 * (1.0 + abs(du))
+        sl1, sl2 = field_slope((w, u), rp, nl)
+        du = slope_map_deriv(xi, rp.p) * (f2 - xi * f1) / w
+        assert abs(sl1 - f1) <= 1e-9 * (1.0 + abs(f1))
+        assert abs(sl2 - du) <= 1e-9 * (1.0 + abs(du))
 
         e = rp.q + 1.0 - rp.p
-        rg = field_regularized((w**e, u), rp, nl)
-        dv = e * w ** (e - 1.0) * f.d1
-        assert abs(rg.d1 - dv) <= 1e-9 * (1.0 + abs(dv))
-        assert abs(rg.d2 - du) <= 1e-9 * (1.0 + abs(du))
+        rg1, rg2 = field_regularized((w**e, u), rp, nl)
+        dv = e * w ** (e - 1.0) * f1
+        assert abs(rg1 - dv) <= 1e-9 * (1.0 + abs(dv))
+        assert abs(rg2 - du) <= 1e-9 * (1.0 + abs(du))
 
 
 class TestPolar:
     def test_angle_rate_near_vertical(self, duffing_soft):
         rp, nl = duffing_soft
-        fv = field_polar(math.pi / 2.0 - 1e-7, 1.0, rp, nl)
-        assert fv.d1 == pytest.approx(-1.0, abs=1e-3)
+        dtheta, _ = field_polar(math.pi / 2.0 - 1e-7, 1.0, rp, nl)
+        assert dtheta == pytest.approx(-1.0, abs=1e-3)
 
     def test_stationary_limit(self, center_case):
         rp, nl = center_case
         a = stationary_abscissa(rp, nl)
         theta = 1e-9
-        fv = field_polar(theta, a / math.cos(theta), rp, nl)
-        assert abs(fv.d2) < 1e-8
-        assert abs(fv.d1) < 1e-8
+        dtheta, drho = field_polar(theta, a / math.cos(theta), rp, nl)
+        assert abs(drho) < 1e-8
+        assert abs(dtheta) < 1e-8
 
     def test_domain(self, duffing_soft):
         rp, nl = duffing_soft
@@ -126,9 +132,9 @@ class TestSlopeChart:
     def test_stationary(self, center_case):
         rp, nl = center_case
         a = stationary_abscissa(rp, nl)
-        fv = field_slope((a, 0.0), rp, nl)
-        assert fv.d1 == 0.0
-        assert abs(fv.d2) < 1e-14
+        dw, du = field_slope((a, 0.0), rp, nl)
+        assert dw == 0.0
+        assert abs(du) < 1e-14
 
     def test_critical_locus(self, center_case):
         # du = 0 exactly where h(w) = d - E(inverse slope image)
@@ -139,16 +145,16 @@ class TestSlopeChart:
         xi = slope_map_inv(u, rp.p)
         target = rp.d - slope_potential(xi, rp.p, rp.b)
         w = nl.h_inverse(target)
-        fv = field_slope((w, u), rp, nl)
-        assert abs(fv.d2) < 1e-13
+        _, du = field_slope((w, u), rp, nl)
+        assert abs(du) < 1e-13
 
 
 class TestRegularized:
     def test_saddle_is_stationary(self, center_case):
         rp, nl = center_case
         sd = saddle_data(rp, nl)
-        fv = field_regularized((0.0, sd["u_saddle"]), rp, nl)
-        assert math.hypot(fv.d1, fv.d2) < 1e-12
+        dv, du = field_regularized((0.0, sd["u_saddle"]), rp, nl)
+        assert math.hypot(dv, du) < 1e-12
 
     def test_linearization_by_finite_differences(self, center_case):
         # the Jacobian at the saddle is lower triangular; the finite
@@ -159,8 +165,7 @@ class TestRegularized:
         h = 1e-7
 
         def F(v, u):
-            fv = field_regularized((v, u), rp, nl)
-            return np.array([fv.d1, fv.d2])
+            return np.array(field_regularized((v, u), rp, nl))
 
         d_dv = (F(h, us) - F(0.0, us)) / h
         d_du = (F(0.0, us + h) - F(0.0, us - h)) / (2.0 * h)
@@ -178,8 +183,8 @@ class TestP1Charts:
         fv = field_p1_slope((1.0, 0.0), rp, p1_power)
         assert fv == (0.0, 0.0)
         rp2 = ReducedParams(1.0, 2.0, 1.0, 0.7)
-        fv = field_p1_slope((0.4, 0.0), rp2, p1_power)
-        assert fv.d2 == pytest.approx(1.0 - 0.4 + 0.7)
+        _, du = field_p1_slope((0.4, 0.0), rp2, p1_power)
+        assert du == pytest.approx(1.0 - 0.4 + 0.7)
         with pytest.raises(DomainError):
             field_p1_slope((1.0, 1.0), rp, p1_power)
 
@@ -225,12 +230,130 @@ class TestScalingConditions:
         rp, nl = duffing_soft
 
         def corrupted(w, y):
-            fv = field_cartesian((w, y), rp, nl)
+            d1, d2 = field_cartesian((w, y), rp, nl)
             # negate the source contribution: G + 2 f(w) rho^(4-p)/denominator
             rho2 = w * w + y * y
             den = w * w + (rp.p - 1.0) * y * y
-            return fv.d1, fv.d2 + 2.0 * nl.f(w) * rho2 ** (2.0 - rp.p / 2.0) / den
+            return d1, d2 + 2.0 * nl.f(w) * rho2 ** (2.0 - rp.p / 2.0) / den
 
         rep = check_scaling_conditions(rp, nl, planar_field=corrupted)
         assert not rep.satisfied
         assert rep.violations
+
+
+# state components: moderate values, exact zeros, and magnitudes up to 1e150
+# where powers of w overflow
+COMPONENT = st.one_of(st.floats(-10.0, 10.0), st.just(0.0), st.floats(-1e150, 1e150))
+CASES = st.sampled_from([(2.0, 3.0, -1.0, 0.0), (3.0, 5.0, -3.0, 2.0), (1.5, 2.0, 1.0, 0.5),
+                         (2.5, 6.0, -2.0, 4.0)])
+P1_CASES = st.sampled_from([(1.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.7), (1.0, 0.5, 0.5, -0.3)])
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def odd_power_ref(w, e):
+    return np.sign(w) * np.abs(w) ** e
+
+
+def closure_or_raise(rhs, w, y, powers, den):
+    """rhs at (w, y), or None where float arithmetic raises: ** exactly where
+    one of the reference's ``powers`` is not finite, / where ``den`` is 0."""
+    for failed, error in ((not all(np.isfinite(x) for x in powers), OverflowError),
+                          (den == 0.0, ZeroDivisionError)):
+        if failed:
+            with pytest.raises(error):
+                rhs(0.0, (w, y))
+            return None
+    return rhs(0.0, (w, y))
+
+
+class TestFloatContract:
+    """Each chart closure takes and returns a pair of Python floats, computed
+    by the same IEEE operations as a numpy evaluation of its formula."""
+
+    @given(COMPONENT, COMPONENT, CASES)
+    @example(1e60, 1.0, (2.5, 6.0, -2.0, 4.0))   # w^q overflows to inf, the rest is finite
+    @example(-1e60, 1.0, (2.5, 6.0, -2.0, 4.0))
+    @example(0.0, -0.5, (3.0, 5.0, -3.0, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_cartesian_matches_numpy_formula(self, w, y, case):
+        assume(w != 0.0 or y != 0.0)
+        rp = ReducedParams(*case)
+        nl = Nonlinearity(rp.p, rp.q)
+        p, b, d = rp.p, rp.b, rp.d
+        W, Y = np.float64(w), np.float64(y)
+        with np.errstate(all="ignore"):
+            r2 = W * W + Y * Y
+            w3, r2ex = W**3, r2 ** (2.0 - p / 2.0)
+            num = b * w3 + (b + 2.0 - p) * W * Y * Y \
+                - (odd_power_ref(W, rp.q) - d * odd_power_ref(W, p - 1.0)) * r2ex
+            den = W * W + (p - 1.0) * Y * Y
+            ref = (y, float(num / den))
+        out = closure_or_raise(cartesian_rhs(rp, nl), w, y, (w3, r2ex), den)
+        if out is not None:
+            assert type(out) is tuple and [type(x) for x in out] == [float, float]
+            assert same(out[0], ref[0]) and same(out[1], ref[1])
+            back = reversed_rhs(cartesian_rhs(rp, nl))(0.0, (w, y))
+            assert same(back[0], -out[0]) and same(back[1], -out[1])
+
+    @given(COMPONENT, COMPONENT, P1_CASES)
+    @settings(max_examples=300, deadline=None)
+    def test_p1_cartesian_matches_numpy_formula(self, w, y, case):
+        rp = ReducedParams(*case)
+        nl = Nonlinearity(1.0, case[1])
+        rhs = p1_cartesian_rhs(rp, nl)
+        if w == 0.0:
+            if y == 0.0:
+                with pytest.raises(SingularOriginError):
+                    rhs(0.0, (w, y))
+            elif rp.d != 0.0:
+                with pytest.raises(SingularFieldError):
+                    rhs(0.0, (w, y))
+            else:
+                assert rhs(0.0, (w, y)) == (y, 0.0)
+            return
+        b, d = rp.b, rp.d
+        W, Y = np.float64(w), np.float64(y)
+        with np.errstate(all="ignore"):
+            r2 = W * W + Y * Y
+            w3, r2ex = W**3, r2**1.5
+            num = b * w3 + (b + 1.0) * W * Y * Y \
+                - (odd_power_ref(W, nl.power) - d * np.copysign(1.0, W)) * r2ex
+            ref = (y, float(num / (W * W)))
+        out = closure_or_raise(rhs, w, y, (w3, r2ex), W * W)
+        if out is not None:
+            assert type(out) is tuple and [type(x) for x in out] == [float, float]
+            assert same(out[0], ref[0]) and same(out[1], ref[1])
+
+    @given(COMPONENT, st.floats(-0.999, 0.999), P1_CASES)
+    @example(-1e150, 0.3, (1.0, 3.0, 1.0, 0.7))   # w^q overflows to -inf
+    @settings(max_examples=300, deadline=None)
+    def test_p1_slope_matches_numpy_formula(self, w, u, case):
+        rp = ReducedParams(*case)
+        nl = Nonlinearity(1.0, case[1])
+        W, U = np.float64(w), np.float64(u)
+        with np.errstate(all="ignore"):
+            root = np.sqrt(1.0 - U * U)
+            ref = (float(W * U / root), float(rp.b * root - odd_power_ref(W, nl.power) + rp.d))
+        out = p1_slope_rhs(rp, nl)(0.0, (w, u))
+        assert type(out) is tuple and [type(x) for x in out] == [float, float]
+        assert same(out[0], ref[0]) and same(out[1], ref[1])
+        back = reversed_rhs(p1_slope_rhs(rp, nl))(0.0, (w, u))
+        assert same(back[0], -out[0]) and same(back[1], -out[1])
+
+    @given(st.floats(0.01, 1.56), st.floats(1e-3, 10.0), st.floats(-5.0, 5.0), CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_every_chart_returns_two_floats(self, angle, radius, u, case):
+        rp = ReducedParams(*case)
+        nl = Nonlinearity(rp.p, rp.q)
+        p1 = ReducedParams(1.0, 2.0, 1.0, 0.5)
+        outs = [cartesian_rhs(rp, nl)(0.0, (radius, u)),
+                polar_rhs(rp, nl)(0.0, (angle, radius)),
+                slope_rhs(rp, nl)(0.0, (radius, u)),
+                regularized_rhs(rp, nl)(0.0, (radius, u)),
+                p1_slope_rhs(p1, Nonlinearity(1.0, 1.0))(0.0, (u, angle / 1.6)),
+                p1_cartesian_rhs(p1, Nonlinearity(1.0, 1.0))(0.0, (radius, u))]
+        for out in outs:
+            assert type(out) is tuple and [type(x) for x in out] == [float, float]

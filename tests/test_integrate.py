@@ -123,14 +123,14 @@ class TestIntegrate:
 
     def test_programming_error_in_step_propagates(self):
         with pytest.raises(IndexError):
-            integrate(lambda t, s: -s if t < 0.5 else s[5], (1.0, 2.0), (0.0, 1.0))
+            integrate(lambda t, s: (-s[0], -s[1]) if t < 0.5 else s[5], (1.0, 2.0), (0.0, 1.0))
 
     def test_overflow_in_step_is_integration_error(self):
         # the solver's constructor evaluates the rhs near t = 0 only
         def rhs(t, s):
             if t > 0.5:
                 raise OverflowError("(34, 'Numerical result out of range')")
-            return -s
+            return -s[0], -s[1]
 
         with pytest.raises(IntegrationError):
             integrate(rhs, (1.0, 2.0), (0.0, 1.0))
@@ -154,9 +154,36 @@ class TestIntegrate:
         with pytest.raises(StepUnderflowError, match=message):
             integrate(lambda t, s: np.array([s[0] ** 2, 0.0]), start, span)
 
+    def test_rhs_and_monitors_receive_float_tuples(self, duffing_soft):
+        rp, nl = duffing_soft
+        field = cartesian_rhs(rp, nl)
+        seen_rhs, seen_monitor, returned = [], [], []
+
+        def rhs(t, s):
+            seen_rhs.append(s)
+            out = field(t, s)
+            returned.append(out)
+            return out
+
+        def monitor(t, s):
+            seen_monitor.append(s)
+            return s[1]
+
+        traj = integrate(rhs, (0.0, 1.0), (0.0, 3.0),
+                         events=[EventSpec("y=0", monitor, terminal=True)])
+        # the start, every step end and the brentq polish of the crossing
+        assert traj.status == "terminal-event"
+        assert len(seen_monitor) > len(traj.taus)
+        for pair in (*seen_rhs, *seen_monitor, *returned):
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(x) is float for x in pair)
+        state = traj.events[0].state
+        assert state.dtype == float and state.shape == (2,)
+        assert not state.flags.writeable
+
     def test_planar_states_only(self):
         with pytest.raises(DomainError):
-            integrate(lambda t, s: -s, (1.0, 2.0, 3.0), (0.0, 1.0))
+            integrate(lambda t, s: (-s[0], -s[1]), (1.0, 2.0, 3.0), (0.0, 1.0))
 
 
 class TestAdvanceToAxis:
