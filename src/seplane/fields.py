@@ -47,6 +47,11 @@ def cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
     """(w, y) velocity of the reduced second-order equation, p > 1."""
     p, b, d, q = rp.p, rp.b, rp.d, nl.power
     pm1, b2p, ex = p - 1.0, b + 2.0 - p, 2.0 - p / 2.0
+    # the source odd_power(w, q) - d odd_power(w, p - 1) inline, in the float
+    # arithmetic of odd_power: the sign of w goes onto each power on its own,
+    # copysign(|w|^e, w) being |w|^e for w > 0 and -(|w|^e) for w < 0 (one
+    # sign on the difference would flip the sign of an exact zero)
+    fq, fpm1 = float(q), float(pm1)
     def rhs(t, s):
         w, y = s
         if w == 0.0 and y == 0.0:
@@ -54,8 +59,20 @@ def cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
         if p <= 1.0:
             raise DomainError("use the p = 1 charts at p = 1")
         r2 = w * w + y * y
-        num = b * w**3 + b2p * w * y * y - (odd_power(w, q) - d * odd_power(w, pm1)) * r2**ex
-        return y, num / (w * w + pm1 * y * y)
+        cubic = b * w**3 + b2p * w * y * y
+        try:
+            if w > 0.0:
+                src = w**fq - d * w**fpm1
+            elif w < 0.0:
+                src = -((-w)**fq) - d * -((-w)**fpm1)
+            else:
+                src = None
+        except OverflowError:
+            src = None
+        if src is None:
+            # zero, nan, or a power that overflows: odd_power's array path
+            src = odd_power(w, q) - d * odd_power(w, pm1)
+        return y, (cubic - src * r2**ex) / (w * w + pm1 * y * y)
     return rhs
 
 

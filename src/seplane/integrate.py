@@ -106,14 +106,18 @@ _P = (
 )
 # the columns of x^2, x^3, x^4; the column of x is stage 1 alone
 _P_HIGHER = tuple(zip(*_P))[1:]
+# the same coefficients by stage, shape (6, 3), for the coefficients of a whole run
+_P_HIGHER_ROWS = np.array(_P)[:, 1:]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1 / 5   # the error of the embedded fourth-order pair is O(h^5)
 _SQRT2 = 2 ** 0.5
 
 
-def _dp_step(rhs, t, h, y0, y1, k10, k11):
+def _dp_step(rhs, t, h, y0, y1, k10, k11, rtol, atol):
     """One Dormand-Prince step of size h from (y0, y1) with derivative
-    (k10, k11): the fifth-order state and the seven stage derivatives, flat."""
+    (k10, k11): the fifth-order state, the RMS over both components of the
+    embedded error estimate, each scaled by atol + max(|y|, |y_new|) rtol,
+    and the seven stage derivatives, flat."""
     k20, k21 = rhs(t + _C2 * h, (y0 + k10 * _A21 * h, y1 + k11 * _A21 * h))
     k30, k31 = rhs(t + _C3 * h, (y0 + (k10 * _A31 + k20 * _A32) * h,
                                  y1 + (k11 * _A31 + k21 * _A32) * h))
@@ -131,17 +135,16 @@ def _dp_step(rhs, t, h, y0, y1, k10, k11):
     n0 = y0 + h * (k10 * _B1 + k30 * _B3 + k40 * _B4 + k50 * _B5 + k60 * _B6)
     n1 = y1 + h * (k11 * _B1 + k31 * _B3 + k41 * _B4 + k51 * _B5 + k61 * _B6)
     k70, k71 = rhs(t + h, (n0, n1))
-    return n0, n1, (k10, k11, k30, k31, k40, k41, k50, k51, k60, k61, k70, k71)
-
-
-def _error_norm(k, h, y0, y1, n0, n1, rtol, atol) -> float:
-    """RMS over both components of the embedded error estimate, each scaled
-    by atol + max(|y|, |y_new|) rtol."""
-    e0 = (k[0] * _E1 + k[2] * _E3 + k[4] * _E4 + k[6] * _E5 + k[8] * _E6
-          + k[10] * _E7) * h / (atol + max(abs(y0), abs(n0)) * rtol)
-    e1 = (k[1] * _E1 + k[3] * _E3 + k[5] * _E4 + k[7] * _E5 + k[9] * _E6
-          + k[11] * _E7) * h / (atol + max(abs(y1), abs(n1)) * rtol)
-    return _rms(e0, e1)
+    # a if a > b else b is max(b, a): the first argument unless the second
+    # is larger, so a nan propagates exactly as through max
+    a, b = abs(y0), abs(n0)
+    e0 = (k10 * _E1 + k30 * _E3 + k40 * _E4 + k50 * _E5 + k60 * _E6
+          + k70 * _E7) * h / (atol + (b if b > a else a) * rtol)
+    a, b = abs(y1), abs(n1)
+    e1 = (k11 * _E1 + k31 * _E3 + k41 * _E4 + k51 * _E5 + k61 * _E6
+          + k71 * _E7) * h / (atol + (b if b > a else a) * rtol)
+    return (n0, n1, math.sqrt(e0 * e0 + e1 * e1) / _SQRT2,
+            (k10, k11, k30, k31, k40, k41, k50, k51, k60, k61, k70, k71))
 
 
 def _rms(a: float, b: float) -> float:
@@ -181,12 +184,21 @@ class PiecewiseQuartic:
     """Dense output of a run: step i starts at ``taus[i]`` from ``states[i]``
     and spans ``h[i]`` (the last step may end past the last node, at a
     terminal event); ``q[i]`` holds its interpolant coefficients, shape
-    (steps, 2, 4)."""
+    (steps, 2, 4), built from the flat stage tuples ``stages[i]`` of
+    ``_dp_step`` in one pass over all steps."""
 
-    def __init__(self, taus: np.ndarray, states: np.ndarray, h, q):
+    def __init__(self, taus: np.ndarray, states: np.ndarray, h, stages):
         self.taus, self.starts = taus, states[:-1]
         self.h = np.asarray(h, dtype=float)
-        self.q = np.asarray(q, dtype=float).reshape(-1, 2, 4)
+        # k[i, j, c]: stage j (of 1, 3, 4, 5, 6, 7) of step i, component c
+        k = np.asarray(stages, dtype=float).reshape(-1, 6, 2)
+        self.q = np.empty((len(k), 2, 4))
+        self.q[..., 0] = k[:, 0]
+        # the x^2..x^4 columns summed stage by stage, in _quartic's order
+        acc = k[:, 0, :, None] * _P_HIGHER_ROWS[0]
+        for j in range(1, 6):
+            acc = acc + k[:, j, :, None] * _P_HIGHER_ROWS[j]
+        self.q[..., 1:] = acc
         self.ascending = taus[-1] >= taus[0]
 
     def __call__(self, ts) -> np.ndarray:
@@ -288,7 +300,7 @@ def integrate(
     h_abs = _initial_step(rhs, t0, y0, y1, f0, f1, t1, direction, cfg)
     taus = [t0]
     states = [(y0, y1)]
-    steps_h, steps_q = [], []
+    steps_h, steps_k = [], []
     recorded: list[TrajEvent] = []
     g_prev = [ev.fn(t0, (y0, y1)) for ev in events]
     status = None
@@ -307,8 +319,7 @@ def integrate(
                     t_new = t1
                 h = t_new - t
                 h_abs = abs(h)
-                n0, n1, k = _dp_step(rhs, t, h, y0, y1, f0, f1)
-                err = _error_norm(k, h, y0, y1, n0, n1, rtol, atol)
+                n0, n1, err, k = _dp_step(rhs, t, h, y0, y1, f0, f1, rtol, atol)
                 accepted = err < 1.0
                 if accepted:
                     # no growth right after a rejection
@@ -326,12 +337,10 @@ def integrate(
             raise StepUnderflowError(f"step size underflow at tau={t}")
         if abs(h) < 1e-14 * span:
             raise StepUnderflowError(f"step shrank below 1e-14 of the span at tau={t_new}")
-        # the interpolant is built only for a dense run or a bracketed event
-        q = _quartic(k) if dense else None
-
         hits = []
         if events:
             g_now = [ev.fn(t_new, (n0, n1)) for ev in events]
+            q = None   # the step's interpolant, built at its first bracketed event
             for i, ev in enumerate(events):
                 if _crossed(g_prev[i], g_now[i], ev.direction):
                     if q is None:
@@ -341,7 +350,8 @@ def integrate(
                     t_ev = brentq(lambda s, e=ev: e.fn(s, at(s)), lo, hi,
                                   xtol=cfg.event_tol)
                     hits.append((t_ev, ev, at))
-            hits.sort(key=lambda hit: hit[0], reverse=direction < 0.0)
+            if len(hits) > 1:
+                hits.sort(key=lambda hit: hit[0], reverse=direction < 0.0)
             g_prev = g_now
 
         stop = None
@@ -355,7 +365,7 @@ def integrate(
                 break
         if dense:
             steps_h.append(h)
-            steps_q.append(q)
+            steps_k.append(k)
         if stop is not None:
             taus.append(stop[0])
             states.append(stop[1])
@@ -371,7 +381,7 @@ def integrate(
         raise MaxStepsError(f"exceeded {cfg.max_steps} steps over {tau_span}")
 
     taus_arr, states_arr = np.array(taus), np.array(states)
-    quartics = PiecewiseQuartic(taus_arr, states_arr, steps_h, steps_q) if dense else None
+    quartics = PiecewiseQuartic(taus_arr, states_arr, steps_h, steps_k) if dense else None
     return Trajectory(taus_arr, states_arr, recorded, status, quartics)
 
 

@@ -175,6 +175,27 @@ class TestOrbitCommand:
         meta = tail_json(out)
         assert meta["first_integral_drift"] < 1e-8
 
+    @pytest.mark.parametrize("seam,q,c,start", [(2.0, "3", "0", ("0", "1")),
+                                                (1.0, "1", "0.5", ("0.5", "0.2"))])
+    def test_drift_is_continuous_across_the_seam(self, capsys, seam, q, c, start):
+        # the drift branches key on p = 2 and p = 1; at p = 1 + ulp with
+        # q = 1 the reduced b is 1 to within 1e-15, so the b = 1 integral
+        # takes over from the p = 1 one, and p = 1 - ulp is no problem at all
+        def drift(p):
+            code, out, _ = run_cli(capsys, "orbit", "-p", repr(p), "-q", q, "-c", c,
+                                   "--start", *start, "--span", "10")
+            return code, tail_json(out)["first_integral_drift"] if code == 0 else None
+
+        code, at_seam = drift(seam)
+        assert code == 0 and at_seam < 1e-8
+        for p in (math.nextafter(seam, 0.0), math.nextafter(seam, 3.0)):
+            code, near = drift(p)
+            if p < 1.0:
+                assert code == 2
+                continue
+            assert code == 0 and near < 1e-8
+            assert abs(near - at_seam) < 1e-12
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "-c", "0",
                                "--start", "0", "1", "--span", "3",

@@ -27,6 +27,7 @@ from seplane.orbits import saddle_data
 from seplane.params import (
     Nonlinearity,
     ReducedParams,
+    odd_power,
     slope_map,
     slope_map_deriv,
     stationary_abscissa,
@@ -297,6 +298,51 @@ class TestFloatContract:
             assert same(out[0], ref[0]) and same(out[1], ref[1])
             back = reversed_rhs(cartesian_rhs(rp, nl))(0.0, (w, y))
             assert same(back[0], -out[0]) and same(back[1], -out[1])
+
+    @given(COMPONENT | st.sampled_from([0.0, -0.0, math.nan, 1e300, -1e300]),
+           st.floats(0.3, 6.0) | st.integers(1, 7) | st.floats(0.3, 6.0).map(np.float64))
+    @example(-0.0, 3.0)
+    @example(math.nan, 2)
+    @example(1e200, 4.0)                 # |s|^e overflows to +inf
+    @example(-1e200, np.float64(4.0))    # and to -inf
+    @settings(max_examples=500, deadline=None)
+    def test_odd_power_fast_path_matches_array_path(self, s, e):
+        with np.errstate(over="ignore"):
+            want = odd_power(np.asarray(s), e)
+            got = odd_power(s, e)
+        assert type(got) is float
+        assert same(got, want)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @given(COMPONENT, COMPONENT, CASES | st.just((2.0, 3.0, 0.0, 1.0)))
+    @example(-1.0, 0.0, (2.0, 3.0, 0.0, 1.0))   # the source is an exact zero, num is -0.0
+    @example(-0.0, 0.5, (2.5, 6.0, -2.0, 4.0))
+    @example(1e60, 1.0, (2.5, 6.0, -2.0, 4.0))
+    @example(-1e60, 1.0, (2.5, 6.0, -2.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_cartesian_source_matches_two_odd_powers(self, w, y, case):
+        assume(w != 0.0 or y != 0.0)
+        rp = ReducedParams(*case)
+        nl = Nonlinearity(rp.p, rp.q)
+        p, b, d, q = rp.p, rp.b, rp.d, nl.power
+
+        def two_odd_powers(t, s):
+            w, y = s
+            r2 = w * w + y * y
+            num = b * w**3 + (b + 2.0 - p) * w * y * y \
+                - (odd_power(w, q) - d * odd_power(w, p - 1.0)) * r2 ** (2.0 - p / 2.0)
+            return y, num / (w * w + (p - 1.0) * y * y)
+
+        with np.errstate(over="ignore"):
+            try:
+                ref = two_odd_powers(0.0, (w, y))
+            except (OverflowError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)):
+                    cartesian_rhs(rp, nl)(0.0, (w, y))
+                return
+            out = cartesian_rhs(rp, nl)(0.0, (w, y))
+        for a, r in zip(out, ref):
+            assert same(a, r) and math.copysign(1.0, a) == math.copysign(1.0, r)
 
     @given(COMPONENT, COMPONENT, P1_CASES)
     @settings(max_examples=300, deadline=None)

@@ -13,8 +13,11 @@ from seplane.errors import (
 )
 from seplane.fields import cartesian_rhs, p1_cartesian_rhs
 from seplane.integrate import (
+    SECTION,
     EventSpec,
     IntegratorConfig,
+    _dp_step,
+    _quartic,
     integrate,
     integrate_to_section,
 )
@@ -120,6 +123,21 @@ class TestIntegrate:
         traj = integrate(cartesian_rhs(rp, nl), (0.0, 1.0), (0.0, 2.0), dense=True)
         mid = traj.sample(traj.taus)
         assert np.max(np.abs(mid - traj.states)) < 1e-9
+
+    def test_dense_coefficients_are_each_steps_quartic(self, duffing_soft):
+        # a run that ends at a terminal event, whose last step spans past it
+        rp, nl = duffing_soft
+        rhs, cfg = cartesian_rhs(rp, nl), IntegratorConfig()
+        traj = integrate(rhs, (0.0, 1.0), (0.0, 1e4), events=[SECTION], cfg=cfg, dense=True)
+        assert traj.status == "terminal-event"
+        dense = traj.dense
+        assert len(dense.q) == len(dense.h) == len(traj.taus) - 1
+        for i in range(len(dense.q)):
+            t, (y0, y1) = float(traj.taus[i]), traj.states[i].tolist()
+            # the step's stages again, from its start and its size
+            *_, k = _dp_step(rhs, t, float(dense.h[i]), y0, y1, *rhs(t, (y0, y1)),
+                             cfg.rel_tol, cfg.abs_tol)
+            assert np.array_equal(dense.q[i], np.reshape(_quartic(k), (2, 4)))
 
     def test_programming_error_in_step_propagates(self):
         with pytest.raises(IndexError):

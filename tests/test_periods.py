@@ -19,6 +19,7 @@ from seplane.params import (
     critical_potential,
     decay_exponent,
     reduce_params,
+    reduced_nonlinearity,
     stationary_abscissa,
 )
 from seplane.periods import (
@@ -430,3 +431,25 @@ def test_positive_modes_from_period_endpoints(p, dq, offset):
     mb = mode_bounds(ProblemParams(p, q, c))
     assert mb.positive_modes == expected
     assert mb.positive_nonconstant_exists == bool(expected)
+
+
+class TestSignChangingDenseOutput:
+    @pytest.mark.parametrize("nu", [0.05, 1.0, 20.0])
+    def test_event_timing_alone_matches_both(self, nu, monkeypatch):
+        pp = ProblemParams(2.5, 4.0, critical_potential(2.5, 4.0) - 1.0)
+        rp, nl = reduce_params(pp), reduced_nonlinearity(pp)
+        asked = []
+        section = periods.integrate_to_section
+
+        def recorded(*args, **kwargs):
+            asked.append(kwargs.get("dense", False))
+            return section(*args, **kwargs)
+
+        monkeypatch.setattr(periods, "integrate_to_section", recorded)
+        both = period_sign_changing(nu, rp, nl, method="both")
+        alone = period_sign_changing(nu, rp, nl, method="event-timing")
+        # only the quadrature route reads the dense output
+        assert asked == [True, False]
+        assert alone.period == both.period
+        assert alone.cross_check is None and both.cross_check is not None
+

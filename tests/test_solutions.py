@@ -135,6 +135,18 @@ class TestExplicitFamilies:
 
 
 class TestBuildSolutionSet:
+    def test_residual_is_continuous_across_p_2(self):
+        # the keep mask excludes the neighborhoods of the zeros only off p = 2;
+        # one ulp either side the scaled residual and the verdict stay put
+        entry = build_solution_set(ProblemParams(2.0, 3.0, 0.0), k_max=2).sign_changing[0]
+        at_2 = verify_profile(entry.profile, ProblemParams(2.0, 3.0, 0.0))
+        assert at_2.passed and at_2.n_excluded == 0
+        for p in (math.nextafter(2.0, 1.0), math.nextafter(2.0, 3.0)):
+            rep = verify_profile(entry.profile, ProblemParams(p, 3.0, 0.0))
+            assert rep.n_excluded > 0 and rep.passed
+            assert rel_err(rep.max_residual / rep.scale, at_2.max_residual / at_2.scale) < 1e-4
+            assert rel_err(rep.scale, at_2.scale) < 1e-12
+
     def test_cubic_zero_potential(self):
         ss = build_solution_set(ProblemParams(2.0, 3.0, 0.0), k_max=2)
         assert ss.constants == [] and ss.positive == []
