@@ -135,15 +135,11 @@ def _dp_step(rhs, t, h, y0, y1, k10, k11, rtol, atol):
     n0 = y0 + h * (k10 * _B1 + k30 * _B3 + k40 * _B4 + k50 * _B5 + k60 * _B6)
     n1 = y1 + h * (k11 * _B1 + k31 * _B3 + k41 * _B4 + k51 * _B5 + k61 * _B6)
     k70, k71 = rhs(t + h, (n0, n1))
-    # a if a > b else b is max(b, a): the first argument unless the second
-    # is larger, so a nan propagates exactly as through max
-    a, b = abs(y0), abs(n0)
     e0 = (k10 * _E1 + k30 * _E3 + k40 * _E4 + k50 * _E5 + k60 * _E6
-          + k70 * _E7) * h / (atol + (b if b > a else a) * rtol)
-    a, b = abs(y1), abs(n1)
+          + k70 * _E7) * h / (atol + max(abs(y0), abs(n0)) * rtol)
     e1 = (k11 * _E1 + k31 * _E3 + k41 * _E4 + k51 * _E5 + k61 * _E6
-          + k71 * _E7) * h / (atol + (b if b > a else a) * rtol)
-    return (n0, n1, math.sqrt(e0 * e0 + e1 * e1) / _SQRT2,
+          + k71 * _E7) * h / (atol + max(abs(y1), abs(n1)) * rtol)
+    return (n0, n1, _rms(e0, e1),
             (k10, k11, k30, k31, k40, k41, k50, k51, k60, k61, k70, k71))
 
 

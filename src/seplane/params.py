@@ -50,17 +50,12 @@ DEGENERATE_BAND = 1e-10
 def odd_power(s, e):
     """sign(s) * |s|**e, the odd extension of the power; 0 at 0 for e > 0.
 
-    A nonzero Python float takes a fast path with no further checks or
-    conversions of s; a nonzero numpy float64 takes the same arithmetic on
-    float(s). Both equal the array path's result bit for bit. Zero, nan, an
-    overflowing power and arrays take the array path.
+    A nonzero float (numpy float64 included) takes a scalar fast path,
+    tested with two comparisons that a nan fails, whose result equals the
+    array path's bit for bit; zero, nan, an overflowing power and arrays
+    take the array path.
     """
-    if type(s) is float and (s > 0.0 or s < 0.0):
-        try:
-            return math.copysign(abs(s) ** float(e), s)
-        except OverflowError:
-            pass
-    elif isinstance(s, float) and s != 0.0 and not math.isnan(s):
+    if isinstance(s, float) and (s > 0.0 or s < 0.0):
         try:
             return math.copysign(abs(float(s)) ** float(e), s)
         except OverflowError:

@@ -90,6 +90,11 @@ class ScanResult:
     max_violation: float
 
 
+def _theta_form_denominator(t: float, costheta: float, p: float, b: float,
+                            d: float, hval: float) -> float:
+    return (p - 1.0) * t * t - b + (hval - d) * costheta ** (p - 2.0)
+
+
 def _pchip_on_floats(x: np.ndarray, y: np.ndarray):
     """scipy's PCHIP through (x, y), evaluated on one float in [x[0], x[-1]]
     without numpy: the piece's cubic in z = th - x[i], summed in the order of
@@ -146,25 +151,19 @@ def period_sign_changing(
     theta_s, w_s = theta[order], np.maximum(w[order], 0.0)
     theta_s, keep = np.unique(theta_s, return_index=True)
     w_of_theta = _pchip_on_floats(theta_s, w_s[keep])
-    b, d, pm1, pm2 = rp.b, rp.d, rp.p - 1.0, rp.p - 2.0
-    # h(w) = w^e for w > 0; zero, nan and overflow take odd_power's own paths
-    e, h = float(nl.power + 1.0 - nl.p), nl.h
-    first, last, w_first = float(theta_s[0]), float(theta_s[-1]), float(w_s[0])
+    p, b, d = rp.p, rp.b, rp.d
+    first, last = float(theta_s[0]), float(theta_s[-1])
 
     def integrand(th):
         t = math.tan(th)
         if th <= first:
-            wv = w_first
+            wv = w_s[0]
         elif th >= last:
             wv = 0.0
         else:
             wv = max(w_of_theta(th), 0.0)
-        try:
-            hv = wv ** e if wv > 0.0 else h(wv)
-        except OverflowError:
-            hv = h(wv)
-        pt2 = pm1 * t * t
-        return (1.0 + pt2) / (pt2 - b + (hv - d) * math.cos(th) ** pm2)
+        den = _theta_form_denominator(t, math.cos(th), p, b, d, nl.h(wv))
+        return (1.0 + (p - 1.0) * t * t) / den
 
     # near the separatrix the integrand spikes at the saddle slope; point
     # the adaptive rule at it and absorb its roundoff complaint into the
@@ -228,8 +227,7 @@ def period_zero_amplitude_limit(rp: ReducedParams) -> float:
             den = (p - 1.0) * t * t + eps0 - d * math.expm1(
                 0.5 * (p - 2.0) * math.log1p(-math.sin(th) ** 2))
         else:
-            # the theta-form denominator at h = 0
-            den = (p - 1.0) * t * t - b + (0.0 - d) * math.cos(th) ** (p - 2.0)
+            den = _theta_form_denominator(t, math.cos(th), p, b, d, 0.0)
         return (1.0 + (p - 1.0) * t * t) / den
 
     val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
