@@ -439,16 +439,21 @@ def find_amplitude_for_period(
     *,
     known: dict[float, float] | None = None,
 ) -> list[float]:
-    """Amplitudes whose least period equals the target.
+    """Amplitudes whose least period equals the target, as a one-root list.
 
-    Sign-changing periods are strictly decreasing, so a single bisected root
-    is returned; positive periods are scanned at 60 amplitudes in (0, a) (at
-    p = 1, the two ends of the amplitude range) and every bracketed root is
-    polished (their monotonicity is not guaranteed in general). ``known`` maps
-    amplitudes of the family to their periods, T_0 at amplitude 0; every
-    period is read from it or computed and added to it, so inversions of one
-    family that share the dict compute no period twice (the sign-changing
-    bracket search of every target walks the same powers of 4 from 1).
+    Both period functions run from their zero-amplitude end (T_0, or inf for
+    the positive family) down toward the top of the amplitude range (0, or
+    the center's small-oscillation period), so every attainable target is
+    bracketed by a bracket walk on a fixed lattice: from nu = 1 by nu / 4 or
+    4 nu (sign-changing), from mu = a / 2 by mu / 4 or a - (a - mu) / 4
+    (positive), toward the end whose period lies on the target's side, up to
+    the first pair of neighbours that brackets the target; brentq polishes
+    the root inside that pair. At p = 1 the root is bracketed by the two ends
+    of the amplitude range instead. ``known`` maps amplitudes of the family
+    to their periods, T_0 at amplitude 0; every period is read from it or
+    computed and added to it, so inversions that share the dict compute no
+    period twice, and since the lattice is fixed a root never depends on
+    which targets ran before.
     """
     if t_target <= 0.0:
         raise DomainError("need a positive target period")
@@ -460,56 +465,47 @@ def find_amplitude_for_period(
             known[amp] = period_sample(kind, amp, rp, nl, cfg).period
         return known[amp]
 
+    def f(amp):
+        return T(amp) - t_target
+
     if kind == "sign-changing":
         if 0.0 not in known:
             known[0.0] = period_zero_amplitude_limit(rp)
         if t_target >= known[0.0]:
             raise OutOfRangeError("target above the attainable periods",
                                   attained=(0.0, known[0.0]))
-        lo = hi = 1.0
-        t_lo = t_hi = T(lo)
-        for _ in range(60):
-            if t_lo > t_target:
-                break
-            lo /= 4.0
-            t_lo = T(lo)
-        else:
-            raise OutOfRangeError("target above the attainable periods",
-                                  attained=(0.0, t_lo))
-        for _ in range(60):
-            if t_hi < t_target:
-                break
-            hi *= 4.0
-            t_hi = T(hi)
-        root = brentq(lambda nu: T(nu) - t_target, lo, hi, xtol=1e-12, rtol=1e-12)
-        return [root]
+        start, top, up = 1.0, math.inf, lambda nu: 4.0 * nu
+    else:
+        a = stationary_abscissa(rp, nl)
+        if rp.p == 1.0:
+            if rp.d == 0.0:
+                raise DomainError("constant period function: amplitude undetermined")
+            mubar = _p1_mubar(rp.d)
+            ends = [mubar + 1e-9 * (a - mubar), a * (1.0 - 1e-9)]
+            lo_v, hi_v = sorted(T(mu) for mu in ends)
+            if not lo_v <= t_target <= hi_v:
+                raise OutOfRangeError("target outside the attainable periods",
+                                      attained=(lo_v, hi_v))
+            return [brentq(f, ends[0], ends[1], xtol=1e-13)]
+        start, top, up = 0.5 * a, a, lambda mu: a - 0.25 * (a - mu)
 
-    a = stationary_abscissa(rp, nl)
-    if rp.p == 1.0:
-        if rp.d == 0.0:
-            raise DomainError("constant period function: amplitude undetermined")
-        mubar = _p1_mubar(rp.d)
-        ends = [mubar + 1e-9 * (a - mubar), a * (1.0 - 1e-9)]
-        lo_v, hi_v = sorted(T(mu) for mu in ends)
-        if not lo_v <= t_target <= hi_v:
-            raise OutOfRangeError("target outside the attainable periods",
-                                  attained=(lo_v, hi_v))
-        return [brentq(lambda mu: T(mu) - t_target, ends[0], ends[1], xtol=1e-13)]
-
-    grid = (a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]).tolist()
-    vals = [T(amp) for amp in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        f0, f1 = vals[i] - t_target, vals[i + 1] - t_target
-        if f0 == 0.0:
-            roots.append(grid[i])
-        elif f0 * f1 < 0.0:
-            roots.append(brentq(lambda mu: T(mu) - t_target,
-                                grid[i], grid[i + 1], xtol=1e-12))
-    if not roots:
-        raise OutOfRangeError("target outside the scanned periods",
-                              attained=(min(vals), max(vals)))
-    return roots
+    # the period falls toward the top, so a period above the target steps up
+    walk = [start]
+    step = up if f(start) > 0.0 else (lambda amp: 0.25 * amp)
+    while f(walk[0]) * f(walk[-1]) > 0.0:
+        nxt = step(walk[-1])
+        if len(walk) > 60 or not 0.0 < nxt < top or nxt == walk[-1]:
+            periods = [T(x) for x in walk]
+            raise OutOfRangeError("target outside the walked periods",
+                                  attained=(min(periods), max(periods)))
+        walk.append(nxt)
+    if f(walk[-1]) == 0.0:
+        return [walk[-1]]
+    lo, hi = sorted(walk[-2:])
+    if kind == "sign-changing":
+        return [brentq(f, lo, hi, xtol=1e-12, rtol=1e-12)]
+    # relative accuracy near mu -> 0, where the period is steepest
+    return [brentq(f, lo, hi, xtol=1e-12 * min(1.0, lo))]
 
 
 # ---------------------------------------------------------------------------

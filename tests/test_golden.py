@@ -58,9 +58,9 @@ CLI_CASES = [
                           "positive", "--grid", "0.01:2.5:10"], False, 3,
      "ede5caf4ca607c056a3ad6691428f5c111bedb089120fba6afac866fbbe0d197"),
     ("solve-set-sc", ["solve-set", "-p", "2", "-q", "3", "-c", "0", "--k-max", "3"],
-     False, 0, "4040076ef34b1ee3a4f35d8e3737009addb07ef494b7ffa8e729380c72d57a2e"),
+     False, 0, "3bc70b18a6c315e165cf184be64705f1634c504045d85748a0493e37ce91581d"),
     ("solve-set-pos", ["solve-set", "-p", "2", "-q", "3", "-c", "3", "--k-max", "1"],
-     False, 0, "ade33e48d74885ed8366e38a292e8c0a4ff840704f5218f34381584ce0d9dd0e"),
+     False, 0, "f75b6de9dad135b69b510af8e5c8cc202b3422da6c6dbb1e6cbd2711d42510ab"),
     ("solve-set-explicit", ["solve-set", "-p", "1", "-q", "0.5", "-c", "0"], True, 0,
      "effa052d8ac2321376be7783e9f1ae466002bcaea1ea48f3bf14e5e1e0f4bb83"),
 ]

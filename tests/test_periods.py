@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from seplane import periods
 from seplane.errors import DomainError, OutOfRangeError
@@ -38,6 +39,7 @@ from seplane.periods import (
     period_zero_amplitude_closed,
     period_zero_amplitude_limit,
 )
+from seplane.solutions import PROFILE_CONFIG
 
 from conftest import rel_err
 
@@ -407,6 +409,76 @@ class TestAmplitudeForPeriod:
         # sharing the dict changes no root
         assert first == find_amplitude_for_period(targets[0], kind, rp, nl)
         assert second == find_amplitude_for_period(targets[1], kind, rp, nl)
+
+    def test_small_positive_root_meets_its_period(self):
+        # mode 1 of this triple sits at mu ~ 2e-8; an absolute xtol of 1e-12
+        # leaves its period 5e-7 off the target
+        pp = ProblemParams(*WALK_TRIPLES[1])
+        rp, nl = reduce_params(pp), reduced_nonlinearity(pp)
+        t_1 = 2.0 * math.pi * decay_exponent(pp.p, pp.q)
+        [mu] = find_amplitude_for_period(t_1, "positive", rp, nl, PROFILE_CONFIG)
+        assert mu < 1e-7
+        assert rel_err(period_sample("positive", mu, rp, nl, PROFILE_CONFIG).period,
+                       t_1) < 1e-10
+
+
+# solve-positive triples (p, q, c): every root inside the old scan's range,
+# and one whose mode 1 lies below the scan's floor mu = 1e-4 a
+WALK_TRIPLES = [(2.0190847457414183, 3.243856137929265, 10.976483247224046),
+                (1.611970203427001, 2.340580500568365, 14.352610196343544)]
+
+
+def _scan_roots(t_target, rp, nl, cfg, held):
+    """The positive inversion the bracket walk replaced: 60 amplitudes
+    geometric in 1 - mu/a from 1e-6 to 1 - 1e-4, every sign change polished
+    with the walk's tolerance, so that the two differ only in their brackets.
+    ``held`` keeps the scan's periods across targets. Returns the roots and
+    the scan's lowest amplitude."""
+    a = stationary_abscissa(rp, nl)
+    grid = (a * (1.0 - np.geomspace(1e-6, 1.0 - 1e-4, 60))[::-1]).tolist()
+
+    def f(mu):
+        if mu not in held:
+            held[mu] = period_sample("positive", mu, rp, nl, cfg).period
+        return held[mu] - t_target
+
+    vals = [f(mu) for mu in grid]
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-12 * min(1.0, grid[i])))
+    return roots, grid[0]
+
+
+def _walk_cases():
+    """(id, rp, nl, targets, cfg, roots below the scan's floor)."""
+    yield "center_case", ReducedParams(2.0, 3.0, -1.0, 2.0), Nonlinearity(2.0, 3.0), \
+        (5.2, 5.0, 4.8), None, 0
+    for triple, lost in zip(WALK_TRIPLES, (0, 1)):
+        pp = ProblemParams(*triple)
+        beta = decay_exponent(pp.p, pp.q)
+        yield str(triple), reduce_params(pp), reduced_nonlinearity(pp), \
+            tuple(2.0 * math.pi * beta / k for k in mode_bounds(pp).positive_modes), \
+            PROFILE_CONFIG, lost
+
+
+@pytest.mark.parametrize("rp, nl, targets, cfg, n_lost",
+                         [c[1:] for c in _walk_cases()], ids=[c[0] for c in _walk_cases()])
+def test_positive_walk_agrees_with_the_old_scan(rp, nl, targets, cfg, n_lost):
+    lost, held, known = 0, {}, {}
+    for t in targets:
+        [walked] = find_amplitude_for_period(t, "positive", rp, nl, cfg, known=known)
+        scanned, floor = _scan_roots(t, rp, nl, cfg, held)
+        if len(scanned) == 1:
+            assert rel_err(walked, scanned[0]) < 1e-12
+        elif not scanned:
+            # the scan's floor lost the root: the walk finds it below the floor
+            lost += 1
+            assert walked < floor
+            assert rel_err(period_sample("positive", walked, rp, nl, cfg).period, t) < 1e-10
+    assert lost == n_lost
 
 
 @given(st.one_of(st.just(1.0), st.floats(1.05, 4.5)), st.floats(0.1, 8.0),

@@ -11,6 +11,7 @@ from seplane.params import (
     critical_potential,
     reduce_params,
     reduced_nonlinearity,
+    stationary_abscissa,
 )
 from seplane.periods import mode_bounds
 from seplane.solutions import (
@@ -218,10 +219,10 @@ class TestBuildSolutionSet:
         with pytest.raises(IndexError):
             build_solution_set(ProblemParams(2.0, 3.0, 0.0), k_max=2)
 
-    def test_positive_scan_runs_once_per_set(self, monkeypatch):
-        # every positive period evaluation beyond the one 60-amplitude scan
-        # is a brentq polish of some mode's root, less the two bracket ends
-        # whose periods the scan already holds
+    def test_positive_walk_evaluates_lattice_and_polish_points_once(self, monkeypatch):
+        # every positive period evaluation is a point of the walk's lattice or
+        # a brentq polish point; each polish starts at the two lattice
+        # neighbours that bracket its root, whose periods the walk holds
         evals, polish, roots = [], [], []
         period_positive, brentq = periods.period_positive, periods.brentq
 
@@ -230,19 +231,35 @@ class TestBuildSolutionSet:
             return period_positive(*args, **kwargs)
 
         def counted_brentq(f, *args, **kwargs):
+            calls = []
+
             def g(x):
-                polish.append(x)
+                calls.append(x)
                 return f(x)
             roots.append(brentq(g, *args, **kwargs))
+            polish.append(calls)
             return roots[-1]
 
         monkeypatch.setattr(periods, "period_positive", counted_period)
         monkeypatch.setattr(periods, "brentq", counted_brentq)
-        ss = build_solution_set(ProblemParams(2.0, 3.0, 9.0), k_max=0)
+        params = ProblemParams(2.0, 3.0, 9.0)
+        ss = build_solution_set(params, k_max=0)
         assert [e.k for e in ss.positive] == [1, 2, 3]
         assert not ss.sign_changing
         assert len(roots) == 3
-        assert len(evals) == 60 + len(polish) - 2 * len(roots)
+
+        a = stationary_abscissa(reduce_params(params), reduced_nonlinearity(params))
+        down = up = [0.5 * a]
+        for _ in range(60):
+            down, up = down + [0.25 * down[-1]], up + [a - 0.25 * (a - up[-1])]
+        lattice = down[::-1] + up[1:]
+        walked = [mu for mu in evals if mu in lattice]
+        assert evals[0] == 0.5 * a
+        for calls in polish:
+            lo, hi = calls[:2]
+            assert lattice.index(hi) == lattice.index(lo) + 1 and lo in walked
+        assert len(set(evals)) == len(evals)
+        assert len(evals) == len(walked) + sum(len(c) for c in polish) - 2 * len(roots)
 
     @pytest.mark.parametrize("params,k_max", [(ProblemParams(2.0, 3.0, 0.0), 4),
                                               (ProblemParams(2.0, 3.0, 9.0), None),
@@ -262,6 +279,15 @@ class TestBuildSolutionSet:
         assert len(ss.sign_changing) + len(ss.positive) > 1
         assert calls
         assert len(set(calls)) == len(calls)
+
+    def test_positive_mode_below_the_old_scan_floor(self):
+        # mode 1 sits at mu ~ 2e-8 a, below the 1e-4 a floor of the fixed
+        # 60-point scan that the bracket walk replaced
+        params = ProblemParams(1.611970203427001, 2.340580500568365, 14.352610196343544)
+        ss = build_solution_set(params, k_max=mode_bounds(params).k_sign_changing_min)
+        assert [e.k for e in ss.positive] == [1, 2, 3, 4]
+        assert all(e.residual.passed for e in ss.positive)
+        assert not [n for n in ss.notes if "failed" in n]
 
     def test_failed_scan_fails_every_mode_of_its_family(self, monkeypatch):
         def failing(*args, **kwargs):
