@@ -441,18 +441,18 @@ def find_amplitude_for_period(
 ) -> list[float]:
     """Amplitudes whose least period equals the target, as a one-root list.
 
-    Both period functions run from their zero-amplitude end (T_0, or inf for
-    the positive family) down toward the top of the amplitude range (0, or
-    the center's small-oscillation period), so every attainable target is
-    bracketed by a bracket walk on a fixed lattice: from nu = 1 by nu / 4 or
-    4 nu (sign-changing), from mu = a / 2 by mu / 4 or a - (a - mu) / 4
-    (positive), toward the end whose period lies on the target's side, up to
-    the first pair of neighbours that brackets the target; brentq polishes
-    the root inside that pair. At p = 1 the root is bracketed by the two ends
-    of the amplitude range instead. ``known`` maps amplitudes of the family
-    to their periods, T_0 at amplitude 0; every period is read from it or
-    computed and added to it, so inversions that share the dict compute no
-    period twice, and since the lattice is fixed a root never depends on
+    Both period functions fall from their zero-amplitude end (T_0, or inf for
+    the positive family) toward the top of the amplitude range (0, or the
+    center's small-oscillation period), so an attainable target is bracketed
+    by a walk on a fixed lattice: from nu = 1 by nu / 4 or 4 nu
+    (sign-changing), from mu = a / 2 by mu / 4 or a - (a - mu) / 4 up to
+    1 - mu / a = 1e-6 (positive), toward the end whose period lies on the
+    target's side, to the first pair of neighbours that brackets the target.
+    brentq polishes the root inside that pair. At p = 1 the two ends of the
+    amplitude range bracket the root instead. ``known`` maps amplitudes of
+    the family to their periods, T_0 at amplitude 0; every period is read from
+    it or computed and added to it, so inversions that share the dict compute
+    no period twice, and since the lattice is fixed a root never depends on
     which targets ran before.
     """
     if t_target <= 0.0:
@@ -487,14 +487,16 @@ def find_amplitude_for_period(
                 raise OutOfRangeError("target outside the attainable periods",
                                       attained=(lo_v, hi_v))
             return [brentq(f, ends[0], ends[1], xtol=1e-13)]
-        start, top, up = 0.5 * a, a, lambda mu: a - 0.25 * (a - mu)
+        # closer to the center than 1e-6 a, T - T_center sinks below the error
+        # of event timing
+        start, top, up = 0.5 * a, a * (1.0 - 1e-6), lambda mu: a - 0.25 * (a - mu)
 
     # the period falls toward the top, so a period above the target steps up
     walk = [start]
     step = up if f(start) > 0.0 else (lambda amp: 0.25 * amp)
     while f(walk[0]) * f(walk[-1]) > 0.0:
         nxt = step(walk[-1])
-        if len(walk) > 60 or not 0.0 < nxt < top or nxt == walk[-1]:
+        if len(walk) > 60 or nxt >= top:
             periods = [T(x) for x in walk]
             raise OutOfRangeError("target outside the walked periods",
                                   attained=(min(periods), max(periods)))

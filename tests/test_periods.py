@@ -367,6 +367,17 @@ class TestAmplitudeForPeriod:
         with pytest.raises(OutOfRangeError):
             find_amplitude_for_period(10.0, "sign-changing", rp, nl)
 
+    def test_positive_target_below_the_center_period(self, center_case):
+        # the walk climbs toward a and stops 1e-6 a short of it, where event
+        # timing already reads the period 1.3e-7 below the center's
+        rp, nl = center_case
+        small = period_limits(rp, nl, "positive").at_upper
+        known: dict[float, float] = {}
+        with pytest.raises(OutOfRangeError) as info:
+            find_amplitude_for_period(0.99 * small, "positive", rp, nl, known=known)
+        assert rel_err(info.value.attained[0], small) < 1e-6
+        assert 1e-6 < 1.0 - max(known) / stationary_abscissa(rp, nl) < 4e-6
+
     def test_positive_search(self, center_case):
         rp, nl = center_case
         target = 5.2
