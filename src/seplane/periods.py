@@ -497,9 +497,9 @@ def find_amplitude_for_period(
     while f(walk[0]) * f(walk[-1]) > 0.0:
         nxt = step(walk[-1])
         if len(walk) > 60 or nxt >= top:
-            periods = [T(x) for x in walk]
+            seen = [T(x) for x in walk]
             raise OutOfRangeError("target outside the walked periods",
-                                  attained=(min(periods), max(periods)))
+                                  attained=(min(seen), max(seen)))
         walk.append(nxt)
     if f(walk[-1]) == 0.0:
         return [walk[-1]]

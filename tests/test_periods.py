@@ -424,7 +424,7 @@ class TestAmplitudeForPeriod:
     def test_small_positive_root_meets_its_period(self):
         # mode 1 of this triple sits at mu ~ 2e-8; an absolute xtol of 1e-12
         # leaves its period 5e-7 off the target
-        pp = ProblemParams(*WALK_TRIPLES[1])
+        pp = ProblemParams(*WALK_TRIPLES[1][0])
         rp, nl = reduce_params(pp), reduced_nonlinearity(pp)
         t_1 = 2.0 * math.pi * decay_exponent(pp.p, pp.q)
         [mu] = find_amplitude_for_period(t_1, "positive", rp, nl, PROFILE_CONFIG)
@@ -433,10 +433,10 @@ class TestAmplitudeForPeriod:
                        t_1) < 1e-10
 
 
-# solve-positive triples (p, q, c): every root inside the old scan's range,
-# and one whose mode 1 lies below the scan's floor mu = 1e-4 a
-WALK_TRIPLES = [(2.0190847457414183, 3.243856137929265, 10.976483247224046),
-                (1.611970203427001, 2.340580500568365, 14.352610196343544)]
+# solve-positive triples (p, q, c), each with the number of its positive
+# roots that lie below the old scan's floor mu = 1e-4 a
+WALK_TRIPLES = [((2.0190847457414183, 3.243856137929265, 10.976483247224046), 0),
+                ((1.611970203427001, 2.340580500568365, 14.352610196343544), 1)]
 
 
 def _scan_roots(t_target, rp, nl, cfg, held):
@@ -463,21 +463,17 @@ def _scan_roots(t_target, rp, nl, cfg, held):
     return roots, grid[0]
 
 
-def _walk_cases():
-    """(id, rp, nl, targets, cfg, roots below the scan's floor)."""
-    yield "center_case", ReducedParams(2.0, 3.0, -1.0, 2.0), Nonlinearity(2.0, 3.0), \
-        (5.2, 5.0, 4.8), None, 0
-    for triple, lost in zip(WALK_TRIPLES, (0, 1)):
+@pytest.mark.parametrize("case", ["center_case", *WALK_TRIPLES], ids=str)
+def test_positive_walk_agrees_with_the_old_scan(case, request):
+    if case == "center_case":
+        rp, nl = request.getfixturevalue(case)
+        targets, cfg, n_lost = (5.2, 5.0, 4.8), None, 0
+    else:
+        triple, n_lost = case
         pp = ProblemParams(*triple)
+        rp, nl, cfg = reduce_params(pp), reduced_nonlinearity(pp), PROFILE_CONFIG
         beta = decay_exponent(pp.p, pp.q)
-        yield str(triple), reduce_params(pp), reduced_nonlinearity(pp), \
-            tuple(2.0 * math.pi * beta / k for k in mode_bounds(pp).positive_modes), \
-            PROFILE_CONFIG, lost
-
-
-@pytest.mark.parametrize("rp, nl, targets, cfg, n_lost",
-                         [c[1:] for c in _walk_cases()], ids=[c[0] for c in _walk_cases()])
-def test_positive_walk_agrees_with_the_old_scan(rp, nl, targets, cfg, n_lost):
+        targets = [2.0 * math.pi * beta / k for k in mode_bounds(pp).positive_modes]
     lost, held, known = 0, {}, {}
     for t in targets:
         [walked] = find_amplitude_for_period(t, "positive", rp, nl, cfg, known=known)
