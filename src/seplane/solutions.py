@@ -158,12 +158,13 @@ def _near_zero(om: np.ndarray) -> np.ndarray:
 def _angular_report(values: np.ndarray, h: float, p: float, beta: float,
                     lam: float, cpot: float, g, tol: float,
                     deriv: np.ndarray | None = None,
-                    second: np.ndarray | None = None) -> ResidualReport:
+                    second: np.ndarray | None = None,
+                    keep: np.ndarray | None = None) -> ResidualReport:
     """Residual report of the generic angular equation on a periodic grid.
 
     The maximum and l2 residuals are taken over the kept points and scaled by
-    the largest term; a neighborhood of each zero of the profile is excluded
-    when p != 2 since the flux degenerates there.
+    the largest term there; by default a neighborhood of each zero of the
+    profile is excluded when p != 2 since the flux degenerates there.
     Derivatives default to fourth-order finite differences; passing exact
     ``deriv``/``second`` arrays evaluates the equation algebraically (the
     flux derivative expanded by the chain rule), free of stencil noise.
@@ -184,7 +185,8 @@ def _angular_report(values: np.ndarray, h: float, p: float, beta: float,
     t_pot = cpot * odd_power(om, p - 1.0)
     residual = dflux + t_lin + t_src - t_pot
 
-    keep = np.ones(len(om), dtype=bool) if p == 2.0 else ~_near_zero(om)
+    if keep is None:
+        keep = np.ones(len(om), dtype=bool) if p == 2.0 else ~_near_zero(om)
     with np.errstate(invalid="ignore"):
         residual = np.where(np.isfinite(residual), residual, np.inf)
     scale = float(max(np.max(np.abs(dflux[keep])), np.max(np.abs(t_lin[keep])),

@@ -8,7 +8,10 @@ from seplane.errors import DomainError, NoCrossingError
 from seplane.params import (
     ProblemParams,
     ReducedParams,
+    angular_eigenvalue,
     critical_potential,
+    decay_exponent,
+    odd_power,
     reduce_params,
     reduced_nonlinearity,
     stationary_abscissa,
@@ -138,15 +141,28 @@ class TestExplicitFamilies:
 class TestBuildSolutionSet:
     def test_residual_is_continuous_across_p_2(self):
         # the keep mask excludes the neighborhoods of the zeros only off p = 2;
-        # one ulp either side the scaled residual and the verdict stay put
-        entry = build_solution_set(ProblemParams(2.0, 3.0, 0.0), k_max=2).sign_changing[0]
-        at_2 = verify_profile(entry.profile, ProblemParams(2.0, 3.0, 0.0))
+        # one ulp either side the verdict stays put, and on the points that
+        # both masks keep so do the scaled residual and the scale
+        params = ProblemParams(2.0, 3.0, 0.0)
+        entry = build_solution_set(params, k_max=2).sign_changing[0]
+        at_2 = verify_profile(entry.profile, params)
         assert at_2.passed and at_2.n_excluded == 0
+        om = entry.profile.omega
+        h = entry.profile.sigma[1] - entry.profile.sigma[0]
+
+        def on_common_points(p):
+            return solutions._angular_report(
+                om, h, p, decay_exponent(p, 3.0), angular_eigenvalue(p, 3.0), 0.0,
+                lambda s: odd_power(s, 3.0), 1e-5, keep=~_near_zero(om))
+
+        common_2 = on_common_points(2.0)
         for p in (math.nextafter(2.0, 1.0), math.nextafter(2.0, 3.0)):
             rep = verify_profile(entry.profile, ProblemParams(p, 3.0, 0.0))
             assert rep.n_excluded > 0 and rep.passed
-            assert rel_err(rep.max_residual / rep.scale, at_2.max_residual / at_2.scale) < 1e-4
-            assert rel_err(rep.scale, at_2.scale) < 1e-12
+            assert on_common_points(p) == rep
+            assert rel_err(rep.max_residual / rep.scale,
+                           common_2.max_residual / common_2.scale) < 1e-4
+            assert rel_err(rep.scale, common_2.scale) < 1e-12
 
     def test_cubic_zero_potential(self):
         ss = build_solution_set(ProblemParams(2.0, 3.0, 0.0), k_max=2)
