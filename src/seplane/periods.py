@@ -154,9 +154,12 @@ def period_sign_changing(
     c0, c1, c2, c3 = (ci[piece, None] for ci in coef)
     z = th - knots[piece, None]
     hv = nl.h(np.maximum(((c0 * z + c1) * z + c2) * z + c3, 0.0))
-    pt2 = (rp.p - 1.0) * np.tan(th) ** 2
-    dtau = (1.0 + pt2) / (pt2 - rp.b + (hv - rp.d) * np.cos(th) ** (rp.p - 2.0))
-    period_quad = 4.0 * float(half @ (dtau @ _GAUSS_WEIGHTS))
+    # tan^2 as 1/cos^2 - 1 and a plain sum: numpy's tan loop and the BLAS
+    # behind a matmul would page in about 0.4 MB of code
+    cos = np.cos(th)
+    pt2 = (rp.p - 1.0) * (1.0 / (cos * cos) - 1.0)
+    dtau = (1.0 + pt2) / (pt2 - rp.b + (hv - rp.d) * cos ** (rp.p - 2.0))
+    period_quad = 4.0 * float(np.sum(dtau * _GAUSS_WEIGHTS * half[:, None]))
     return PeriodSample(nu, period_ev, "event-timing",
                         max(err_ev, abs(period_ev - period_quad)),
                         cross_check=period_quad)
