@@ -350,7 +350,8 @@ def cmd_solve_set(args) -> int:
                 fam["profile"]) for fam in ss.explicit_families]
         for name, prof in profiles:
             # one formatting pass per profile, the same bytes as _fmt per value;
-            # the row floats are freed before the write, which keeps peak RSS
+            # the row floats live only inside the expression, so they are freed
+            # before the write and add nothing to peak RSS
             (out_dir / f"{name}.csv").write_text("sigma,omega\n" + "%.17g,%.17g\n" * len(
                 prof.sigma) % tuple(np.column_stack((prof.sigma, prof.omega)).ravel().tolist()))
     else:

@@ -570,8 +570,7 @@ class TestSignChangingDenseOutput:
         assert alone.cross_check is None and both.cross_check is not None
 
 
-
-# ROADMAP item 5: the two sign-changing period routes as each other's oracle,
+# the two sign-changing period routes as each other's oracle,
 # drawn over period-scan's ranges. Over the 1440 samples of its seeds 5 and 11
 # they differed by at most 3.2e-7 relative (at nu = 0.01, the default config).
 @pytest.mark.slow
