@@ -413,7 +413,9 @@ def slope_map_primitive(u: float, p: float) -> float:
     """Integral of the inverse slope map from 0 to u (even in u).
 
     Computed by the exact integration-by-parts identity
-    u*xi - ((1+xi^2)^(p/2) - 1)/p with xi the inverse image of |u|.
+    u*xi - ((1+xi^2)^(p/2) - 1)/p with xi the inverse image of |u|, the
+    bracket by expm1 and log1p and the p = 1 form 1 - sqrt(1 - u^2) as
+    u^2 / (1 + sqrt(1 - u^2)), so that neither cancels at small u.
     """
     a = abs(u)
     if a == 0.0:
@@ -422,9 +424,9 @@ def slope_map_primitive(u: float, p: float) -> float:
         return a * a / 2.0
     if p == 1.0:
         _require(a < 1.0, "the p=1 slope map has range (-1, 1)")
-        return 1.0 - math.sqrt(1.0 - a * a)
+        return a * a / (1.0 + math.sqrt(1.0 - a * a))
     xi = slope_map_inv(a, p)
-    return a * xi - ((1.0 + xi * xi) ** (p / 2.0) - 1.0) / p
+    return a * xi - math.expm1(0.5 * p * math.log1p(xi * xi)) / p
 
 
 def damping_coefficient(xi, p: float, q: float, b: float):

@@ -14,10 +14,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, IntegrationError, OutOfRangeError
 from .fields import cartesian_rhs
 from .integrate import IntegratorConfig, integrate_to_section
 from .params import (
@@ -61,9 +60,18 @@ _HALF_PI = math.pi / 2.0
 _GAUSS_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
     3.0 / 7.0 + np.array([1.0, -1.0, -1.0, 1.0]) * 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
 _GAUSS_WEIGHTS = (18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * math.sqrt(30.0)) / 36.0
-# cuts every piece wider than 0.05: at nu = 100 one tau step sweeps 0.8 rad,
-# where a single rule is off by 1.5e-7 relative and rules 0.05 wide by 4e-15
+# cuts every step at the multiples of pi/64 rad: at the default tolerances a
+# step sweeps under 0.05 rad and the cuts move the sum by 3e-15 relative, but
+# with rel_tol = 1e-3 one step sweeps 1.13 rad, where a single rule is off by
+# 1.2e-5
 _GAUSS_GRID = np.linspace(0.0, _HALF_PI, 33)
+# the quadrature nodes' Newton iteration: at most _NODE_NEWTON_STEPS steps,
+# ended by a step below _NODE_X_TOL of a step's length; a node may then miss
+# its angle by _NODE_ANGLE_TOL rad. On period-scan orbits three steps leave
+# 2.2e-16 rad
+_NODE_NEWTON_STEPS = 8
+_NODE_X_TOL = 1e-10
+_NODE_ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,11 +121,13 @@ def period_sign_changing(
 
     Event timing measures a quarter and multiplies by four. With
     method="both" the quadrature route also integrates the angular time
-    element over the same quarter and returns it as ``cross_check``: w is
-    interpolated monotonically (PCHIP) in the polar angle from 1500 samples,
-    and a four-point Gauss-Legendre rule on every piece, cut at least every
-    0.05 rad, sums the time element in one numpy pass. The rule's own error
-    stays near roundoff, so the gap to event timing is the interpolant's.
+    element over the same quarter and returns it as ``cross_check``: a
+    four-point Gauss-Legendre rule runs on the polar-angle range of every
+    step, cut at least every pi/64 rad, and reads w at each node off the
+    step's own quartic (its dense output), where Newton finds the node's
+    angle; one numpy pass covers all nodes. The rule's own error stays near
+    roundoff, so the gap to event timing is the dense output's. A node the
+    iteration does not resolve raises IntegrationError.
     """
     require_family("sign-changing", rp)
     if method not in ("event-timing", "both"):
@@ -133,27 +143,24 @@ def period_sign_changing(
     if method == "event-timing":
         return PeriodSample(nu, period_ev, "event-timing", err_ev)
 
-    taus = np.linspace(0.0, tau_q, 1500)
-    wy = traj.sample(taus)
-    theta = np.arctan2(wy[:, 1], wy[:, 0])
-    w = wy[:, 0]
-    # theta decreases strictly along the quarter; flip for the interpolator
-    order = np.argsort(theta)
-    theta_s, w_s = theta[order], np.maximum(w[order], 0.0)
-    theta_s, keep = np.unique(theta_s, return_index=True)
-    # w of theta: the PCHIP pieces, held at the first sample below the first
-    # angle and at 0 above the last. Each piece's cubic in z = th - knot gets
-    # the four-point Gauss rule on every sub-interval that the grid cuts it into
-    knots = np.concatenate(([min(theta_s[0], 0.0)], theta_s, [max(theta_s[-1], _HALF_PI)]))
-    coef = np.concatenate(([[0.0], [0.0], [0.0], [w_s[0]]],
-                           PchipInterpolator(theta_s, w_s[keep]).c, np.zeros((4, 1))), axis=1)
+    # the knots are the step ends, at angles falling from pi/2 to the section;
+    # w of theta is held at the section's w below the lowest angle and at 0
+    # above the highest. Every piece between knots and grid cuts gets the
+    # four-point Gauss rule
+    theta = np.arctan2(traj.states[:, 1], traj.states[:, 0])
+    if not np.all(np.diff(theta) < 0.0):
+        raise IntegrationError(f"the polar angle does not fall along the quarter orbit at nu={nu}")
+    n = len(theta) - 1
+    knots = np.concatenate(([min(theta[-1], 0.0)], theta[::-1], [max(theta[0], _HALF_PI)]))
     edges = np.union1d(np.clip(knots, 0.0, _HALF_PI), _GAUSS_GRID)
     piece = np.searchsorted(knots, edges[:-1], side="right") - 1
     half = 0.5 * np.diff(edges)
     th = edges[:-1, None] + half[:, None] * (1.0 + _GAUSS_NODES)
-    c0, c1, c2, c3 = (ci[piece, None] for ci in coef)
-    z = th - knots[piece, None]
-    hv = nl.h(np.maximum(((c0 * z + c1) * z + c2) * z + c3, 0.0))
+    w = np.zeros_like(th)
+    w[piece == 0] = traj.states[-1, 0]
+    inner = (piece >= 1) & (piece <= n)
+    w[inner] = _w_at_angles(traj.dense, theta, n - piece[inner], th[inner], nu)
+    hv = nl.h(np.maximum(w, 0.0))
     # tan^2 as 1/cos^2 - 1 and a plain sum: numpy's tan loop and the BLAS
     # behind a matmul would page in about 0.4 MB of code
     cos = np.cos(th)
@@ -163,6 +170,47 @@ def period_sign_changing(
     return PeriodSample(nu, period_ev, "event-timing",
                         max(err_ev, abs(period_ev - period_quad)),
                         cross_check=period_quad)
+
+
+def _w_at_angles(dense, theta: np.ndarray, step: np.ndarray, th: np.ndarray,
+                 nu: float) -> np.ndarray:
+    """w where the orbit crosses the angles ``th``, shape (k, 4), row j inside
+    step ``step[j]``, whose ends lie at the angles ``theta[step]`` and
+    ``theta[step + 1]``: Newton on the step's quartic
+    G(x) = sin th w(x) - cos th y(x), from the linear-in-angle guess, kept
+    inside the step. Raises IntegrationError where a node is not finite or
+    misses its angle by more than _NODE_ANGLE_TOL rad."""
+    h = dense.h[step]
+    # x at the step's end: 1, but the last step stops at the section
+    x_end = (dense.taus[step + 1] - dense.taus[step]) / h
+    top = theta[step]
+    x = (x_end / (top - theta[step + 1]))[:, None] * (top[:, None] - th)
+    h = h[:, None]
+    sn, cs = np.sin(th), np.cos(th)
+    qw, qy = dense.q[step, 0, :, None], dense.q[step, 1, :, None]
+    w0, y0 = dense.starts[step, 0, None], dense.starts[step, 1, None]
+    # G / h = g0 + a0 x + a1 x^2 + a2 x^3 + a3 x^4
+    g0 = (sn * w0 - cs * y0) / h
+    a0, a1, a2, a3 = (sn * qw[:, j] - cs * qy[:, j] for j in range(4))
+    for _ in range(_NODE_NEWTON_STEPS):
+        dg = a0 + x * (2.0 * a1 + x * (3.0 * a2 + 4.0 * x * a3))
+        dx = (g0 + x * (a0 + x * (a1 + x * (a2 + x * a3)))) / dg
+        x = x - dx
+        if np.max(np.abs(dx)) <= _NODE_X_TOL:
+            break
+    # a root the quartic finds beyond its step is read at the step's end
+    x = np.minimum(np.maximum(x, 0.0), x_end[:, None])
+    w = w0 + h * x * (qw[:, 0] + x * (qw[:, 1] + x * (qw[:, 2] + x * qw[:, 3])))
+    y = y0 + h * x * (qy[:, 0] + x * (qy[:, 1] + x * (qy[:, 2] + x * qy[:, 3])))
+    with np.errstate(invalid="ignore"):
+        off = np.abs(sn * w - cs * y) / np.hypot(w, y)
+    if not np.all(off <= _NODE_ANGLE_TOL):
+        j = np.unravel_index(np.argmax(np.nan_to_num(off, nan=np.inf)), off.shape)
+        raise IntegrationError(
+            f"quadrature node not resolved at nu={nu}: theta={float(th[j]):.17g} in step "
+            f"{int(step[j[0]])}, x={float(x[j]):.17g}, angle residual {float(off[j]):.3g} rad "
+            f"(tolerance {_NODE_ANGLE_TOL:g})")
+    return w
 
 
 def period_positive(

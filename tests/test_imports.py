@@ -4,6 +4,8 @@ imported at module level. Every private module-level name is used somewhere
 in the package outside its own definition."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +152,20 @@ def test_scipy_integrate_guard_sees_every_form():
 def test_stepper_is_the_only_stepper():
     # integrate.py owns its Dormand-Prince stepper; no scipy solver beside it
     assert scipy_integrate_imports((PACKAGE / "integrate.py").read_text()) == []
+
+
+def loaded_after_import(modules: list[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after ``import seplane``."""
+    probe = (f"import sys, seplane; print(*sorted(m for m in {modules!r} "
+             f"if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={"PYTHONPATH": str(PACKAGE.parent),
+                                           "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"})
+    return proc.stdout.split()
+
+
+def test_import_does_not_load_scipy_interpolate():
+    # the quadrature route reads the stepper's own quartics; scipy.interpolate
+    # would add about 50 ms to every start. scipy.optimize (brentq) shows the
+    # probe sees what the package does load
+    assert loaded_after_import(["scipy.interpolate", "scipy.optimize"]) == ["scipy.optimize"]

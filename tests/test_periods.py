@@ -6,13 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from seplane import periods
-from seplane.errors import DomainError, OutOfRangeError
+from seplane.errors import DomainError, IntegrationError, OutOfRangeError
 from seplane.fields import check_scaling_conditions, p1_slope_rhs
-from seplane.integrate import EventSpec, IntegratorConfig, integrate
+from seplane.integrate import EventSpec, IntegratorConfig, Trajectory, integrate
 from seplane.params import (
     Nonlinearity,
     ProblemParams,
@@ -44,6 +43,7 @@ from seplane.solutions import PROFILE_CONFIG
 from conftest import rel_err
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+LOOSE = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
 
 
 def cubic_period_oracle(nu: float) -> float:
@@ -132,51 +132,100 @@ class TestSignChanging:
 
     @pytest.mark.parametrize("nu", [0.05, 0.2, 0.5, 1.0, 3.0, 10.0, 30.0])
     def test_quadrature_route_energy_oracle(self, duffing_soft, nu):
-        # the Gauss pass integrates the interpolated orbit to the interpolant's
-        # own accuracy: measured at most 1.6e-12 here, where the adaptive quad
-        # with its Python integrand left 1.0e-10 at nu = 30
+        # the Gauss pass integrates the time element on the dense output's own
+        # quartics: measured at most 1.6e-12 here, at nu = 1
         rp, nl = duffing_soft
         s = period_sign_changing(nu, rp, nl)
         assert rel_err(s.cross_check, cubic_period_oracle(nu)) < 1e-11
 
-    @pytest.mark.parametrize("end, top, jump", [(0.1, 1.4, False), (-0.05, 1.7, False),
-                                                (0.1, 1.4, True)],
+    @pytest.mark.parametrize("top, end, cfg", [(1.4, 0.1, None), (1.7, -0.05, None),
+                                               (math.pi / 2.0, None, LOOSE)],
                              ids=["short-of-both-axes", "past-both-axes", "one-wide-step"])
-    def test_quadrature_route_integrates_the_interpolant(self, end, top, jump, monkeypatch):
-        # an arc whose polar angle runs from top down to end: short of the
-        # axes, w is held at its first sample below the first angle and at 0
-        # above the last; past them, the pieces are cut at 0 and pi/2. With a
-        # jump the last step sweeps half the arc, as one step does at large nu
-        # (0.8 rad at nu = 100). The Gauss pass must match an adaptive
-        # quadrature of the same interpolant, piece by piece (measured within
-        # 1.0e-15 relative)
+    def test_quadrature_route_integrates_the_quartics(self, top, end, cfg, monkeypatch):
+        # a real dense run from polar angle top down to end: short of the
+        # axes, w is held at the section's w below the last angle and at 0
+        # above the first; past them, the steps are cut at 0 and pi/2. The
+        # loose tolerances make a quarter orbit whose second step sweeps
+        # 1.13 rad. The Gauss pass must match an adaptive quadrature of the
+        # same time element, step by step, with w found on the same quartics
+        # by brentq (measured within 2.2e-16 relative)
         rp = ReducedParams(3.0, 5.0, -3.0, 0.5)
         nl = Nonlinearity(3.0, 5.0)
+        rhs = periods.cartesian_rhs(rp, nl)
+        if end is None:
+            tau, traj = periods.integrate_to_section(rhs, (0.0, 1.0), 1e4, cfg, dense=True)
+        else:
+            stop = EventSpec("theta=end", lambda t, s: s[1] * math.cos(end) - s[0] * math.sin(end),
+                             terminal=True, direction=-1)
+            traj = integrate(rhs, (math.cos(top), math.sin(top)), (0.0, 1e4), [stop], dense=True)
+            tau = traj.events[-1].tau
+        monkeypatch.setattr(periods, "integrate_to_section", lambda *a, **k: (tau, traj))
+        got = period_sign_changing(1.0, rp, nl, cfg).cross_check
 
-        class Arc:
-            def sample(self, taus):
-                share = np.where(taus < 1.0, 0.5 * taus, 1.0) if jump else taus
-                phi, r = top - (top - end) * share, 1.0 + 0.5 * taus
-                return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
-
-        monkeypatch.setattr(periods, "integrate_to_section", lambda *a, **k: (1.0, Arc()))
-        got = period_sign_changing(1.0, rp, nl).cross_check
-
-        wy = Arc().sample(np.linspace(0.0, 1.0, 1500))[::-1]
-        theta, w = np.arctan2(wy[:, 1], wy[:, 0]), np.maximum(wy[:, 0], 0.0)
-        pchip = PchipInterpolator(theta, w)
+        theta = np.arctan2(traj.states[:, 1], traj.states[:, 0])
+        if end is None:
+            assert np.max(-np.diff(theta)) > 1.0
 
         def dtau(th, wv):
             pt2 = (rp.p - 1.0) * math.tan(th) ** 2
             return (1.0 + pt2) / (pt2 - rp.b + (nl.h(wv) - rp.d) * math.cos(th) ** (rp.p - 2.0))
 
-        lo, hi = max(end, 0.0), min(top, math.pi / 2.0)
-        cuts = [lo] + [x for x in theta.tolist() if lo < x < hi] + [hi]
-        val = sum(quad(lambda th: dtau(th, max(float(pchip(th)), 0.0)), a, b,
-                       epsabs=1e-15)[0] for a, b in zip(cuts[:-1], cuts[1:]))
-        val += quad(lambda th: dtau(th, w[0]), 0.0, lo)[0] \
+        def w_on_step(i, th):
+            def off(t):
+                w, y = traj.sample(t)
+                return math.sin(th) * w - math.cos(th) * y
+            t = brentq(off, traj.taus[i], traj.taus[i + 1], xtol=1e-300)
+            return max(float(traj.sample(t)[0]), 0.0)
+
+        lo, hi = max(theta[-1], 0.0), min(theta[0], math.pi / 2.0)
+        val = quad(lambda th: dtau(th, traj.states[-1, 0]), 0.0, lo)[0] \
             + quad(lambda th: dtau(th, 0.0), hi, math.pi / 2.0)[0]
+        for i in range(len(theta) - 1):
+            a, b = max(theta[i + 1], 0.0), min(theta[i], math.pi / 2.0)
+            if a < b:
+                val += quad(lambda th: dtau(th, w_on_step(i, th)), a, b,
+                            epsabs=1e-15, limit=200)[0]
         assert rel_err(got, 4.0 * val) < 1e-13
+
+    @pytest.mark.parametrize("where", ["inside-a-step", "between-steps"])
+    def test_quadrature_refuses_a_turning_angle(self, duffing_soft, where, monkeypatch):
+        # inside a step: a bump c x^2 (1 - x)^2 in y keeps the step's ends and
+        # end slopes but turns its angle back up, so no node there may be read
+        # off. Between steps: one step end is turned 0.05 rad back up
+        rp, nl = duffing_soft
+        tau, traj = periods.integrate_to_section(periods.cartesian_rhs(rp, nl), (0.0, 1.0),
+                                                 1e4, dense=True)
+        i = len(traj.taus) // 2
+        if where == "inside-a-step":
+            chord = float(np.hypot(*(traj.states[i + 1] - traj.states[i])))
+            traj.dense.q[i, 1, 1:] += np.array([1.0, -2.0, 1.0]) * 30.0 * chord / traj.dense.h[i]
+            on_step = traj.sample(traj.taus[i] + np.linspace(0.0, 1.0, 21) * traj.dense.h[i])
+            assert np.any(np.diff(np.arctan2(on_step[:, 1], on_step[:, 0])) > 0.0)
+            match = f"nu=1.0: theta=.* in step {i},"
+        else:
+            states = traj.states.copy()
+            turn = 0.05 + np.arctan2(states[i, 1], states[i, 0])
+            states[i + 1] = np.hypot(*states[i + 1]) * np.array([math.cos(turn), math.sin(turn)])
+            traj = Trajectory(traj.taus.copy(), states, traj.events, traj.status, traj.dense)
+            match = "the polar angle does not fall along the quarter orbit at nu=1.0"
+        monkeypatch.setattr(periods, "integrate_to_section", lambda *a, **k: (tau, traj))
+        with pytest.raises(IntegrationError, match=match):
+            period_sign_changing(1.0, rp, nl)
+
+    def test_quadrature_node_beyond_its_step_is_refused(self, duffing_soft):
+        # Newton may find a node's angle on the step's quartic extended past
+        # the step; the node is then read at the step's end and refused. Here
+        # the middle angle of step i + 1 is handed to step i
+        rp, nl = duffing_soft
+        _, traj = periods.integrate_to_section(periods.cartesian_rhs(rp, nl), (0.0, 1.0),
+                                               1e4, dense=True)
+        theta = np.arctan2(traj.states[:, 1], traj.states[:, 0])
+        i = len(theta) // 2
+        th = np.full((1, 4), 0.5 * (theta[i + 1] + theta[i + 2]))
+        with pytest.raises(IntegrationError, match=f"nu=1.0: theta=.* in step {i}, x=1,"):
+            periods._w_at_angles(traj.dense, theta, np.array([i]), th, 1.0)
+        w = periods._w_at_angles(traj.dense, theta, np.array([i + 1]), th, 1.0)
+        assert np.all(w > traj.states[i + 1, 0])
 
     def test_domain(self, duffing_soft):
         rp, nl = duffing_soft
@@ -572,7 +621,10 @@ class TestSignChangingDenseOutput:
 
 # the two sign-changing period routes as each other's oracle,
 # drawn over period-scan's ranges. Over the 1440 samples of its seeds 5 and 11
-# they differed by at most 3.2e-7 relative (at nu = 0.01, the default config).
+# they differed by at most 3.2e-7 relative (3.03e-7 and 3.20e-7, both at
+# nu = 0.01, the default config), with the quadrature route reading w off the
+# dense output's quartics; the gap there is the default-config orbit's:
+# refining the angular grid 64-fold moves it there by under 1e-12.
 @pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(1.5, 4.0, exclude_min=True, exclude_max=True),
