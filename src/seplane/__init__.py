@@ -40,6 +40,7 @@ from .orbits import (
     HomoclinicOrbit,
     OrbitClass,
     classify_orbit,
+    conserved_quantity,
     first_integral,
     first_integral_p1,
     first_integral_u,

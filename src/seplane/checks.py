@@ -23,12 +23,13 @@ from .fields import (
     p1_slope_rhs,
     regularized_rhs,
 )
-from .integrate import IntegratorConfig, integrate, integrate_to_section
-from .orbits import first_integral, first_integral_p1, shoot_homoclinic
+from .integrate import integrate, integrate_to_section
+from .orbits import conserved_quantity, shoot_homoclinic
 from .params import (
     Nonlinearity,
     ProblemParams,
     ReducedParams,
+    angular_time_scale,
     critical_potential,
     damping_coefficient,
     decay_exponent,
@@ -49,11 +50,9 @@ from .periods import (
     period_zero_amplitude_closed,
     period_zero_amplitude_limit,
 )
-from .solutions import build_solution_set, sector_exists, verify_profile
+from .solutions import PROFILE_CONFIG, build_solution_set, sector_exists, verify_profile
 
 __all__ = ["CheckResult", "ALL_CHECKS", "CHECKS_BY_COMMAND", "run_checks"]
-
-TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 @dataclass
@@ -185,14 +184,18 @@ def check_small_amplitude_closed_form(seed: int = 12345) -> CheckResult:
     return _result("zero-amplitude closed form", failures, "10 random (p, b)", t0)
 
 
-def _orbit_drift(rhs, integral, start, horizon: float, sections: float) -> float:
-    """Relative drift of the conserved quantity ``integral`` over one full
-    period, ``sections`` times the time to the first section crossing."""
-    t_section, _ = integrate_to_section(rhs, start, horizon, TIGHT)
+def _orbit_drift(rp, nl, start, horizon: float, sections: float) -> float:
+    """Relative drift of the conserved quantity of ``rp`` over one full
+    period, ``sections`` times the time to the first section crossing; a
+    p = 1 orbit runs in the slope chart (w, u), with y = w u / sqrt(1 - u^2)."""
+    slope_chart = rp.p == 1.0
+    rhs = p1_slope_rhs(rp, nl) if slope_chart else cartesian_rhs(rp, nl)
+    t_section, _ = integrate_to_section(rhs, start, horizon, PROFILE_CONFIG)
     period = sections * t_section
-    full = integrate(rhs, start, (0.0, period), cfg=TIGHT, dense=True)
-    samples = full.sample(np.linspace(0.0, period, 400))
-    vals = np.array([integral((w, y)) for w, y in samples])
+    full = integrate(rhs, start, (0.0, period), cfg=PROFILE_CONFIG, dense=True)
+    w, v = full.sample(np.linspace(0.0, period, 400)).T
+    y = w * v / np.sqrt(1.0 - v * v) if slope_chart else v
+    vals = np.array(list(map(conserved_quantity(rp, nl), w, y)))
     scale = max(float(np.max(np.abs(vals))), 1e-3)
     return float(vals.max() - vals.min()) / scale
 
@@ -217,15 +220,13 @@ def check_conservation() -> CheckResult:
     for rp, mode, amp in sets:
         nl = Nonlinearity(rp.p, rp.q)
         start = (0.0, amp) if mode == "sc" else (amp * stationary_abscissa(rp, nl), 0.0)
-        drift = _orbit_drift(cartesian_rhs(rp, nl), lambda s: first_integral(s, rp, nl),
-                             start, 1e4, 4.0 if mode == "sc" else 2.0)
+        drift = _orbit_drift(rp, nl, start, 1e4, 4.0 if mode == "sc" else 2.0)
         if drift > 1e-7:
             failures.append(f"drift {drift:.2e} at {rp} {mode}")
 
     rp1 = ReducedParams(1.0, 2.0, 1.0, 0.5)
     nl1 = Nonlinearity(1.0, 1.0)
-    drift1 = _orbit_drift(p1_slope_rhs(rp1, nl1), lambda s: first_integral_p1(s, rp1, nl1),
-                          (0.9, 0.0), 100.0, 2.0)
+    drift1 = _orbit_drift(rp1, nl1, (0.9, 0.0), 100.0, 2.0)
     if drift1 > 1e-9:
         failures.append(f"p=1 drift {drift1:.2e}")
     return _result("first-integral conservation", failures,
@@ -240,10 +241,10 @@ def check_homoclinic() -> CheckResult:
     params = ProblemParams(2.0, 3.0, 2.0)
     rp = reduce_params(params)
     nl = Nonlinearity(2.0, 3.0)
-    orb = shoot_homoclinic(rp, nl, TIGHT)
+    orb = shoot_homoclinic(rp, nl, PROFILE_CONFIG)
     if abs(orb.m_initial - 1.0) > 1e-6:
         failures.append(f"slope {orb.m_initial} != 1")
-    orb2 = shoot_homoclinic(rp, nl, TIGHT, offset=1e-9)
+    orb2 = shoot_homoclinic(rp, nl, PROFILE_CONFIG, offset=1e-9)
     if _rel(orb.apex_w, orb2.apex_w) > 1e-6:
         failures.append(f"apex drift under refinement: {orb.apex_w} vs {orb2.apex_w}")
     # oracle: the p = 2 energy fixes the apex at sqrt(2 (b+d)) for q = 3
@@ -251,9 +252,9 @@ def check_homoclinic() -> CheckResult:
         failures.append(f"apex {orb.apex_w} != sqrt(2)")
     for rpb in (ReducedParams(1.5, 2.0, 1.0, 0.5), ReducedParams(3.0, 5.0, 1.0, 0.0)):
         nlb = Nonlinearity(rpb.p, rpb.q)
-        ho = shoot_homoclinic(rpb, nlb, TIGHT)
-        vals = [abs(first_integral((w, y), rpb, nlb))
-                for w, y in ho.trajectory.states if w > 0.0]
+        ho = shoot_homoclinic(rpb, nlb, PROFILE_CONFIG)
+        integral = conserved_quantity(rpb, nlb)
+        vals = [abs(integral(w, y)) for w, y in ho.trajectory.states if w > 0.0]
         if max(vals) > 1e-7:
             failures.append(f"separatrix integral {max(vals):.2e} at {rpb}")
     return _result("homoclinic shooting", failures,
@@ -299,7 +300,7 @@ def check_positive_limits() -> CheckResult:
         nl = Nonlinearity(params.p, params.q)
         a = stationary_abscissa(rp, nl)
         limit = 2.0 * math.pi / math.sqrt((params.q + 1.0 - params.p) * (rp.b + rp.d))
-        tp = period_positive(a * (1.0 - 1e-4), rp, nl, TIGHT).period
+        tp = period_positive(a * (1.0 - 1e-4), rp, nl, PROFILE_CONFIG).period
         if _rel(tp, limit) > 1e-3:
             failures.append(f"{params}: near-center period {tp} vs {limit}")
         mu, diverged = a, False
@@ -396,12 +397,11 @@ def check_solution_sets() -> CheckResult:
     for ss_, params in ((ss, ProblemParams(2.0, 3.0, 0.0)),
                         (ss9, ProblemParams(2.0, 3.0, 9.0)),
                         (ss1, ProblemParams(1.0, 2.0, 3.0))):
-        # the p = 1 reduction leaves the angular variable unscaled
-        beta = decay_exponent(params.p, params.q) if params.p > 1.0 else 1.0
+        scale = angular_time_scale(params.p, params.q)
         for entry in ss_.sign_changing + ss_.positive:
             if not entry.residual.passed:
                 failures.append(f"{params}: k={entry.k} residual fails")
-            if _rel(entry.period_measured, 2.0 * math.pi * beta / entry.k) > 1e-6:
+            if _rel(entry.period_measured, 2.0 * math.pi * scale / entry.k) > 1e-6:
                 failures.append(f"{params}: k={entry.k} period round-trip")
             if not _least_period_ok(entry.profile):
                 failures.append(f"{params}: k={entry.k} least-period")
@@ -507,7 +507,7 @@ def check_chart_suite(seed: int = 12345) -> CheckResult:
     rp = ReducedParams(2.5, 4.0, -1.0, 3.0)
     nl = Nonlinearity(2.5, 4.0)
     arc = integrate(regularized_rhs(rp, nl), (1.0, 0.2), (0.0, 2.0),
-                    cfg=TIGHT, dense=True)
+                    cfg=PROFILE_CONFIG, dense=True)
     h = 0.02
     ts = np.arange(0.0, 2.0 + h / 2.0, h)
     vs, us = arc.sample(ts).T

@@ -19,13 +19,7 @@ from . import checks as _checks
 from .errors import DomainError, SeplaneError
 from .fields import cartesian_rhs, field_cartesian, p1_cartesian_rhs
 from .integrate import DEFAULT_CONFIG, EventSpec, IntegratorConfig, integrate
-from .orbits import (
-    classify_orbit,
-    first_integral,
-    first_integral_p1,
-    saddle_data,
-    shoot_homoclinic,
-)
+from .orbits import classify_orbit, conserved_quantity, saddle_data, shoot_homoclinic
 from .params import (
     ProblemParams,
     angular_eigenvalue,
@@ -158,23 +152,18 @@ def _orbit_rows(traj):
     return taus, states
 
 
-def _p1_circle_meta(w0, y0, rp, meta) -> bool:
-    """Only the circle of radius b+1 crosses the singular line w = 0 at
-    p = 1, d = 0 (it is the zero level of the first integral); starts on it
-    are continued in closed form."""
+def _p1_circle(w0, y0, rp, span, meta):
+    """Samples of a start on the circle of radius b + 1, continued in closed
+    form, or None off it. Only that circle crosses the singular line w = 0 at
+    p = 1, d = 0 (it is the zero level of the first integral)."""
     radius = rp.b + 1.0
-    on_circle = rp.d == 0.0 and abs(math.hypot(w0, y0) - radius) <= 1e-9 * radius
-    if w0 == 0.0 and not on_circle:
-        raise DomainError(
-            "no p = 1 trajectory crosses w = 0 off the circle of radius b + 1")
-    if on_circle:
-        meta["orbit_class"] = "closed-around-origin"
-        meta["analytic"] = "unique sign-changing orbit, continued in closed form"
-    return on_circle
-
-
-def _p1_circle_samples(w0, y0, rp, span, meta):
-    radius = rp.b + 1.0
+    if not (rp.d == 0.0 and abs(math.hypot(w0, y0) - radius) <= 1e-9 * radius):
+        if w0 == 0.0:
+            raise DomainError(
+                "no p = 1 trajectory crosses w = 0 off the circle of radius b + 1")
+        return None
+    meta["orbit_class"] = "closed-around-origin"
+    meta["analytic"] = "unique sign-changing orbit, continued in closed form"
     phase = math.atan2(w0, y0)
     taus = np.linspace(0.0, span, ORBIT_ROWS)
     w = radius * np.sin(taus + phase)
@@ -197,22 +186,10 @@ def _finish_orbit(args, taus, states, rp, nl, meta) -> int:
     """Record the sample count and the drift of the conserved quantity these
     parameters have, if any, then write the orbit."""
     meta["n_samples"] = len(taus)
-    drift_vals = []
-    if rp.p > 1.0 and abs(rp.b - 1.0) <= 1e-12:
-        drift_vals = [first_integral((w, y), rp, nl) for w, y in states]
-    elif abs(rp.p - 2.0) <= 1e-12:
-        # the p = 2 energy, whose drift within 1e-12 of p = 2 is below the
-        # integration error: the reported drift does not jump at the seam
-        drift_vals = [y * y / 2.0 - (rp.b + rp.d) * w * w / 2.0 + nl.F(w)
-                      for w, y in states]
-    elif rp.p == 1.0:
-        for w, y in states:
-            if w > 1e-9:
-                xi = y / w
-                drift_vals.append(first_integral_p1(
-                    (w, xi / math.sqrt(1.0 + xi * xi)), rp, nl))
-    if drift_vals:
-        meta["first_integral_drift"] = float(max(drift_vals) - min(drift_vals))
+    integral = conserved_quantity(rp, nl)
+    vals = [v for w, y in states if (v := integral(w, y)) is not None] if integral else []
+    if vals:
+        meta["first_integral_drift"] = float(max(vals) - min(vals))
     _write_orbit(args, taus, states, meta)
     return 0
 
@@ -240,9 +217,9 @@ def cmd_orbit(args) -> int:
     if args.start is None:
         raise DomainError("orbit needs --start W Y or --homoclinic")
     w0, y0 = args.start
-    if rp.p == 1.0 and _p1_circle_meta(w0, y0, rp, meta):
-        taus, states = _p1_circle_samples(w0, y0, rp, args.span, meta)
-        return _finish_orbit(args, taus, states, rp, nl, meta)
+    circle = _p1_circle(w0, y0, rp, args.span, meta) if rp.p == 1.0 else None
+    if circle is not None:
+        return _finish_orbit(args, *circle, rp, nl, meta)
     if rp.p > 1.0:
         if math.hypot(*field_cartesian((w0, y0), rp, nl)) < 1e-12:
             meta["orbit_class"] = "closed-around-P0"

@@ -52,6 +52,7 @@ __all__ = [
     "classify_orbit",
     "shoot_homoclinic",
     "saddle_data",
+    "conserved_quantity",
     "first_integral",
     "first_integral_p1",
     "first_integral_u",
@@ -299,6 +300,28 @@ def first_integral_p1(st, rp: ReducedParams, nl: Nonlinearity) -> float:
         raise DomainError("the p = 1 slope chart needs |u| < 1")
     s1, r = _s1_and_r(w, rp.b, nl)
     return w**rp.b * math.sqrt(1.0 - u * u) - s1 + rp.d * r
+
+
+def conserved_quantity(rp: ReducedParams, nl: Nonlinearity):
+    """Conserved quantity I(w, y) of the Cartesian flow, or None where it has
+    none: the b = 1 integral for p > 1; the p = 2 energy within 1e-12 of p = 2,
+    where its drift is below the integration error, so that a drift does not
+    jump at the seam; at p = 1 the (w, u) integral read through
+    u = xi / sqrt(1 + xi^2), xi = y / w, with value None at w <= 1e-9."""
+    if rp.p > 1.0 and abs(rp.b - 1.0) <= 1e-12:
+        return lambda w, y: first_integral((w, y), rp, nl)
+    if abs(rp.p - 2.0) <= 1e-12:
+        return lambda w, y: y * y / 2.0 - (rp.b + rp.d) * w * w / 2.0 + nl.F(w)
+    if rp.p != 1.0:
+        return None
+
+    def integral_p1(w, y):
+        if w > 1e-9:
+            xi = y / w
+            return first_integral_p1((w, xi / math.sqrt(1.0 + xi * xi)), rp, nl)
+        return None
+
+    return integral_p1
 
 
 def first_integral_u(u: float, uprime: float, rp: ReducedParams) -> float:

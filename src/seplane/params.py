@@ -22,6 +22,7 @@ __all__ = [
     "ReducedParams",
     "Nonlinearity",
     "decay_exponent",
+    "angular_time_scale",
     "angular_eigenvalue",
     "critical_potential",
     "reduce_params",
@@ -76,6 +77,11 @@ def decay_exponent(p: float, q: float) -> float:
     """Radial decay exponent p/(q+1-p) of the separable ansatz; positive."""
     _require(q > p - 1.0, f"need q > p - 1, got p={p}, q={q}")
     return p / (q + 1.0 - p)
+
+
+def angular_time_scale(p: float, q: float) -> float:
+    """Reduced time per unit angle: beta for p > 1, 1 at p = 1."""
+    return decay_exponent(p, q) if p > 1.0 else 1.0
 
 
 def angular_eigenvalue(p: float, q: float) -> float:
@@ -174,17 +180,16 @@ def stationary_abscissa(rp: ReducedParams, nl: Nonlinearity) -> float:
 
 def lift_profile(tau, w, params: ProblemParams):
     """Map a sampled reduced profile w(tau) to the angular profile omega(sigma)
-    point by point: sigma = tau / beta and omega = beta^beta w for p > 1."""
+    point by point: sigma = tau / angular_time_scale, omega = beta^beta w for p > 1."""
     tau = np.asarray(tau, dtype=float)
     w = np.asarray(w, dtype=float)
     if tau.shape != w.shape:
         raise DomainError("tau and w grids must have matching shapes")
     p, q = params.p, params.q
-    if p == 1.0:
-        # beta*q = 1, so sigma = tau and omega = |w|^(1/q - 1) w
-        return tau.copy(), odd_power(w, 1.0 / q)
-    beta = decay_exponent(p, q)
-    return tau / beta, beta**beta * w
+    scale = angular_time_scale(p, q)
+    # at p = 1, beta q = 1, so omega = |w|^(1/q - 1) w
+    omega = odd_power(w, 1.0 / q) if p == 1.0 else scale**scale * w
+    return tau / scale, omega
 
 
 def slope_potential(xi, p: float, b: float):

@@ -23,6 +23,7 @@ from .params import (
     Nonlinearity,
     ProblemParams,
     ReducedParams,
+    angular_time_scale,
     decay_exponent,
     reduce_params,
     reduced_nonlinearity,
@@ -102,11 +103,6 @@ class ScanResult:
     samples: list[PeriodSample]
     verdict: str
     max_violation: float
-
-
-def _theta_form_denominator(t: float, costheta: float, p: float, b: float,
-                            d: float, hval: float) -> float:
-    return (p - 1.0) * t * t - b + (hval - d) * costheta ** (p - 2.0)
 
 
 def period_sign_changing(
@@ -258,7 +254,7 @@ def period_zero_amplitude_limit(rp: ReducedParams) -> float:
             den = (p - 1.0) * t * t + eps0 - d * math.expm1(
                 0.5 * (p - 2.0) * math.log1p(-math.sin(th) ** 2))
         else:
-            den = _theta_form_denominator(t, math.cos(th), p, b, d, 0.0)
+            den = (p - 1.0) * t * t - b - d * math.cos(th) ** (p - 2.0)
         return (1.0 + (p - 1.0) * t * t) / den
 
     val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
@@ -534,8 +530,8 @@ def find_amplitude_for_period(
 
 
 # ---------------------------------------------------------------------------
-# mode ranges: mode k has the reduced period 2 pi scale / k, scale = beta at
-# p > 1 and 1 at p = 1, and exists where that period lies in the period range
+# mode ranges: mode k has the reduced period 2 pi scale / k, with scale =
+# angular_time_scale(p, q), and exists where that period lies in the period range
 
 
 def mode_threshold(params: ProblemParams) -> float:
@@ -597,14 +593,13 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
     rp = reduce_params(params)
     notes: dict = {}
     mq = t0 = None
+    scale = angular_time_scale(p, q)
     if p > 1.0:
-        scale = decay_exponent(p, q)
         if rp.b + rp.d <= 0.0:
             mq, t0 = _threshold_and_zero_limit(params)
         k_sc = 1 if mq is None else _smallest_int_above(mq)
         notes["positive_mode_cap"] = "largest integer strictly below sqrt(p beta^(1-p)(c - c_q))"
     else:
-        scale = 1.0
         k_sc = 1 if (c == 0.0 and q <= 1.0) else None
     if rp.b + rp.d <= 0.0:
         return ModeBounds(k_sc, (), False, mq, notes, t0)

@@ -20,6 +20,7 @@ from .params import (
     ProblemParams,
     ReducedParams,
     angular_eigenvalue,
+    angular_time_scale,
     decay_exponent,
     lift_profile,
     odd_power,
@@ -275,14 +276,11 @@ def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg,
     the family's known periods), one quarter (sign-changing, from (0, nu)) or
     half (positive, from (mu, 0)) orbit up to its section, folded over the
     period, lifted, and verified."""
-    p = params.p
-    # reduced time per unit angle: beta for p > 1, 1 at p = 1
-    scale = decay_exponent(p, params.q) if p > 1.0 else 1.0
+    scale = angular_time_scale(params.p, params.q)
     t_k = 2.0 * math.pi * scale / k
     roots = find_amplitude_for_period(t_k, kind, rp, nl, cfg, known=known)
-    note = "" if len(roots) == 1 else f"{len(roots)} amplitude roots; using the first"
     quarter = kind == "sign-changing"
-    rhs = p1_slope_rhs(rp, nl) if p == 1.0 else cartesian_rhs(rp, nl)
+    rhs = p1_slope_rhs(rp, nl) if params.p == 1.0 else cartesian_rhs(rp, nl)
     start = (0.0, roots[0]) if quarter else (roots[0], 0.0)
     tau_end, traj = integrate_to_section(rhs, start, 2.0 * t_k, cfg, dense=True)
     sigma = np.linspace(0.0, 2.0 * math.pi, POINTS_PER_PERIOD * k, endpoint=False)
@@ -290,8 +288,7 @@ def _mode_entry(kind: str, k: int, params: ProblemParams, rp, nl, cfg,
     _, omega = lift_profile(taus, _fold(traj, tau_end, taus, quarter), params)
     profile = AngularProfile(sigma, omega, k, kind)
     residual = verify_profile(profile, params)
-    return ModeEntry(k, roots[0], t_k, (4.0 if quarter else 2.0) * tau_end, residual,
-                     profile, note)
+    return ModeEntry(k, roots[0], t_k, (4.0 if quarter else 2.0) * tau_end, residual, profile)
 
 
 def build_solution_set(

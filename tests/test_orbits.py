@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -14,6 +16,7 @@ from seplane.orbits import (
     DEGENERATE_CRITICAL,
     HOMOCLINIC,
     classify_orbit,
+    conserved_quantity,
     first_integral,
     first_integral_p1,
     first_integral_u,
@@ -21,7 +24,10 @@ from seplane.orbits import (
 )
 from seplane.params import (
     Nonlinearity,
+    ProblemParams,
     ReducedParams,
+    reduce_params,
+    reduced_nonlinearity,
     slope_map,
     slope_map_inv,
     slope_map_primitive,
@@ -182,8 +188,6 @@ class TestShooting:
         assert abs(state[1] / state[0] - m1) < 1e-4
 
     def test_subquadratic_diffusion_shot(self):
-        from seplane.params import ProblemParams, reduce_params
-
         rp = reduce_params(ProblemParams(1.5, 2.5, 1.0))
         nl = Nonlinearity(1.5, 2.5)
         orb = shoot_homoclinic(rp, nl, TIGHT)
@@ -215,6 +219,32 @@ class TestShooting:
         slopes = wy[:, 1] / wy[:, 0]
         assert np.all(np.diff(slopes) < 0.0)
         assert slopes[0] > 100.0 and slopes[-1] < 0.05
+
+
+class TestConservedQuantity:
+    @given(st.floats(1.2, 8.0), st.floats(-5.0, 5.0), st.floats(0.0, 3.0),
+           st.floats(0.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_continuous_across_the_p2_seam(self, q, c, w, y):
+        # one ulp either side of p = 2 the energy still applies, and its value
+        # moves by at most 1e-12 of its largest term (about 2e-14 measured)
+        vals, terms = [], []
+        for p in (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)):
+            params = ProblemParams(p, q, c)
+            rp, nl = reduce_params(params), reduced_nonlinearity(params)
+            integral = conserved_quantity(rp, nl)
+            assert integral is not None, f"no conserved quantity at p = {p!r}"
+            vals.append(integral(w, y))
+            terms += [y * y / 2.0, abs(rp.b + rp.d) * w * w / 2.0, nl.F(w)]
+        assert max(vals) - min(vals) <= 1e-12 * max(terms)
+
+    @given(st.floats(-30.0, 30.0))
+    @settings(max_examples=50, deadline=None)
+    def test_none_off_every_integrable_family(self, c):
+        params = ProblemParams(3.0, 5.0, c)
+        rp = reduce_params(params)
+        assert abs(rp.b - 1.0) > 1e-12
+        assert conserved_quantity(rp, reduced_nonlinearity(params)) is None
 
 
 class TestFirstIntegralP2Family:
