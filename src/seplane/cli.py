@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks as _checks
 from .errors import DomainError, SeplaneError
-from .fields import cartesian_rhs, field_cartesian, p1_cartesian_rhs
+from .fields import cartesian_rhs, field_cartesian
 from .integrate import DEFAULT_CONFIG, EventSpec, IntegratorConfig, integrate
 from .orbits import classify_orbit, conserved_quantity, saddle_data, shoot_homoclinic
 from .params import (
@@ -226,8 +226,7 @@ def cmd_orbit(args) -> int:
             meta["stationary"] = True
             _write_orbit(args, np.array([0.0]), np.array([[w0, y0]]), meta)
             return 0
-    rhs = p1_cartesian_rhs(rp, nl) if rp.p == 1.0 else cartesian_rhs(rp, nl)
-    traj = integrate(rhs, (w0, y0), (0.0, args.span),
+    traj = integrate(cartesian_rhs(rp, nl), (w0, y0), (0.0, args.span),
                      events=[EventSpec("w=0", lambda t, s: s[0]),
                              EventSpec("y=0", lambda t, s: s[1])],
                      cfg=cfg, dense=True)

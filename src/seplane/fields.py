@@ -4,7 +4,8 @@ Each factory ``*_rhs(rp, nl)`` binds its chart's constants and returns
 ``rhs(t, s)``: a state pair of Python floats in, the velocity pair (d1, d2)
 of floats out; the ``field_*`` point evaluators run the same closures. All
 evaluations are pure; a point outside a chart, or one where the field has no
-finite value, raises.
+finite value, raises. The Cartesian chart serves every p >= 1; the slope
+charts are split at p = 1, where the slope map has range (-1, 1).
 """
 
 from __future__ import annotations
@@ -44,9 +45,15 @@ __all__ = [
 
 
 def cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
-    """(w, y) velocity of the reduced second-order equation, p > 1."""
+    """(w, y) velocity of the reduced second-order equation, p >= 1.
+
+    On the line w = 0 the velocity is (y, 0) for p > 1. At p = 1 the line is
+    singular: with d = 0 the unique crossing trajectory has the finite limit
+    (y, 0); for d != 0 no trajectory crosses and the evaluation fails.
+    """
     p, b, d, q = rp.p, rp.b, rp.d, nl.power
-    pm1, b2p, ex = p - 1.0, b + 2.0 - p, 2.0 - p / 2.0
+    # b + 1 at p = 1 exactly: (b + 2) - 1 is an ulp off it at some b
+    pm1, b2p, ex = p - 1.0, b + 1.0 if p == 1.0 else b + 2.0 - p, 2.0 - p / 2.0
     # the source odd_power(w, q) - d odd_power(w, p - 1) inline, in the float
     # arithmetic of odd_power: the sign of w goes onto each power on its own,
     # copysign(|w|^e, w) being |w|^e for w > 0 and -(|w|^e) for w < 0 (one
@@ -54,10 +61,6 @@ def cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
     fq, fpm1 = float(q), float(pm1)
     def rhs(t, s):
         w, y = s
-        if w == 0.0 and y == 0.0:
-            raise SingularOriginError("the phase-plane field is singular at (0, 0)")
-        if p <= 1.0:
-            raise DomainError("use the p = 1 charts at p = 1")
         r2 = w * w + y * y
         cubic = b * w**3 + b2p * w * y * y
         try:
@@ -70,7 +73,14 @@ def cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
         except OverflowError:
             src = None
         if src is None:
-            # zero, nan, or a power that overflows: odd_power's array path
+            if w == 0.0:
+                if y == 0.0:
+                    raise SingularOriginError("the phase-plane field is singular at (0, 0)")
+                if pm1 == 0.0:
+                    if d != 0.0:
+                        raise SingularFieldError("no finite limit on w = 0 when d != 0 at p = 1")
+                    return y, 0.0
+            # zero at p > 1, nan, or a power that overflows: odd_power's array path
             src = odd_power(w, q) - d * odd_power(w, pm1)
         return y, (cubic - src * r2**ex) / (w * w + pm1 * y * y)
     return rhs
@@ -129,27 +139,6 @@ def p1_slope_rhs(rp: ReducedParams, nl: Nonlinearity):
     return rhs
 
 
-def p1_cartesian_rhs(rp: ReducedParams, nl: Nonlinearity):
-    """(w, y) velocity at p = 1; display chart, singular on the line w = 0.
-
-    At w = 0 with d = 0 the unique crossing trajectory has the finite limit
-    (y, 0); for d != 0 no trajectory crosses and the evaluation fails.
-    """
-    b, d, b1, q = rp.b, rp.d, rp.b + 1.0, nl.power
-    def rhs(t, s):
-        w, y = s
-        if w == 0.0:
-            if y == 0.0:
-                raise SingularOriginError("the phase-plane field is singular at (0, 0)")
-            if d != 0.0:
-                raise SingularFieldError("no finite limit on w = 0 when d != 0 at p = 1")
-            return y, 0.0
-        r2 = w * w + y * y
-        num = b * w**3 + b1 * w * y * y - (odd_power(w, q) - d * math.copysign(1.0, w)) * r2**1.5
-        return y, num / (w * w)
-    return rhs
-
-
 def _at_point(factory):
     """Point evaluator (pt, rp, nl) -> (d1, d2) on the closure of ``factory``,
     held here rather than called through its public (wrappable) name."""
@@ -163,8 +152,10 @@ field_cartesian = _at_point(cartesian_rhs)
 field_slope = _at_point(slope_rhs)
 field_regularized = _at_point(regularized_rhs)
 field_p1_slope = _at_point(p1_slope_rhs)
-field_p1_cartesian = _at_point(p1_cartesian_rhs)
 _field_polar = _at_point(polar_rhs)
+# the Cartesian chart's p = 1 names, kept for callers that bind them
+p1_cartesian_rhs = cartesian_rhs
+field_p1_cartesian = field_cartesian
 
 
 def field_polar(theta, rho, rp: ReducedParams, nl: Nonlinearity) -> tuple[float, float]:

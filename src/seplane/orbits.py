@@ -307,7 +307,8 @@ def conserved_quantity(rp: ReducedParams, nl: Nonlinearity):
     none: the b = 1 integral for p > 1; the p = 2 energy within 1e-12 of p = 2,
     where its drift is below the integration error, so that a drift does not
     jump at the seam; at p = 1 the (w, u) integral read through
-    u = xi / sqrt(1 + xi^2), xi = y / w, with value None at w <= 1e-9."""
+    u = xi / sqrt(1 + xi^2), xi = y / w, with value None at w <= 1e-9 and
+    where |u| rounds to 1 (|xi| from about 1e8 on) or xi^2 overflows."""
     if rp.p > 1.0 and abs(rp.b - 1.0) <= 1e-12:
         return lambda w, y: first_integral((w, y), rp, nl)
     if abs(rp.p - 2.0) <= 1e-12:
@@ -318,7 +319,10 @@ def conserved_quantity(rp: ReducedParams, nl: Nonlinearity):
     def integral_p1(w, y):
         if w > 1e-9:
             xi = y / w
-            return first_integral_p1((w, xi / math.sqrt(1.0 + xi * xi)), rp, nl)
+            xi2 = xi * xi
+            u = xi / math.sqrt(1.0 + xi2)
+            if abs(u) < 1.0 and xi2 < math.inf:
+                return first_integral_p1((w, u), rp, nl)
         return None
 
     return integral_p1

@@ -24,7 +24,6 @@ from .params import (
     ProblemParams,
     ReducedParams,
     angular_time_scale,
-    decay_exponent,
     reduce_params,
     reduced_nonlinearity,
     stationary_abscissa,
@@ -538,19 +537,12 @@ def mode_threshold(params: ProblemParams) -> float:
     """Lower mode threshold 2 pi beta / T_0 for sign-changing profiles when
     b + d <= 0 (c <= c_q), with T_0 the zero-amplitude period limit; 0 where
     T_0 diverges, c = c_q included."""
-    return _threshold_and_zero_limit(params)[0]
-
-
-def _threshold_and_zero_limit(params: ProblemParams) -> tuple[float, float]:
-    """mode_threshold and the T_0 it was read from."""
-    p, q = params.p, params.q
-    if p <= 1.0:
+    if params.p <= 1.0:
         raise DomainError("mode threshold is defined for p > 1")
     rp = reduce_params(params)
     if rp.b + rp.d > 0.0:
         raise DomainError(f"mode threshold needs c <= c_q, got b + d = {rp.b + rp.d} > 0")
-    t0 = period_zero_amplitude_limit(rp)
-    return 2.0 * math.pi * decay_exponent(p, q) / t0, t0
+    return mode_bounds(params).mode_threshold
 
 
 # above 2**53 consecutive integers are no longer distinct floats; a ModeBounds
@@ -580,8 +572,8 @@ class ModeBounds:
     positive_nonconstant_exists: bool
     mode_threshold: float | None
     notes: dict
-    # T_0 where mode_threshold computed it (b + d <= 0), for the sign-changing
-    # inversion
+    # T_0 where the threshold was read from it (b + d <= 0), for the
+    # sign-changing inversion
     zero_limit: float | None
 
 
@@ -596,7 +588,8 @@ def mode_bounds(params: ProblemParams) -> ModeBounds:
     scale = angular_time_scale(p, q)
     if p > 1.0:
         if rp.b + rp.d <= 0.0:
-            mq, t0 = _threshold_and_zero_limit(params)
+            t0 = period_zero_amplitude_limit(rp)
+            mq = 2.0 * math.pi * scale / t0
         k_sc = 1 if mq is None else _smallest_int_above(mq)
         notes["positive_mode_cap"] = "largest integer strictly below sqrt(p beta^(1-p)(c - c_q))"
     else:

@@ -128,18 +128,10 @@ class SolutionSet:
                 "positive_modes": list(self.bounds.positive_modes),
                 "positive_nonconstant_exists": self.bounds.positive_nonconstant_exists,
                 "mode_threshold": self.bounds.mode_threshold,
-                "notes": _plain(self.bounds.notes),
+                "notes": self.bounds.notes,
             },
             "notes": list(self.notes),
         }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
 
 
 def _fd1_periodic(values: np.ndarray, h: float) -> np.ndarray:

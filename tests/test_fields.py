@@ -208,6 +208,8 @@ class TestP1Charts:
             assert abs(upp[i] - rhs_val) < 1e-6 * (1.0 + abs(rhs_val))
 
     def test_cartesian_singular_line(self, p1_power):
+        # one Cartesian chart for every p >= 1; the p = 1 names are aliases
+        assert p1_cartesian_rhs is cartesian_rhs and field_p1_cartesian is field_cartesian
         rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
         fv = field_p1_cartesian((0.0, 2.0), rp, p1_power)
         assert fv == (2.0, 0.0)
@@ -247,7 +249,9 @@ class TestScalingConditions:
 COMPONENT = st.one_of(st.floats(-10.0, 10.0), st.just(0.0), st.floats(-1e150, 1e150))
 CASES = st.sampled_from([(2.0, 3.0, -1.0, 0.0), (3.0, 5.0, -3.0, 2.0), (1.5, 2.0, 1.0, 0.5),
                          (2.5, 6.0, -2.0, 4.0)])
-P1_CASES = st.sampled_from([(1.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.7), (1.0, 0.5, 0.5, -0.3)])
+# (b + 2) - 1 is an ulp off b + 1 at b = 0.3
+P1_CASES = st.sampled_from([(1.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.7), (1.0, 0.5, 0.5, -0.3),
+                            (1.0, 2.0, 0.3, 0.4)])
 
 
 def same(a, b):

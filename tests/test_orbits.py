@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -237,6 +237,27 @@ class TestConservedQuantity:
             vals.append(integral(w, y))
             terms += [y * y / 2.0, abs(rp.b + rp.d) * w * w / 2.0, nl.F(w)]
         assert max(vals) - min(vals) <= 1e-12 * max(terms)
+
+    @given(st.floats(0.5, 8.0), st.floats(-5.0, 5.0), st.floats(0.0, 10.0),
+           st.floats(-1e12, 1e12))
+    @example(3.0, 0.5, 1e-8, 1e8)        # (w, y) = (1e-8, 1): u rounds to 1
+    @example(3.0, 0.5, 1e-9, 1e12)       # the w cut itself
+    @example(3.0, 0.5, 1.0, 1e200)       # xi^2 overflows, and u would read 0
+    @settings(max_examples=200, deadline=None)
+    def test_p1_value_or_none_at_every_slope(self, q, c, w, ratio):
+        # at p = 1 the quantity is read through u = xi / sqrt(1 + xi^2), which
+        # is exactly +-1 from |xi| = 2^27 on; there it has no value, as at
+        # w <= 1e-9, and below |xi| = 1e7 it has a finite one
+        params = ProblemParams(1.0, q, c)
+        integral = conserved_quantity(reduce_params(params), reduced_nonlinearity(params))
+        y = w * ratio
+        value = integral(w, y)
+        if w <= 1e-9 or abs(y / w) >= 2.0**27:
+            assert value is None
+        elif abs(y / w) < 1e7:
+            assert type(value) is float and math.isfinite(value)
+        else:
+            assert value is None or (type(value) is float and math.isfinite(value))
 
     @given(st.floats(-30.0, 30.0))
     @settings(max_examples=50, deadline=None)
