@@ -38,7 +38,6 @@ __all__ = [
     "regularized_rhs",
     "p1_slope_rhs",
     "p1_cartesian_rhs",
-    "reversed_rhs",
     "check_scaling_conditions",
     "ScalingReport",
 ]
@@ -161,14 +160,6 @@ field_p1_cartesian = field_cartesian
 def field_polar(theta, rho, rp: ReducedParams, nl: Nonlinearity) -> tuple[float, float]:
     """(theta, rho) velocity in polar coordinates on the open first quadrant."""
     return _field_polar((theta, rho), rp, nl)
-
-
-def reversed_rhs(rhs):
-    """Time-reversed autonomous field: forward orbits trace backward ones."""
-    def back(t, s):
-        d1, d2 = rhs(t, s)
-        return -d1, -d2
-    return back
 
 
 @dataclass

@@ -17,11 +17,7 @@ from .errors import (
     DomainError,
     InconclusiveOrbitError,
 )
-from .fields import (
-    cartesian_rhs,
-    regularized_rhs,
-    reversed_rhs,
-)
+from .fields import cartesian_rhs, regularized_rhs
 from .integrate import (
     SECTION,
     EventSpec,
@@ -95,15 +91,17 @@ def classify_orbit(
 ) -> OrbitClass:
     """Classify the trajectory through a first-quadrant start point.
 
-    The backward branch decides: reaching w = 0 with y > 0 means a closed
-    orbit around the origin, reaching y = 0 left of the center means a closed
-    orbit around it, and converging into a shrinking origin ball with slope at
-    a root of the slope potential means the homoclinic separatrix; a branch
-    that crosses the ball at any other slope is passing the origin and is
-    followed on past it. A start on the y axis already witnesses the first
-    class (the separatrix never meets that axis). Transverse error grows
-    exponentially while tracking a separatrix backward, so the origin ball
-    cannot be taken much below 1e-6 of the initial radius at binary64.
+    The backward branch decides. It steps the chart's own field over a
+    falling span of tau, and tau_back witnesses the positive time back.
+    Reaching w = 0 with y > 0 means a closed orbit around the origin,
+    reaching y = 0 left of the center means a closed orbit around it, and
+    converging into a shrinking origin ball with slope at a root of the slope
+    potential means the homoclinic separatrix; a branch that crosses the ball
+    at any other slope is passing the origin and is followed on past it. A
+    start on the y axis already witnesses the first class (the separatrix
+    never meets that axis). Transverse error grows exponentially while
+    tracking a separatrix backward, so the origin ball cannot be taken much
+    below 1e-6 of the initial radius at binary64.
     """
     if rp.p <= 1.0:
         raise DomainError("classification runs the p > 1 phase plane")
@@ -133,7 +131,7 @@ def classify_orbit(
     ev_w = EventSpec("w=0", lambda t, s: s[0], terminal=True)
     ev_y = EventSpec("y=0", lambda t, s: s[1], terminal=True)
 
-    back = integrate(reversed_rhs(rhs), (w0, y0), (0.0, CLASSIFY_HORIZON),
+    back = integrate(rhs, (w0, y0), (0.0, -CLASSIFY_HORIZON),
                      events=[ev_origin, ev_w, ev_y], cfg=cfg)
     bound = float(np.max(np.hypot(back.states[:, 0], back.states[:, 1])))
     if back.status != "terminal-event":
@@ -149,7 +147,7 @@ def classify_orbit(
             # the branch crosses the ball at a slope that is no root of the
             # slope potential: it passes the origin rather than entering it,
             # so it resumes from the ball without the origin event
-            back = integrate(reversed_rhs(rhs), tuple(ev.state), (ev.tau, CLASSIFY_HORIZON),
+            back = integrate(rhs, tuple(ev.state), (ev.tau, -CLASSIFY_HORIZON),
                              events=[ev_w, ev_y], cfg=cfg)
             if back.status != "terminal-event":
                 raise InconclusiveOrbitError(
@@ -161,7 +159,7 @@ def classify_orbit(
     if ev.kind == "w=0":
         ybar = float(ev.state[1])
         return OrbitClass(CLOSED_AROUND_ORIGIN,
-                          {"axis_state": (0.0, ybar), "tau_back": ev.tau,
+                          {"axis_state": (0.0, ybar), "tau_back": -ev.tau,
                            "max_radius": bound})
 
     if ev.kind == "y=0":

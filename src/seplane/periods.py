@@ -238,10 +238,11 @@ def period_zero_amplitude_limit(rp: ReducedParams) -> float:
     if zero_amplitude_divergent(rp):
         return math.inf
     p, b, d = rp.p, rp.b, rp.d
-    # as b + d -> 0- the integrand peaks at theta = 0 with height 1/eps0 and
-    # width sqrt(eps0/curv); the plain rule steps over a peak narrower than
-    # 0.01, so that one gets a break point at every decade of its width up to
-    # 0.1, and its height is evaluated without cancelling -b against d cos^(p-2)
+    # the denominator (p - 1) tan^2 - b - d cos^(p-2), as eps0 + (p - 1) tan^2
+    # - d (cos^(p-2) - 1), never cancels -b against d cos^(p-2) at any width of
+    # the peak at theta = 0 (height 1/eps0, width sqrt(eps0/curv)); spots only
+    # adds break points: the plain rule steps over a peak narrower than 0.01,
+    # so that one gets a break point at every decade of its width up to 0.1
     eps0, curv = -(b + d), (p - 1.0) + 0.5 * (p - 2.0) * d
     width = math.sqrt(eps0 / curv) if curv > 0.0 else math.inf
     spots = [width * 10.0**k for k in range(math.ceil(math.log10(0.1 / width)))] \
@@ -249,11 +250,8 @@ def period_zero_amplitude_limit(rp: ReducedParams) -> float:
 
     def integrand(th):
         t = math.tan(th)
-        if spots:
-            den = (p - 1.0) * t * t + eps0 - d * math.expm1(
-                0.5 * (p - 2.0) * math.log1p(-math.sin(th) ** 2))
-        else:
-            den = (p - 1.0) * t * t - b - d * math.cos(th) ** (p - 2.0)
+        den = (p - 1.0) * t * t + eps0 - d * math.expm1(
+            0.5 * (p - 2.0) * math.log1p(-math.sin(th) ** 2))
         return (1.0 + (p - 1.0) * t * t) / den
 
     val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
@@ -329,7 +327,8 @@ def period_infimum_p1(d: float) -> float:
     """Infimum of the p = 1, b = 1 positive period function for d >= 0.
 
     Evaluated in the angular form and checked against the equivalent
-    slope-variable form (an exact substitution identity).
+    slope-variable form (an exact substitution identity); a disagreement of
+    the two quadratures raises IntegrationError.
     """
     if d < 0.0:
         raise DomainError("defined for d >= 0")
@@ -357,7 +356,7 @@ def period_infimum_p1(d: float) -> float:
                    limit=400, points=[2.0 * d] if 0.0 < 2.0 * d < 0.5 else None)
     t_u = 4.0 * (head + tail)
     if abs(t_u - t_theta) > 1e-9 * max(1.0, t_theta):
-        raise DomainError(
+        raise IntegrationError(
             f"slope and angular forms disagree: {t_u} vs {t_theta}")
     return t_theta
 

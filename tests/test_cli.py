@@ -45,6 +45,23 @@ class TestParamsCommand:
         assert doc["c_q"] == -1.0
         assert doc["b"] == 1.0 and doc["d"] == 0.0
 
+    def test_p1_infimum_forms_disagreeing_exit_3(self, capsys, monkeypatch):
+        # the slope form of the p = 1 infimum is its numeric cross-check: a
+        # disagreement is a numeric failure (exit 3), not invalid input
+        from scipy.integrate import quad
+
+        from seplane import periods
+
+        def skewed_quad(fn, *args, **kwargs):
+            val, err = quad(fn, *args, **kwargs)
+            return (val * (1.0 + 1e-6) if fn.__name__ == "integrand_u" else val), err
+
+        monkeypatch.setattr(periods, "quad", skewed_quad)
+        code, out, err = run_cli(capsys, "params", "-p", "1", "-q", "2", "-c", "1")
+        assert code == 3
+        assert "slope and angular forms disagree" in err
+        assert "Traceback" not in err + out
+
     def test_center_metadata(self, capsys):
         code, out, _ = run_cli(capsys, "params", "-p", "2", "-q", "3", "-c", "2")
         doc = json.loads(out)
@@ -74,7 +91,8 @@ class TestParamsCommand:
             [sys.executable, "-m", "seplane", "params", "-p", "2", "-q", "3", "-c", "1e16"],
             capture_output=True, text=True, timeout=5, preexec_fn=limit_memory,
             cwd=Path(__file__).resolve().parents[1],
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"})
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 2
         assert "141421356 positive modes, k = 1 to 141421356" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -431,6 +449,6 @@ class TestConfigAndChecks:
             [sys.executable, "-m", "seplane", "params", "-p", "2", "-q", "3"],
             capture_output=True, text=True,
             cwd=Path(__file__).resolve().parents[1],
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["beta_q"] == 1.0

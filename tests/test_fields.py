@@ -19,7 +19,6 @@ from seplane.fields import (
     p1_slope_rhs,
     polar_rhs,
     regularized_rhs,
-    reversed_rhs,
     slope_rhs,
 )
 from seplane.integrate import IntegratorConfig, integrate
@@ -283,6 +282,7 @@ class TestFloatContract:
     @example(-1e60, 1.0, (2.5, 6.0, -2.0, 4.0))
     @example(0.0, -0.5, (3.0, 5.0, -3.0, 2.0))
     @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_cartesian_matches_numpy_formula(self, w, y, case):
         assume(w != 0.0 or y != 0.0)
         rp = ReducedParams(*case)
@@ -300,8 +300,6 @@ class TestFloatContract:
         if out is not None:
             assert type(out) is tuple and [type(x) for x in out] == [float, float]
             assert same(out[0], ref[0]) and same(out[1], ref[1])
-            back = reversed_rhs(cartesian_rhs(rp, nl))(0.0, (w, y))
-            assert same(back[0], -out[0]) and same(back[1], -out[1])
 
     @given(COMPONENT | COMPONENT.map(np.float64)
            | st.sampled_from([0.0, -0.0, math.nan, 1e300, -1e300]),
@@ -381,6 +379,7 @@ class TestFloatContract:
     @given(COMPONENT, st.floats(-0.999, 0.999), P1_CASES)
     @example(-1e150, 0.3, (1.0, 3.0, 1.0, 0.7))   # w^q overflows to -inf
     @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_p1_slope_matches_numpy_formula(self, w, u, case):
         rp = ReducedParams(*case)
         nl = Nonlinearity(1.0, case[1])
@@ -391,8 +390,6 @@ class TestFloatContract:
         out = p1_slope_rhs(rp, nl)(0.0, (w, u))
         assert type(out) is tuple and [type(x) for x in out] == [float, float]
         assert same(out[0], ref[0]) and same(out[1], ref[1])
-        back = reversed_rhs(p1_slope_rhs(rp, nl))(0.0, (w, u))
-        assert same(back[0], -out[0]) and same(back[1], -out[1])
 
     @given(st.floats(0.01, 1.56), st.floats(1e-3, 10.0), st.floats(-5.0, 5.0), CASES)
     @settings(max_examples=100, deadline=None)

@@ -160,7 +160,8 @@ def loaded_after_import(modules: list[str]) -> list[str]:
              f"if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={"PYTHONPATH": str(PACKAGE.parent),
-                                           "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"})
+                                           "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1",
+                                           "PYTHONDONTWRITEBYTECODE": "1"})
     return proc.stdout.split()
 
 

@@ -105,6 +105,20 @@ class TestIntegrate:
             value = ev.state[1] if ev.kind == "y=0" else ev.state[0]
             assert abs(value) < 1e-10
 
+    def test_falling_span_orders_events_within_one_step(self):
+        # w = 1 + tau falls through 0.5, 0.3 and 0.1 at tau = -0.5, -0.7 and
+        # -0.9, all inside the last step; the run meets them latest tau first,
+        # so "a" is recorded and "b", the first terminal one met, ends the run
+        events = [EventSpec("c", lambda t, s: s[0] - 0.1, terminal=True),
+                  EventSpec("b", lambda t, s: s[0] - 0.3, terminal=True),
+                  EventSpec("a", lambda t, s: s[0] - 0.5)]
+        traj = integrate(lambda t, s: (1.0, 0.0), (1.0, 0.0), (0.0, -2.0),
+                         events=events)
+        assert traj.taus[-2] > -0.5   # one step brackets all three
+        assert [ev.kind for ev in traj.events] == ["a", "b"]
+        assert [ev.tau for ev in traj.events] == pytest.approx([-0.5, -0.7], abs=1e-12)
+        assert traj.status == "terminal-event" and traj.taus[-1] == traj.events[-1].tau
+
     def test_monotone_taus_and_immutability(self, duffing_soft):
         rp, nl = duffing_soft
         traj = integrate(cartesian_rhs(rp, nl), (0.0, 1.0), (0.0, 3.0))

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from seplane.errors import DegenerateCriticalError, DomainError
-from seplane.fields import cartesian_rhs, regularized_rhs, reversed_rhs
+from seplane.fields import cartesian_rhs, regularized_rhs
 from seplane.integrate import EventSpec, IntegratorConfig, integrate
 from seplane.orbits import (
     CLOSED_AROUND_CENTER,
@@ -60,6 +60,7 @@ class TestClassify:
             oc = classify_orbit(start, rp, nl)
             assert oc.tag == CLOSED_AROUND_ORIGIN
             assert oc.witness["axis_state"][1] > 0.0
+            assert oc.witness["tau_back"] > 0.0   # measured back on a falling span
 
     def test_homoclinic_start(self, center_case):
         rp, nl = center_case
@@ -178,7 +179,7 @@ class TestShooting:
         assert nl.h(wt) <= rp.d - emin
         start = (wt, eta * wt)
         rho0 = math.hypot(*start)
-        traj = integrate(reversed_rhs(cartesian_rhs(rp, nl)), start, (0.0, 200.0),
+        traj = integrate(cartesian_rhs(rp, nl), start, (0.0, -200.0),
                          events=[EventSpec("origin",
                                            lambda t, s: math.hypot(s[0], s[1])
                                            - 1e-6 * rho0,

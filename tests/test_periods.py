@@ -27,6 +27,7 @@ from seplane.periods import (
     find_amplitude_for_period,
     mode_bounds,
     mode_threshold,
+    monotonicity,
     p1_turning_from_amplitude,
     period_infimum_p1,
     period_limits,
@@ -426,6 +427,18 @@ class TestScans:
             nl = Nonlinearity(rp.p, rp.q)
             assert check_scaling_conditions(rp, nl).satisfied
 
+    @pytest.mark.parametrize("values,verdict,violation", [
+        ([2.0, 2.0 + 1e-9, 2.0 - 1e-9], "constant", (2.0 + 1e-9) - (2.0 - 1e-9)),
+        ([3.0, 2.0, 1.5, 0.1], "decreasing", 0.0),
+        ([0.1, 1.5, 2.0, 3.0], "increasing", 0.0),
+        ([3.0, 1.0, 1.5, 1.2], "none", 2.0),
+        ([3.0, 2.0, 2.0, 1.0], "none", 1.0),
+    ], ids=["constant", "decreasing", "increasing", "none", "none-flat-step"])
+    def test_monotonicity_verdicts(self, values, verdict, violation):
+        # "constant" reports the spread, "none" the largest adjacent
+        # difference in size; a flat step is neither decreasing nor increasing
+        assert monotonicity(values) == (verdict, violation)
+
     def test_empty_grid(self, duffing_soft):
         rp, nl = duffing_soft
         with pytest.raises(DomainError):
@@ -452,6 +465,22 @@ class TestAmplitudeForPeriod:
         # the attainable range is (0, 2 pi)
         with pytest.raises(OutOfRangeError):
             find_amplitude_for_period(10.0, "sign-changing", rp, nl)
+
+    @pytest.mark.parametrize("target", [1.0, 10.0], ids=["below", "above"])
+    def test_p1_target_outside_the_range(self, target, p1_power):
+        # the ends of the p = 1 amplitude range, 1e-9 inside it, carry the
+        # infimum and the center's small-oscillation period
+        rp = ReducedParams(1.0, 2.0, 1.0, 1.0)
+        with pytest.raises(OutOfRangeError) as info:
+            find_amplitude_for_period(target, "positive", rp, p1_power)
+        lo, hi = info.value.attained
+        assert rel_err(lo, period_infimum_p1(1.0)) < 1e-9
+        assert rel_err(hi, 2.0 * math.pi / math.sqrt(2.0)) < 1e-9
+
+    def test_p1_constant_period_refused(self, p1_power):
+        rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="constant period function"):
+            find_amplitude_for_period(2.0 * math.pi, "positive", rp, p1_power)
 
     def test_positive_target_below_the_center_period(self, center_case):
         # the walk climbs toward a and stops 1e-6 a short of it, where event
