@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import SeplaneError
 from .fields import (
@@ -24,6 +23,7 @@ from .fields import (
     regularized_rhs,
 )
 from .integrate import integrate, integrate_to_section
+from .numerics import tanh_sinh
 from .orbits import conserved_quantity, shoot_homoclinic
 from .params import (
     Nonlinearity,
@@ -138,7 +138,7 @@ def _mode_threshold_oracle(params: ProblemParams) -> float:
         return (1.0 + (p - 1.0) * t * t) / (
             beta**p * (p - 1.0) * t * t + cq - c * math.cos(theta) ** (p - 2.0))
 
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-12, limit=400)
+    val, _ = tanh_sinh(integrand, 0.0, math.pi / 2.0, 1e-10, 1e-12)
     return math.pi * beta ** (1.0 - p) / (2.0 * val)
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -27,6 +26,7 @@ from .errors import (
     SeplaneError,
     StepUnderflowError,
 )
+from .numerics import brent as brentq
 
 __all__ = [
     "IntegratorConfig",

@@ -13,9 +13,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
+from .numerics import brent as brentq
 
 __all__ = [
     "ProblemParams",
@@ -73,9 +73,17 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+def _require_exponents(p: float, q: float) -> None:
+    """q > p - 1, tested on the gap q + 1 - p as computed, which the exponent
+    formulas divide by: within an ulp of p - 1, q passes the plain test while
+    the gap rounds to 0."""
+    _require(q + 1.0 - p > 0.0, f"need q > p - 1 with q + 1 - p > 0 in binary64, "
+                                f"got p={p}, q={q}")
+
+
 def decay_exponent(p: float, q: float) -> float:
     """Radial decay exponent p/(q+1-p) of the separable ansatz; positive."""
-    _require(q > p - 1.0, f"need q > p - 1, got p={p}, q={q}")
+    _require_exponents(p, q)
     return p / (q + 1.0 - p)
 
 
@@ -92,7 +100,7 @@ def angular_eigenvalue(p: float, q: float) -> float:
 
 def critical_potential(p: float, q: float) -> float:
     """Potential threshold: nonzero constant profiles exist iff c exceeds it."""
-    _require(q > p - 1.0, f"need q > p - 1, got p={p}, q={q}")
+    _require_exponents(p, q)
     return p ** (p - 1.0) * ((p - 2.0) * q + 2.0 * (p - 1.0)) / (q + 1.0 - p) ** p
 
 
@@ -108,7 +116,7 @@ class ProblemParams:
         for name in ("p", "q", "c"):
             _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
         _require(self.p >= 1.0, f"need p >= 1, got {self.p}")
-        _require(self.q > self.p - 1.0, f"need q > p - 1, got p={self.p}, q={self.q}")
+        _require_exponents(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ class ReducedParams:
         for name in ("p", "q", "b", "d"):
             _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
         _require(self.p >= 1.0, f"need p >= 1, got {self.p}")
-        _require(self.q > self.p - 1.0, f"need q > p - 1, got p={self.p}, q={self.q}")
+        _require_exponents(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -137,8 +145,7 @@ class Nonlinearity:
     power: float
 
     def __post_init__(self):
-        _require(self.power > self.p - 1.0,
-                 f"need q > p - 1, got p={self.p}, q={self.power}")
+        _require_exponents(self.p, self.power)
 
     def f(self, s):
         return odd_power(s, self.power)
@@ -188,7 +195,13 @@ def lift_profile(tau, w, params: ProblemParams):
     p, q = params.p, params.q
     scale = angular_time_scale(p, q)
     # at p = 1, beta q = 1, so omega = |w|^(1/q - 1) w
-    omega = odd_power(w, 1.0 / q) if p == 1.0 else scale**scale * w
+    if p == 1.0:
+        omega = odd_power(w, 1.0 / q)
+    else:
+        try:
+            omega = scale**scale * w
+        except OverflowError:
+            raise DomainError(f"beta = {scale!r}: beta^beta overflows binary64") from None
     return tau / scale, omega
 
 
@@ -449,7 +462,7 @@ def mode_threshold_zero_c(p: float, q: float) -> float:
     (m - 1)) with m^2 - 1 = (p - 2)(q + 1 - p)/(p (p - 1)), written with the
     factor p - 2 cancelled (2/(q-1) at p = 2)."""
     _require(p > 1.0, "defined for p > 1")
-    _require(q > p - 1.0, "need q > p - 1")
+    _require_exponents(p, q)
     msq = (2.0 * (p - 1.0) + (p - 2.0) * q) / (p * (p - 1.0))
     _require(msq >= 0.0, "no finite threshold: c = 0 exceeds the critical potential here")
     m = math.sqrt(msq)

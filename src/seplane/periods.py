@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationError, OutOfRangeError
 from .fields import cartesian_rhs
 from .integrate import IntegratorConfig, integrate_to_section
+from .numerics import brent as brentq
+from .numerics import tanh_sinh
 from .params import (
     Nonlinearity,
     ProblemParams,
@@ -55,6 +55,7 @@ __all__ = [
 QUAD_ABS_TOL = 1e-10
 P1_QUAD_ABS_TOL = 1e-11
 _HALF_PI = math.pi / 2.0
+_QUARTER_PI = math.pi / 4.0
 # four-point Gauss-Legendre rule on [-1, 1]: nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)),
 # weights (18 +- sqrt(30))/36, the larger weight on the inner pair
 _GAUSS_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
@@ -241,8 +242,10 @@ def period_zero_amplitude_limit(rp: ReducedParams) -> float:
     # the denominator (p - 1) tan^2 - b - d cos^(p-2), as eps0 + (p - 1) tan^2
     # - d (cos^(p-2) - 1), never cancels -b against d cos^(p-2) at any width of
     # the peak at theta = 0 (height 1/eps0, width sqrt(eps0/curv)); spots only
-    # adds break points: the plain rule steps over a peak narrower than 0.01,
-    # so that one gets a break point at every decade of its width up to 0.1
+    # adds break points: a peak narrower than 0.01 gets one at every decade of
+    # its width up to 0.1. log cos^2 is log1p(-sin^2) below pi/4, free of
+    # cancellation there, and 2 log cos above, where sin^2 rounds to 1 at the
+    # rule's nodes next to pi/2
     eps0, curv = -(b + d), (p - 1.0) + 0.5 * (p - 2.0) * d
     width = math.sqrt(eps0 / curv) if curv > 0.0 else math.inf
     spots = [width * 10.0**k for k in range(math.ceil(math.log10(0.1 / width)))] \
@@ -250,12 +253,12 @@ def period_zero_amplitude_limit(rp: ReducedParams) -> float:
 
     def integrand(th):
         t = math.tan(th)
-        den = (p - 1.0) * t * t + eps0 - d * math.expm1(
-            0.5 * (p - 2.0) * math.log1p(-math.sin(th) ** 2))
+        log_cos2 = math.log1p(-math.sin(th) ** 2) if th < _QUARTER_PI \
+            else 2.0 * math.log(math.cos(th))
+        den = (p - 1.0) * t * t + eps0 - d * math.expm1(0.5 * (p - 2.0) * log_cos2)
         return (1.0 + (p - 1.0) * t * t) / den
 
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=QUAD_ABS_TOL,
-                  epsrel=1e-12, limit=400, points=spots)
+    val, _ = tanh_sinh(integrand, 0.0, _HALF_PI, QUAD_ABS_TOL, 1e-12, points=spots)
     return 4.0 * val
 
 
@@ -318,8 +321,7 @@ def period_positive_p1(
         a_root = math.sqrt(1.0 - s * math.sin(phi) ** 2)
         return math.sqrt((a_root + root_s) / (2.0 * d + a_root + root_s))
 
-    val, est = quad(integrand, 0.0, math.pi / 2.0, epsabs=P1_QUAD_ABS_TOL,
-                    epsrel=1e-12, limit=400)
+    val, est = tanh_sinh(integrand, 0.0, _HALF_PI, P1_QUAD_ABS_TOL, 1e-12)
     return PeriodSample(mu, 4.0 * val, "quadrature", 4.0 * est + 1e-10)
 
 
@@ -337,8 +339,7 @@ def period_infimum_p1(d: float) -> float:
         c = math.cos(th)
         return math.sqrt(c / (c + 2.0 * d))
 
-    val, _ = quad(integrand_theta, 0.0, math.pi / 2.0, epsabs=P1_QUAD_ABS_TOL,
-                  epsrel=1e-13, limit=400)
+    val, _ = tanh_sinh(integrand_theta, 0.0, _HALF_PI, P1_QUAD_ABS_TOL, 1e-13)
     t_theta = 4.0 * val
 
     # the slope form on u in (0, sqrt(3)/2), then its tail in r = sqrt(1 - u^2)
@@ -350,10 +351,8 @@ def period_infimum_p1(d: float) -> float:
     def integrand_r(r):
         return math.sqrt(r / ((1.0 - r * r) * (r + 2.0 * d)))
 
-    head, _ = quad(integrand_u, 0.0, math.sqrt(0.75), epsabs=P1_QUAD_ABS_TOL,
-                   epsrel=1e-13, limit=400)
-    tail, _ = quad(integrand_r, 0.0, 0.5, epsabs=P1_QUAD_ABS_TOL, epsrel=1e-13,
-                   limit=400, points=[2.0 * d] if 0.0 < 2.0 * d < 0.5 else None)
+    head, _ = tanh_sinh(integrand_u, 0.0, math.sqrt(0.75), P1_QUAD_ABS_TOL, 1e-13)
+    tail, _ = tanh_sinh(integrand_r, 0.0, 0.5, P1_QUAD_ABS_TOL, 1e-13, points=[2.0 * d])
     t_u = 4.0 * (head + tail)
     if abs(t_u - t_theta) > 1e-9 * max(1.0, t_theta):
         raise IntegrationError(

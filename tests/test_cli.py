@@ -48,15 +48,14 @@ class TestParamsCommand:
     def test_p1_infimum_forms_disagreeing_exit_3(self, capsys, monkeypatch):
         # the slope form of the p = 1 infimum is its numeric cross-check: a
         # disagreement is a numeric failure (exit 3), not invalid input
-        from scipy.integrate import quad
-
         from seplane import periods
+        from seplane.numerics import tanh_sinh
 
-        def skewed_quad(fn, *args, **kwargs):
-            val, err = quad(fn, *args, **kwargs)
+        def skewed_tanh_sinh(fn, *args, **kwargs):
+            val, err = tanh_sinh(fn, *args, **kwargs)
             return (val * (1.0 + 1e-6) if fn.__name__ == "integrand_u" else val), err
 
-        monkeypatch.setattr(periods, "quad", skewed_quad)
+        monkeypatch.setattr(periods, "tanh_sinh", skewed_tanh_sinh)
         code, out, err = run_cli(capsys, "params", "-p", "1", "-q", "2", "-c", "1")
         assert code == 3
         assert "slope and angular forms disagree" in err
@@ -80,6 +79,20 @@ class TestParamsCommand:
         code, _, err = run_cli(capsys, "params", "-p", p, "-q", q, "-c", c)
         assert code == 2
         assert "invalid input" in err and "Traceback" not in err
+
+    # draws of a seeded fuzz of main that ended in a traceback (exit 1): the
+    # gap q + 1 - p rounding to 0 after q > p - 1 passed, and beta^beta
+    # overflowing in the lifted constant profile
+    @pytest.mark.parametrize("argv,message", [
+        (["params", "-p", "1.0000000000000002", "-q", "2.2215500820439895e-16",
+          "-c", "2.1458829588879502e-05"], "q + 1 - p > 0 in binary64"),
+        (["solve-set", "-p", "2.3802022906663343", "-q", "1.3916826402679285",
+          "-c", "451477.24463120766", "--k-max", "1"], "beta^beta overflows binary64"),
+    ], ids=["exponent-gap-rounds-to-zero", "lift-overflows"])
+    def test_fuzz_tracebacks_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err and "Traceback" not in err + out
 
     def test_huge_mode_count_exits_2_quickly(self):
         # about 1.4e8 positive modes: the count is refused before any list is

@@ -4,8 +4,9 @@ A changed digest means a changed output. A digest changes only with a
 deliberate numeric change that CHANGES.md lists with the invocation, the
 values that moved and why; a change that claims the same behaviour keeps
 every digest. The digests belong to the numerical stack they were recorded
-with (Python 3.11.7, numpy 2.4.6, scipy 1.17.1 on x86-64 Linux); another
-stack may round differently.
+with (Python 3.11.7, numpy 2.4.6 on x86-64 Linux); another stack may round
+differently. The package's root finder and quadrature are its own, so the
+scipy version does not enter them.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ CLI_CASES = [
                      "sign-changing", "--grid", "0.01:100:30:log"], False, 0,
      "48ff690107b08e6408748addedbf1885f0b0dfba927c223681168bbee5c0426f"),
     ("readme-solve-set", ["solve-set", "-p", "1", "-q", "2", "-c", "3"], True, 0,
-     "4e86c5b0b76e0c55fe4738795014f7ca58ac8cf4c6544ec634a634437b4bdfac"),
+     "fe37de3fe8fd2ccc78a082d97790ec9a3289fed8e652961c9a20201877bec6ca"),
     ("readme-sector", ["sector", "-p", "2", "-q", "3", "--theta", "3.141592653589793"],
      False, 0, "2bbf0d02c35536ef9ac23e56deefeb8e36371cccf830fce9705f4d55a6fe8487"),
     ("params-p1", ["params", "-p", "1", "-q", "2", "-c", "3"], False, 0, "527ce197cd2c9d44431653ebeac4827e64f070b0b074d0be5165bb2b5d171285"),
@@ -56,7 +57,7 @@ CLI_CASES = [
      False, 0, "454caec3ced789f36e14aa1f0b0b8970ec9a37423276e01c4cf8acec3e8ac5bd"),
     ("scan-positive-p1", ["period-scan", "-p", "1", "-q", "2", "-c", "1", "--kind",
                           "positive", "--grid", "0.01:2.5:10"], False, 3,
-     "ede5caf4ca607c056a3ad6691428f5c111bedb089120fba6afac866fbbe0d197"),
+     "2547b80af785a2b80f7f01d125b0de7231d682f07a7d1eb96af0beef87ad4d49"),
     ("solve-set-sc", ["solve-set", "-p", "2", "-q", "3", "-c", "0", "--k-max", "3"],
      False, 0, "3bc70b18a6c315e165cf184be64705f1634c504045d85748a0493e37ce91581d"),
     ("solve-set-pos", ["solve-set", "-p", "2", "-q", "3", "-c", "3", "--k-max", "1"],
@@ -68,7 +69,7 @@ CLI_CASES = [
 # script file name -> sha256 of the tree it writes under OUT
 SCRIPT_CASES = {
     "mode_atlas.py": "5254f829d8eae6ca873351a9c4d18958052acec87eddb74fe5b05dcb0f04a299",
-    "period_curves.py": "c4f996bdfa22d69435c12daf5356a97327bba086624403050fcd39e3d503e393",
+    "period_curves.py": "45d7bfabf3bee2b02a4ca5f7757c3625cfd8545269c81ccda38695048293bdf3",
     "phase_portraits.py": "88f991605efeee82c107c80bfa3121fbf0c7c6964863edbb13ce99453adfb971",
 }
 

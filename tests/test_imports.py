@@ -126,38 +126,41 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private(sources) == []
 
 
-def scipy_integrate_imports(source: str) -> list[str]:
-    """Names a module takes from scipy.integrate, by any import form."""
+def scipy_imports(source: str) -> list[str]:
+    """Names a module takes from scipy, by any import form."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names += [a.name for a in node.names if a.name.startswith("scipy.integrate")]
+            names += [a.name for a in node.names
+                      if a.name == "scipy" or a.name.startswith("scipy.")]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "scipy.integrate" or node.module.startswith("scipy.integrate."):
+            if node.module == "scipy" or node.module.startswith("scipy."):
                 names += [f"{node.module}.{a.name}" for a in node.names]
-            elif node.module == "scipy":
-                names += [f"scipy.{a.name}" for a in node.names if a.name == "integrate"]
     return sorted(names)
 
 
 def test_scipy_integrate_guard_sees_every_form():
     source = ("import scipy.integrate\nfrom scipy import integrate, optimize\n"
               "from scipy.integrate import RK45\nfrom scipy.integrate._ivp import rk\n"
-              "from scipy.optimize import brentq\n")
-    assert scipy_integrate_imports(source) == [
-        "scipy.integrate", "scipy.integrate", "scipy.integrate.RK45",
-        "scipy.integrate._ivp.rk"]
+              "from scipy.optimize import brentq\nimport scipy as sp, math\n"
+              "def f():\n    import scipy.special\n"
+              "from scipyx import y\nimport scipyx\n")
+    assert scipy_imports(source) == [
+        "scipy", "scipy.integrate", "scipy.integrate", "scipy.integrate.RK45",
+        "scipy.integrate._ivp.rk", "scipy.optimize", "scipy.optimize.brentq", "scipy.special"]
 
 
 def test_stepper_is_the_only_stepper():
-    # integrate.py owns its Dormand-Prince stepper; no scipy solver beside it
-    assert scipy_integrate_imports((PACKAGE / "integrate.py").read_text()) == []
+    # integrate.py owns its Dormand-Prince stepper and numerics.py the root
+    # finder and the quadrature; no module takes anything from scipy
+    assert {p.name: scipy_imports(p.read_text()) for p in PACKAGE.glob("*.py")} \
+        == {p.name: [] for p in PACKAGE.glob("*.py")}
 
 
-def loaded_after_import(modules: list[str]) -> list[str]:
-    """Which of ``modules`` a fresh interpreter holds after ``import seplane``."""
-    probe = (f"import sys, seplane; print(*sorted(m for m in {modules!r} "
-             f"if m in sys.modules))")
+def scipy_after_import(module: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after ``import <module>``."""
+    probe = (f"import sys, {module}; print(*sorted(m for m in sys.modules "
+             f"if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={"PYTHONPATH": str(PACKAGE.parent),
                                            "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1",
@@ -166,7 +169,9 @@ def loaded_after_import(modules: list[str]) -> list[str]:
 
 
 def test_import_does_not_load_scipy_interpolate():
-    # the quadrature route reads the stepper's own quartics; scipy.interpolate
-    # would add about 50 ms to every start. scipy.optimize (brentq) shows the
-    # probe sees what the package does load
-    assert loaded_after_import(["scipy.interpolate", "scipy.optimize"]) == ["scipy.optimize"]
+    # scipy is a test oracle only: scipy.optimize and scipy.integrate would add
+    # about 50 MB and 0.4 s to every start. scipy.optimize's own entry shows
+    # the probe sees what an import loads
+    assert "scipy.optimize" in scipy_after_import("scipy.optimize")
+    assert scipy_after_import("seplane") == []
+    assert scipy_after_import("seplane.cli") == []

@@ -16,6 +16,7 @@ from seplane.errors import DomainError
 from seplane.params import (
     Nonlinearity,
     ProblemParams,
+    ReducedParams,
     angular_eigenvalue,
     critical_potential,
     damping_coefficient,
@@ -52,6 +53,16 @@ class TestScalarConstants:
     def test_decay_exponent_domain(self):
         with pytest.raises(DomainError):
             decay_exponent(3.0, 2.0)
+
+    def test_exponent_gap_checked_as_computed(self):
+        # q > p - 1 holds here, but q + 1 - p rounds to 0: every owner of the
+        # exponent pair refuses it rather than divide by the gap
+        p, q = 1.0000000000000002, 2.2215500820439895e-16
+        assert q > p - 1.0 and q + 1.0 - p == 0.0
+        for build in (decay_exponent, critical_potential, mode_threshold_zero_c,
+                      ProblemParams, Nonlinearity, lambda p, q: ReducedParams(p, q, 1.0, 0.0)):
+            with pytest.raises(DomainError, match="q \\+ 1 - p > 0"):
+                build(p, q)
 
     def test_eigenvalue_values(self):
         assert angular_eigenvalue(2.0, 3.0) == 1.0
@@ -140,6 +151,12 @@ class TestLift:
         w = 2.0 * np.sin(tau)
         sigma, omega = lift_profile(tau, w, params)
         assert np.allclose(omega, (2.0 * np.sin(sigma)) ** 0.5)
+
+    def test_lift_overflow_is_a_domain_error(self):
+        # beta = 207.3: beta^beta is beyond the largest double
+        params = ProblemParams(2.3802022906663343, 1.3916826402679285, 451477.24463120766)
+        with pytest.raises(DomainError, match="beta\\^beta overflows binary64"):
+            lift_profile(0.0, 1.0, params)
 
     def test_constant_round_trip(self):
         params = ProblemParams(2.5, 4.0, 6.0)
