@@ -23,9 +23,7 @@ from .errors import (
     StepUnderflowError,
 )
 from .fields import (
-    check_scaling_conditions,
     field_cartesian,
-    field_p1_cartesian,
     field_p1_slope,
     field_polar,
     field_regularized,

@@ -258,12 +258,15 @@ def _write_orbit(args, taus, states, meta) -> None:
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
-    if len(parts) not in (3, 4):
+    if len(parts) not in (3, 4) or parts[3:] not in ([], ["log"]):
         raise DomainError("grid spec is lo:hi:n or lo:hi:n:log")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n <= 0 or hi <= lo:
-        raise DomainError("grid needs hi > lo and n > 0")
-    if len(parts) == 4 and parts[3] == "log":
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise DomainError(f"grid spec {spec!r}: {exc}") from None
+    if n <= 0 or not -math.inf < lo < hi < math.inf:
+        raise DomainError("grid needs finite lo < hi and n > 0")
+    if len(parts) == 4:
         if lo <= 0.0:
             raise DomainError("log grid needs lo > 0")
         return np.geomspace(lo, hi, n)

@@ -11,10 +11,6 @@ charts are split at p = 1, where the slope map has range (-1, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError, SingularFieldError, SingularOriginError
 from .params import (
@@ -31,15 +27,12 @@ __all__ = [
     "field_slope",
     "field_regularized",
     "field_p1_slope",
-    "field_p1_cartesian",
     "cartesian_rhs",
     "polar_rhs",
     "slope_rhs",
     "regularized_rhs",
     "p1_slope_rhs",
     "p1_cartesian_rhs",
-    "check_scaling_conditions",
-    "ScalingReport",
 ]
 
 
@@ -152,66 +145,12 @@ field_slope = _at_point(slope_rhs)
 field_regularized = _at_point(regularized_rhs)
 field_p1_slope = _at_point(p1_slope_rhs)
 _field_polar = _at_point(polar_rhs)
-# the Cartesian chart's p = 1 names, kept for callers that bind them
+# the Cartesian chart's old p = 1 name, kept because the benchmark's tracer
+# (perfbench/tracing.py, RHS_FACTORIES) wraps every factory by this name
 p1_cartesian_rhs = cartesian_rhs
-field_p1_cartesian = field_cartesian
 
 
 def field_polar(theta, rho, rp: ReducedParams, nl: Nonlinearity) -> tuple[float, float]:
     """(theta, rho) velocity in polar coordinates on the open first quadrant."""
     return _field_polar((theta, rho), rp, nl)
 
-
-@dataclass
-class ScalingReport:
-    """Sign pattern of the radial-scaling derivatives of a planar field."""
-
-    satisfied: bool
-    f_derivative_range: tuple[float, float]
-    g_derivative_max: float
-    n_points: int
-    violations: list = field(default_factory=list)
-
-
-def check_scaling_conditions(
-    rp: ReducedParams,
-    nl: Nonlinearity,
-    planar_field: Callable[[float, float], tuple[float, float]] | None = None,
-) -> ScalingReport:
-    """Numerically probe the radial monotonicity hypothesis that underlies
-    period-function monotonicity: F(l w, l y)/l nondecreasing and
-    G(l w, l y)/l decreasing in l at five fixed quadrant points, for nine
-    scale factors l in [1/2, 2].
-    """
-    if rp.p <= 1.0:
-        raise DomainError("scaling check applies to the p > 1 field")
-    if planar_field is None:
-        planar_field = lambda w, y: field_cartesian((w, y), rp, nl)
-    points = [(0.3, 0.2), (1.0, 1.0), (0.5, 1.5), (2.0, 0.7), (1.2, 0.4)]
-    lambdas = np.geomspace(0.5, 2.0, 9)
-
-    def ratios(w, y, l):
-        fv, gv = planar_field(l * w, l * y)
-        return fv / l, gv / l
-
-    step = 1e-5
-    f_lo, f_hi = math.inf, -math.inf
-    g_max = -math.inf
-    violations = []
-    for (w, y) in points:
-        for lam in lambdas:
-            (f_up, g_up), (f_dn, g_dn) = ratios(w, y, lam + step), ratios(w, y, lam - step)
-            fp = (f_up - f_dn) / (2.0 * step)
-            gp = (g_up - g_dn) / (2.0 * step)
-            f_lo, f_hi = min(f_lo, fp), max(f_hi, fp)
-            g_max = max(g_max, gp)
-            if fp < -1e-9 or gp >= 0.0:
-                violations.append({"point": (w, y), "lambda": float(lam),
-                                   "dF": fp, "dG": gp})
-    return ScalingReport(
-        satisfied=not violations,
-        f_derivative_range=(f_lo, f_hi),
-        g_derivative_max=g_max,
-        n_points=len(points) * len(lambdas),
-        violations=violations,
-    )

@@ -49,7 +49,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step", "event_tol"):
-            if getattr(self, name) <= 0.0:
+            # written so that NaN fails; max_step may be inf
+            if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
         if self.max_steps <= 0:
             raise DomainError("max_steps must be positive")
@@ -275,23 +276,25 @@ def integrate(
     ``rhs(t, s)`` receives the state as a pair of Python floats and returns
     its two derivatives as floats; event monitors receive the same pair.
     Stops at the span end, at the first terminal event, or with an error at
-    the step budget / step underflow. An error raised by the first two rhs
-    calls (the start and the trial of the first step size) propagates as it
-    is; a chart-domain, arithmetic or value error on a later stage becomes an
-    IntegrationError.
+    the step budget / step underflow; a non-finite start or span end is a
+    DomainError. An error raised by the first two rhs calls (the start and the
+    trial of the first step size) propagates as it is; a chart-domain,
+    arithmetic or value error on a later stage becomes an IntegrationError.
     """
     cfg = cfg or DEFAULT_CONFIG
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     y_start = np.array(start, dtype=float)
     if y_start.shape != (2,):
         raise DomainError(f"the stepper advances planar states, got shape {y_start.shape}")
+    y0, y1 = y_start.tolist()
+    if not all(map(math.isfinite, (t0, t1, y0, y1))):
+        raise DomainError(f"the stepper needs a finite start and span, got {start}, {tau_span}")
     if t1 == t0:
         return Trajectory(np.array([t0]), y_start[None, :], [], "completed", None)
 
     span = abs(t1 - t0)
     direction = 1.0 if t1 > t0 else -1.0
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
-    t, (y0, y1) = t0, y_start.tolist()
+    t, rtol, atol, max_step = t0, cfg.rel_tol, cfg.abs_tol, cfg.max_step
     f0, f1 = rhs(t0, (y0, y1))
     h_abs = _initial_step(rhs, t0, y0, y1, f0, f1, t1, direction, cfg)
     taus = [t0]

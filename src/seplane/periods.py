@@ -413,8 +413,9 @@ def period_sample(
 
 
 def monotonicity(periods: Sequence[float]) -> tuple[str, float]:
-    """Verdict on a period sequence with its largest violation: constant to
-    1e-8 relative spread, strictly decreasing, strictly increasing, or none."""
+    """Verdict on a period sequence and its violation: constant to 1e-8 relative
+    spread (the spread), strictly decreasing or increasing (0), or none (the
+    smaller of the largest rise and fall, 0 where only flat steps break it)."""
     periods = np.asarray(periods, dtype=float)
     diffs = np.diff(periods)
     spread = float(periods.max() - periods.min())
@@ -424,7 +425,7 @@ def monotonicity(periods: Sequence[float]) -> tuple[str, float]:
         return "decreasing", 0.0
     if np.all(diffs > 0.0):
         return "increasing", 0.0
-    return "none", float(np.max(np.abs(diffs)))
+    return "none", float(min(max(diffs.max(), 0.0), max(-diffs.min(), 0.0)))
 
 
 def period_scan(

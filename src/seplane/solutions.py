@@ -45,6 +45,8 @@ __all__ = [
 
 # profile samples per least period; the explicit p = 1 families get four times as many
 POINTS_PER_PERIOD = 2048
+# profile samples a solution set may build over its modes, POINTS_PER_PERIOD k each
+MAX_PROFILE_SAMPLES = 2**24
 # turning parameters K of the explicit positive p = 1 family sampled at c = 0
 EXPLICIT_K = (0.25, 0.5, 0.75)
 # finite differencing of the sampled profile amplifies dense-output
@@ -307,13 +309,18 @@ def build_solution_set(
     constants = [float(lift_profile(0.0, stationary_abscissa(rp, nl), params)[1])] \
         if rp.b + rp.d > 0.0 else []
     families: list[dict] = []
-    modes = [("positive", k) for k in bounds.positive_modes]
-
-    if p > 1.0:
-        k_lo = bounds.k_sign_changing_min
-        k_hi = k_max if k_max is not None else k_lo + 2
-        modes = [("sign-changing", k) for k in range(k_lo, k_hi + 1)] + modes
-    else:
+    k_lo = bounds.k_sign_changing_min
+    sign_changing = range(k_lo, (k_lo + 2 if k_max is None else k_max) + 1) \
+        if p > 1.0 else range(0)
+    # counted in closed form before any mode is listed or built
+    samples = POINTS_PER_PERIOD * (sum(bounds.positive_modes) + len(sign_changing)
+                                   * (sign_changing.start + sign_changing.stop - 1) // 2)
+    if samples > MAX_PROFILE_SAMPLES:
+        raise DomainError(f"the modes need {samples} profile samples, more than the "
+                          f"{MAX_PROFILE_SAMPLES} a solution set builds")
+    modes = ([("sign-changing", k) for k in sign_changing]
+             + [("positive", k) for k in bounds.positive_modes])
+    if p == 1.0:
         n = 4 * POINTS_PER_PERIOD
         if c == 0.0 and q <= 1.0:
             families.append({"family": "omega0", "q": q, "kind": "sign-changing",

@@ -1,3 +1,9 @@
+import sys
+
+# no bytecode for the package under test: a __pycache__ left in the source
+# tree changes the peak RSS of a later run from the same checkout
+sys.dont_write_bytecode = True
+
 import pytest
 from hypothesis import settings
 

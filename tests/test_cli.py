@@ -19,6 +19,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_limited(*argv):
+    """The CLI in a child process under a 5 s and 2 GiB address-space limit,
+    for inputs that would exhaust memory if their refusal were lost."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "seplane", *argv],
+        capture_output=True, text=True, timeout=5, preexec_fn=limit_memory,
+        cwd=Path(__file__).resolve().parents[1],
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONDONTWRITEBYTECODE": "1"})
+
+
 def tail_json(csv_text: str) -> dict:
     lines = [l[2:] for l in csv_text.splitlines() if l.startswith("# ")]
     return json.loads("\n".join(lines))
@@ -95,17 +109,8 @@ class TestParamsCommand:
         assert message in err and "Traceback" not in err + out
 
     def test_huge_mode_count_exits_2_quickly(self):
-        # about 1.4e8 positive modes: the count is refused before any list is
-        # built; the child runs under a time and an address-space limit
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "seplane", "params", "-p", "2", "-q", "3", "-c", "1e16"],
-            capture_output=True, text=True, timeout=5, preexec_fn=limit_memory,
-            cwd=Path(__file__).resolve().parents[1],
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1",
-                 "PYTHONDONTWRITEBYTECODE": "1"})
+        # about 1.4e8 positive modes: the count is refused before any list is built
+        proc = run_limited("params", "-p", "2", "-q", "3", "-c", "1e16")
         assert proc.returncode == 2
         assert "141421356 positive modes, k = 1 to 141421356" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -318,6 +323,18 @@ class TestSolveSetCommand:
         assert header == "sigma,omega"
         assert float(first.split(",")[1]) > 0.0
 
+    @pytest.mark.parametrize("argv,samples", [
+        (("-p", "1", "-q", "2.7257748420741237", "-c", "11085317.678793296", "--k-max", "4"),
+         27675168768),
+        (("-p", "2", "-q", "3", "-c", "0", "--k-max", "100000"), 10240102397952),
+    ], ids=["2844-positive-modes", "k-max-100000"])
+    def test_sample_budget_exits_2_quickly(self, argv, samples):
+        # the samples of every mode are counted before any profile is built
+        proc = run_limited("solve-set", *argv)
+        assert proc.returncode == 2
+        assert f"the modes need {samples} profile samples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSectorCommand:
     def test_boundary(self, capsys):
@@ -408,6 +425,22 @@ class TestConfigAndChecks:
     ], ids=lambda argv: argv[0])
     def test_integrator_flags_refused_where_nothing_integrates(self, capsys, argv, flags):
         code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 2
+        assert out == "" and "invalid input" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("period-scan", "--kind", "sign-changing", "--grid", "a:b:3"),
+        ("period-scan", "--kind", "sign-changing", "--grid", "0.1:1:1e2"),
+        ("period-scan", "--kind", "sign-changing", "--grid", "0.1:1:3:lin"),
+        ("period-scan", "--kind", "sign-changing", "--grid", "nan:1:3"),
+        ("orbit", "--start", "0", "1", "--span", "nan"),
+        ("orbit", "--start", "0", "1", "--span", "inf"),
+        ("orbit", "--start", "0", "1", "--span", "1", "--tol-rel", "nan"),
+        ("orbit", "--start", "nan", "1", "--span", "1"),
+    ], ids=["grid-words", "grid-float-count", "grid-lin", "grid-nan", "span-nan",
+            "span-inf", "tol-rel-nan", "start-nan"])
+    def test_non_finite_and_malformed_numbers_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], "-p", "2", "-q", "3", "-c", "0", *argv[1:])
         assert code == 2
         assert out == "" and "invalid input" in err
 

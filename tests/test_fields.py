@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from seplane.errors import DomainError, SingularFieldError, SingularOriginError
 from seplane.fields import (
     cartesian_rhs,
-    check_scaling_conditions,
     field_cartesian,
-    field_p1_cartesian,
     field_p1_slope,
     field_polar,
     field_regularized,
@@ -207,40 +205,17 @@ class TestP1Charts:
             assert abs(upp[i] - rhs_val) < 1e-6 * (1.0 + abs(rhs_val))
 
     def test_cartesian_singular_line(self, p1_power):
-        # one Cartesian chart for every p >= 1; the p = 1 names are aliases
-        assert p1_cartesian_rhs is cartesian_rhs and field_p1_cartesian is field_cartesian
+        # one Cartesian chart for every p >= 1; the old p = 1 name is an alias
+        # that the benchmark's tracer binds
+        assert p1_cartesian_rhs is cartesian_rhs
         rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
-        fv = field_p1_cartesian((0.0, 2.0), rp, p1_power)
+        fv = field_cartesian((0.0, 2.0), rp, p1_power)
         assert fv == (2.0, 0.0)
         rp_d = ReducedParams(1.0, 2.0, 1.0, 0.5)
         with pytest.raises(SingularFieldError):
-            field_p1_cartesian((0.0, 2.0), rp_d, p1_power)
+            field_cartesian((0.0, 2.0), rp_d, p1_power)
         with pytest.raises(SingularOriginError):
-            field_p1_cartesian((0.0, 0.0), rp, p1_power)
-
-
-class TestScalingConditions:
-    def test_power_field_satisfies(self, duffing_soft):
-        rp, nl = duffing_soft
-        rep = check_scaling_conditions(rp, nl)
-        assert rep.satisfied
-        assert abs(rep.f_derivative_range[0]) < 1e-9
-        assert abs(rep.f_derivative_range[1]) < 1e-9
-        assert rep.g_derivative_max < 0.0
-
-    def test_corrupted_field_flagged(self, duffing_soft):
-        rp, nl = duffing_soft
-
-        def corrupted(w, y):
-            d1, d2 = field_cartesian((w, y), rp, nl)
-            # negate the source contribution: G + 2 f(w) rho^(4-p)/denominator
-            rho2 = w * w + y * y
-            den = w * w + (rp.p - 1.0) * y * y
-            return d1, d2 + 2.0 * nl.f(w) * rho2 ** (2.0 - rp.p / 2.0) / den
-
-        rep = check_scaling_conditions(rp, nl, planar_field=corrupted)
-        assert not rep.satisfied
-        assert rep.violations
+            field_cartesian((0.0, 0.0), rp, p1_power)
 
 
 # state components: moderate values, exact zeros, and magnitudes up to 1e150
@@ -352,7 +327,7 @@ class TestFloatContract:
     def test_p1_cartesian_matches_numpy_formula(self, w, y, case):
         rp = ReducedParams(*case)
         nl = Nonlinearity(1.0, case[1])
-        rhs = p1_cartesian_rhs(rp, nl)
+        rhs = cartesian_rhs(rp, nl)
         if w == 0.0:
             if y == 0.0:
                 with pytest.raises(SingularOriginError):
@@ -402,6 +377,6 @@ class TestFloatContract:
                 slope_rhs(rp, nl)(0.0, (radius, u)),
                 regularized_rhs(rp, nl)(0.0, (radius, u)),
                 p1_slope_rhs(p1, Nonlinearity(1.0, 1.0))(0.0, (u, angle / 1.6)),
-                p1_cartesian_rhs(p1, Nonlinearity(1.0, 1.0))(0.0, (radius, u))]
+                cartesian_rhs(p1, Nonlinearity(1.0, 1.0))(0.0, (radius, u))]
         for out in outs:
             assert type(out) is tuple and [type(x) for x in out] == [float, float]

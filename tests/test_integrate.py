@@ -11,7 +11,7 @@ from seplane.errors import (
     NoCrossingError,
     StepUnderflowError,
 )
-from seplane.fields import cartesian_rhs, p1_cartesian_rhs
+from seplane.fields import cartesian_rhs
 from seplane.integrate import (
     SECTION,
     EventSpec,
@@ -64,7 +64,7 @@ class TestIntegrate:
     def test_p1_circle_quarter(self, p1_power):
         # the unique sign-changing p = 1 orbit is the circle of radius b + 1
         rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
-        traj = integrate(p1_cartesian_rhs(rp, p1_power), (0.0, 2.0), (0.0, 10.0),
+        traj = integrate(cartesian_rhs(rp, p1_power), (0.0, 2.0), (0.0, 10.0),
                          events=[EventSpec("y=0", lambda t, s: s[1],
                                            terminal=True, direction=-1),
                                  EventSpec("w=0", lambda t, s: s[0])])
@@ -237,7 +237,7 @@ class TestAdvanceToAxis:
         # (transverse deviations grow without bound approaching w = 0), so
         # the crossing time follows from the quarter time by reflection
         rp = ReducedParams(1.0, 2.0, 1.0, 0.0)
-        quarter, traj = integrate_to_section(p1_cartesian_rhs(rp, p1_power),
+        quarter, traj = integrate_to_section(cartesian_rhs(rp, p1_power),
                                              (0.0, 2.0), 1000.0)
         assert abs(2.0 * quarter - math.pi) < 2e-8
         assert abs(traj.states[-1][0] - 2.0) < 1e-8
