@@ -39,6 +39,9 @@ __all__ = ["main"]
 
 # rows written for an orbit sampled from dense output or a closed form
 ORBIT_ROWS = 800
+# largest --grid of period-scan, one period per point: 250 times the largest
+# grid of the README, the golden outputs and scripts/ (40 points)
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -266,6 +269,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"grid spec {spec!r}: {exc}") from None
     if n <= 0 or not -math.inf < lo < hi < math.inf:
         raise DomainError("grid needs finite lo < hi and n > 0")
+    if n > MAX_GRID_POINTS:
+        raise DomainError(f"grid of {n} points exceeds the {MAX_GRID_POINTS} a period scan "
+                          "computes")
     if len(parts) == 4:
         if lo <= 0.0:
             raise DomainError("log grid needs lo > 0")

@@ -1,13 +1,21 @@
 """Adaptive time stepping with dense output and event localization.
 
 Chart-agnostic plumbing: the stepper advances any planar rhs(t, s), which
-maps the state pair s of Python floats to the pair of its derivatives, by the
-Dormand-Prince 5(4) pair on floats, records sampled states, and polishes every
-sign change of the scalar monitors g(t, s) on the step's quartic interpolant.
-The pair, its error norm and its step-size control are those of Dormand &
-Prince (J. Comput. Appl. Math. 6, 1980) and Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-II.6, with the continuous extension of Shampine (Math. Comp. 46,
-1986), in the arithmetic of scipy's RK45.
+maps the state pair s of Python floats to the pair of its derivatives, by an
+explicit Runge-Kutta pair on floats. Two pairs share one step-size control
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4), and each step is generated
+as straight-line code from its Butcher tableau at import.
+
+- Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980), in the arithmetic of
+  scipy's RK45, runs every ``integrate`` call and every section run with
+  dense output. It records sampled states and polishes every sign change of
+  the scalar monitors g(t, s) on the step's quartic interpolant, the
+  continuous extension of Shampine (Math. Comp. 46, 1986).
+- Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner I, II.10), in the
+  arithmetic of scipy's DOP853, runs ``integrate_to_section`` without dense
+  output: a run that needs only the time of its section crossing. It lands on
+  the section with one step in y as the independent variable (Henon, Physica
+  D 5, 1982), so it needs no interpolant.
 """
 
 from __future__ import annotations
@@ -78,21 +86,140 @@ class TrajEvent(NamedTuple):
     state: np.ndarray
 
 
-# Dormand-Prince 5(4): stage nodes C, stage weights A, fifth-order weights B,
-# error weights E over the seven stages (the last is the derivative at the
-# new state), and the matrix P whose product K^T P gives the coefficients of
-# x, x^2, x^3, x^4 of the quartic interpolant y_old + h K^T P (x, .., x^4)
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
-                                -22 / 525, 1 / 40)
-# rows for stages 1, 3, 4, 5, 6, 7; the row of stage 2 is zero
+class _Tableau(NamedTuple):
+    """Butcher tableau of an explicit pair with s stages: nodes c, the rows
+    a[i] of the stage matrix below its diagonal, weights b, and rows of error
+    weights over the s stages and the derivative at the new state."""
+
+    c: tuple[float, ...]
+    a: tuple[tuple[float, ...], ...]
+    b: tuple[float, ...]
+    estimators: tuple[tuple[float, ...], ...]
+
+
+def _unrolled_step(name, tableau, keep, norm):
+    """One step of the explicit Runge-Kutta pair ``tableau`` on a float pair,
+    generated as straight-line code.
+
+    The function ``name(rhs, t, h, y0, y1, k10, k11, rtol, atol)`` takes the
+    derivative (k10, k11) at the start, evaluates stage i + 1 at
+    t + c[i] h from y + h (sum of a[i][j] k_(j+1)), and then the derivative
+    at the new state y + h (sum of b[j] k_(j+1)) as the last stage. Every sum
+    runs in the tableau's order and skips zero coefficients. Each row e of
+    ``estimators`` weights all stages, the last included; its sum times h,
+    divided per component by atol + max(|y|, |y_new|) rtol, is passed with
+    the others to ``norm``, which returns the error norm. The function
+    returns the new state, that norm and the stages numbered in ``keep``
+    (from 1), flat by component, the last stage last.
+    """
+    c, a, b, estimators = tableau
+
+    def weighted(coeffs, comp):
+        return " + ".join(f"k{j}{comp} * {x!r}" for j, x in enumerate(coeffs, 1) if x)
+
+    last = len(c) + 1
+    lines = [f"def {name}(rhs, t, h, y0, y1, k10, k11, rtol, atol):"]
+    for i in range(1, len(c)):
+        lines.append(f"    k{i + 1}0, k{i + 1}1 = rhs(t + {c[i]!r} * h, ("
+                     f"y0 + ({weighted(a[i], 0)}) * h, y1 + ({weighted(a[i], 1)}) * h))")
+    lines += [f"    n{m} = y{m} + h * ({weighted(b, m)})" for m in (0, 1)]
+    lines.append(f"    k{last}0, k{last}1 = rhs(t + h, (n0, n1))")
+    for m in (0, 1):
+        lines.append(f"    s{m} = atol + max(abs(y{m}), abs(n{m})) * rtol")
+        lines += [f"    e{j}{m} = ({weighted(e, m)}) * h / s{m}"
+                  for j, e in enumerate(estimators)]
+    errors = ", ".join(f"e{j}{m}" for j in range(len(estimators)) for m in (0, 1))
+    stages = ", ".join(f"k{j}{m}" for j in keep for m in (0, 1))
+    lines.append(f"    return n0, n1, _norm({errors}), ({stages},)")
+    namespace = {"_norm": norm}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_SQRT2 = 2 ** 0.5
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _dop853_norm(a0: float, a1: float, b0: float, b1: float) -> float:
+    """DOP853's error norm |h| |E5|^2 / sqrt(2 (|E5|^2 + 0.01 |E3|^2)), where
+    E5 and E3 are the fifth- and third-order estimates scaled per component
+    and |.| is the Euclidean norm. The arguments are h E5 (a) and h E3 (b),
+    whose quotient gives the factor |h|."""
+    e5, e3 = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1
+    return e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 else 0.0
+
+
+class _Pair(NamedTuple):
+    step: Callable   # the unrolled step of _unrolled_step
+    order: int       # the controlled error estimate is O(h^order)
+
+
+# Dormand-Prince 5(4) (Dormand & Prince 1980): nodes, stage rows, fifth-order
+# weights and the error weights over all seven stages. The kept stages 1, 3,
+# 4, 5, 6 and 7 build the quartic interpolant; the row of stage 2 in _P is zero
+_DP5_TABLEAU = _Tableau(
+    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0),
+    a=((),
+       (1 / 5,),
+       (3 / 40, 9 / 40),
+       (44 / 45, -56 / 15, 32 / 9),
+       (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    estimators=((-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+                 1 / 40),))
+_DP5 = _Pair(_unrolled_step("dp5_step", _DP5_TABLEAU, keep=(1, 3, 4, 5, 6, 7), norm=_rms),
+             order=5)
+
+# Dormand-Prince 8(5,3) (Prince & Dormand 1981; Hairer, Norsett & Wanner I,
+# II.10), the twelve stages of Hairer's DOP853 as scipy ships them
+# (scipy/integrate/_ivp/dop853_coefficients.py), each float written in its
+# shortest round-trip form: nodes, stage rows, eighth-order weights, and the
+# fifth- and third-order error weights over the twelve stages and the new
+# state's derivative. Only that derivative is kept, for the next step
+_DOP853_TABLEAU = _Tableau(
+    c=(0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+       0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+       0.6512820512820513, 0.6, 0.8571428571428571, 1.0),
+    a=((),
+       (0.05260015195876773,),
+       (0.0197250569845379, 0.0591751709536137),
+       (0.02958758547680685, 0.0, 0.08876275643042054),
+       (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+       (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+       (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+       (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023),
+       (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996),
+       (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627),
+       (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+        -3.0467644718982196),
+       (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+        12.360567175794303, 0.6433927460157636)),
+    b=(0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+       0.04471061572777259),
+    estimators=(
+        (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+         1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+         -0.022355307863886294, 0.0),
+        (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+         -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+         0.02265179219836082, 0.0)))
+_DOP853 = _Pair(_unrolled_step("dop853_step", _DOP853_TABLEAU, keep=(13,),
+                               norm=_dop853_norm), order=8)
+
+# the matrix P whose product K^T P, over the kept DP5 stages, gives the
+# coefficients of x, x^2, x^3, x^4 of the quartic interpolant
+# y_old + h K^T P (x, .., x^4) (Shampine 1986)
 _P = (
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432),
@@ -110,42 +237,6 @@ _P_HIGHER = tuple(zip(*_P))[1:]
 # the same coefficients by stage, shape (6, 3), for the coefficients of a whole run
 _P_HIGHER_ROWS = np.array(_P)[:, 1:]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EXPONENT = -1 / 5   # the error of the embedded fourth-order pair is O(h^5)
-_SQRT2 = 2 ** 0.5
-
-
-def _dp_step(rhs, t, h, y0, y1, k10, k11, rtol, atol):
-    """One Dormand-Prince step of size h from (y0, y1) with derivative
-    (k10, k11): the fifth-order state, the RMS over both components of the
-    embedded error estimate, each scaled by atol + max(|y|, |y_new|) rtol,
-    and the seven stage derivatives, flat."""
-    k20, k21 = rhs(t + _C2 * h, (y0 + k10 * _A21 * h, y1 + k11 * _A21 * h))
-    k30, k31 = rhs(t + _C3 * h, (y0 + (k10 * _A31 + k20 * _A32) * h,
-                                 y1 + (k11 * _A31 + k21 * _A32) * h))
-    k40, k41 = rhs(t + _C4 * h,
-                   (y0 + (k10 * _A41 + k20 * _A42 + k30 * _A43) * h,
-                    y1 + (k11 * _A41 + k21 * _A42 + k31 * _A43) * h))
-    k50, k51 = rhs(t + _C5 * h,
-                   (y0 + (k10 * _A51 + k20 * _A52 + k30 * _A53 + k40 * _A54) * h,
-                    y1 + (k11 * _A51 + k21 * _A52 + k31 * _A53 + k41 * _A54) * h))
-    k60, k61 = rhs(t + h,
-                   (y0 + (k10 * _A61 + k20 * _A62 + k30 * _A63 + k40 * _A64
-                          + k50 * _A65) * h,
-                    y1 + (k11 * _A61 + k21 * _A62 + k31 * _A63 + k41 * _A64
-                          + k51 * _A65) * h))
-    n0 = y0 + h * (k10 * _B1 + k30 * _B3 + k40 * _B4 + k50 * _B5 + k60 * _B6)
-    n1 = y1 + h * (k11 * _B1 + k31 * _B3 + k41 * _B4 + k51 * _B5 + k61 * _B6)
-    k70, k71 = rhs(t + h, (n0, n1))
-    e0 = (k10 * _E1 + k30 * _E3 + k40 * _E4 + k50 * _E5 + k60 * _E6
-          + k70 * _E7) * h / (atol + max(abs(y0), abs(n0)) * rtol)
-    e1 = (k11 * _E1 + k31 * _E3 + k41 * _E4 + k51 * _E5 + k61 * _E6
-          + k71 * _E7) * h / (atol + max(abs(y1), abs(n1)) * rtol)
-    return (n0, n1, _rms(e0, e1),
-            (k10, k11, k30, k31, k40, k41, k50, k51, k60, k61, k70, k71))
-
-
-def _rms(a: float, b: float) -> float:
-    return math.sqrt(a * a + b * b) / _SQRT2
 
 
 def _quartic(k) -> tuple[float, ...]:
@@ -157,9 +248,9 @@ def _quartic(k) -> tuple[float, ...]:
                    for p1, p3, p4, p5, p6, p7 in _P_HIGHER])
 
 
-def _initial_step(rhs, t0, y0, y1, f0, f1, t1, direction, cfg) -> float:
+def _initial_step(pair, rhs, t0, y0, y1, f0, f1, t1, direction, cfg) -> float:
     """First step size of Hairer, Norsett & Wanner II.4 (scipy's
-    select_initial_step for an error of order 4): one extra rhs call."""
+    select_initial_step for the pair's error order): one extra rhs call."""
     span = abs(t1 - t0)
     s0 = cfg.abs_tol + abs(y0) * cfg.rel_tol
     s1 = cfg.abs_tol + abs(y1) * cfg.rel_tol
@@ -173,16 +264,86 @@ def _initial_step(rhs, t0, y0, y1, f0, f1, t1, direction, cfg) -> float:
     if not (d1 > 1e-15 or d2 > 1e-15):
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / pair.order)
     return min(100 * h0, h1, span, cfg.max_step)
+
+
+class _StageRejected(Exception):
+    """Raised by an rhs for a stage that a shorter step would avoid; the
+    controller rejects the step as if its error estimate were infinite."""
+
+
+def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
+    """The accepted steps of ``pair`` from (t, y0, y1), whose derivative is
+    (f0, f1), to t1, trying h_abs first: yields (t_new, h, n0, n1, stages)
+    for each and returns at t1. This is the step-size control of every run,
+    with its typed failures (Hairer, Norsett & Wanner I, II.4, in the
+    arithmetic of scipy's RungeKutta); ``var`` names the independent
+    variable in their messages."""
+    step, exponent = pair.step, -1 / pair.order
+    span, t0 = abs(t1 - t), t
+    direction = 1.0 if t1 > t else -1.0
+    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    for _ in range(cfg.max_steps):
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        accepted = rejected = False
+        try:
+            while not accepted and h_abs >= min_step:
+                t_new = t + h_abs * direction
+                if direction * (t_new - t1) > 0.0:
+                    t_new = t1
+                h = t_new - t
+                h_abs = abs(h)
+                try:
+                    n0, n1, err, k = step(rhs, t, h, y0, y1, f0, f1, rtol, atol)
+                except _StageRejected:
+                    err = math.inf
+                accepted = err < 1.0
+                if accepted:
+                    # no growth right after a rejection
+                    factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
+                                                                _SAFETY * err ** exponent)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                else:
+                    h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
+                    rejected = True
+        except (SeplaneError, ArithmeticError, ValueError) as exc:
+            # a chart-domain, overflow or math-domain error on a trial stage;
+            # any other exception is a programming error and propagates
+            raise IntegrationError(f"step failed at {var}={t}: {exc}") from exc
+        if not accepted:
+            raise StepUnderflowError(f"step size underflow at {var}={t}")
+        if abs(h) < 1e-14 * span:
+            raise StepUnderflowError(
+                f"step shrank below 1e-14 of the span at {var}={t_new}")
+        yield t_new, h, n0, n1, k
+        t, y0, y1, f0, f1 = t_new, n0, n1, k[-2], k[-1]
+        if direction * (t - t1) >= 0.0:
+            return
+    raise MaxStepsError(f"exceeded {cfg.max_steps} steps over {var} in ({t0}, {t1})")
+
+
+def _planar_start(start, tau_span) -> tuple[float, float, np.ndarray]:
+    """The span's ends as floats and the start as a float pair, checked."""
+    t0, t1 = float(tau_span[0]), float(tau_span[1])
+    y_start = np.array(start, dtype=float)
+    if y_start.shape != (2,):
+        raise DomainError(f"the stepper advances planar states, got shape {y_start.shape}")
+    if not all(map(math.isfinite, (t0, t1, *y_start.tolist()))):
+        raise DomainError(f"the stepper needs a finite start and span, got {start}, {tau_span}")
+    return t0, t1, y_start
 
 
 class PiecewiseQuartic:
     """Dense output of a run: step i starts at ``taus[i]`` from ``states[i]``
     and spans ``h[i]`` (the last step may end past the last node, at a
     terminal event); ``q[i]`` holds its interpolant coefficients, shape
-    (steps, 2, 4), built from the flat stage tuples ``stages[i]`` of
-    ``_dp_step`` in one pass over all steps."""
+    (steps, 2, 4), built from the flat stage tuples ``stages[i]`` of the
+    DP5 step in one pass over all steps."""
 
     def __init__(self, taus: np.ndarray, states: np.ndarray, h, stages):
         self.taus, self.starts = taus, states[:-1]
@@ -271,7 +432,8 @@ def integrate(
     *,
     dense: bool = False,
 ) -> Trajectory:
-    """Advance the planar state over tau_span, localizing events to event_tol.
+    """Advance the planar state over tau_span with the Dormand-Prince 5(4)
+    pair, localizing events on each step's quartic to event_tol.
 
     ``rhs(t, s)`` receives the state as a pair of Python floats and returns
     its two derivatives as floats; event monitors receive the same pair.
@@ -282,60 +444,22 @@ def integrate(
     arithmetic or value error on a later stage becomes an IntegrationError.
     """
     cfg = cfg or DEFAULT_CONFIG
-    t0, t1 = float(tau_span[0]), float(tau_span[1])
-    y_start = np.array(start, dtype=float)
-    if y_start.shape != (2,):
-        raise DomainError(f"the stepper advances planar states, got shape {y_start.shape}")
-    y0, y1 = y_start.tolist()
-    if not all(map(math.isfinite, (t0, t1, y0, y1))):
-        raise DomainError(f"the stepper needs a finite start and span, got {start}, {tau_span}")
+    t0, t1, y_start = _planar_start(start, tau_span)
     if t1 == t0:
         return Trajectory(np.array([t0]), y_start[None, :], [], "completed", None)
 
-    span = abs(t1 - t0)
     direction = 1.0 if t1 > t0 else -1.0
-    t, rtol, atol, max_step = t0, cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    t, (y0, y1) = t0, y_start.tolist()
     f0, f1 = rhs(t0, (y0, y1))
-    h_abs = _initial_step(rhs, t0, y0, y1, f0, f1, t1, direction, cfg)
+    h_abs = _initial_step(_DP5, rhs, t0, y0, y1, f0, f1, t1, direction, cfg)
     taus = [t0]
     states = [(y0, y1)]
     steps_h, steps_k = [], []
     recorded: list[TrajEvent] = []
     g_prev = [ev.fn(t0, (y0, y1)) for ev in events]
-    status = None
+    status = "completed"
 
-    for _ in range(cfg.max_steps):
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        accepted = rejected = False
-        try:
-            while not accepted and h_abs >= min_step:
-                t_new = t + h_abs * direction
-                if direction * (t_new - t1) > 0.0:
-                    t_new = t1
-                h = t_new - t
-                h_abs = abs(h)
-                n0, n1, err, k = _dp_step(rhs, t, h, y0, y1, f0, f1, rtol, atol)
-                accepted = err < 1.0
-                if accepted:
-                    # no growth right after a rejection
-                    factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
-                                                                _SAFETY * err ** _EXPONENT)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                else:
-                    h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-                    rejected = True
-        except (SeplaneError, ArithmeticError, ValueError) as exc:
-            # a chart-domain, overflow or math-domain error on a trial stage;
-            # any other exception is a programming error and propagates
-            raise IntegrationError(f"step failed at tau={t}: {exc}") from exc
-        if not accepted:
-            raise StepUnderflowError(f"step size underflow at tau={t}")
-        if abs(h) < 1e-14 * span:
-            raise StepUnderflowError(f"step shrank below 1e-14 of the span at tau={t_new}")
+    for t_new, h, n0, n1, k in _steps(_DP5, rhs, t0, y0, y1, f0, f1, t1, h_abs, cfg):
         hits = []
         if events:
             g_now = [ev.fn(t_new, (n0, n1)) for ev in events]
@@ -356,9 +480,7 @@ def integrate(
         stop = None
         for t_ev, ev, at in hits:
             s_ev = at(t_ev)
-            state = np.array(s_ev)
-            state.flags.writeable = False
-            recorded.append(TrajEvent(t_ev, ev.name, state))
+            recorded.append(TrajEvent(t_ev, ev.name, _frozen(s_ev)))
             if ev.terminal:
                 stop = (t_ev, s_ev)
                 break
@@ -370,23 +492,85 @@ def integrate(
             states.append(stop[1])
             status = "terminal-event"
             break
-        t, y0, y1, f0, f1 = t_new, n0, n1, k[10], k[11]
+        t, y0, y1 = t_new, n0, n1
         taus.append(t)
         states.append((y0, y1))
-        if direction * (t - t1) >= 0.0:
-            status = "completed"
-            break
-    else:
-        raise MaxStepsError(f"exceeded {cfg.max_steps} steps over {tau_span}")
 
     taus_arr, states_arr = np.array(taus), np.array(states)
     quartics = PiecewiseQuartic(taus_arr, states_arr, steps_h, steps_k) if dense else None
     return Trajectory(taus_arr, states_arr, recorded, status, quartics)
 
 
+def _frozen(pair) -> np.ndarray:
+    state = np.array(pair)
+    state.flags.writeable = False
+    return state
+
+
 # the section that ends quarter and half orbits and the homoclinic ascent: the
 # second coordinate (y, or the slope u in the slope charts) falling through 0
 SECTION = EventSpec("y=0", lambda t, s: s[1], terminal=True, direction=-1)
+
+
+def _to_section(rhs, start, tau_span, cfg: IntegratorConfig) -> Trajectory:
+    """The run of integrate(rhs, start, tau_span, [SECTION], cfg), stepped by
+    the Dormand-Prince 8(5,3) pair and ended on the section by Henon's step.
+
+    The step that brackets the section is not recorded. From its start
+    (tau, w, y) one step of the same pair in the independent variable y, on
+    the state (w, tau) with dw/dy = w'/y' and dtau/dy = 1/y', lands on y = 0
+    (Henon, Physica D 5, 1982); it needs no interpolant. Where y does not
+    fall at the start, as on a step across a maximum of y, the landing runs
+    from the step's end instead, and where it falls at neither end the run
+    raises IntegrationError. The landing is error-controlled like any step:
+    an estimate above 1, or a stage where y does not fall along the run
+    (y' = 0 included), subdivides it. A run whose steps underflow before the
+    section is run again by integrate, on Dormand-Prince 5(4).
+    """
+    t0, t1, y_start = _planar_start(start, tau_span)
+    if t1 == t0:
+        return Trajectory(np.array([t0]), y_start[None, :], [], "completed", None)
+
+    direction = 1.0 if t1 > t0 else -1.0
+    t, (w, y) = t0, y_start.tolist()
+    f0, f1 = rhs(t0, (w, y))
+    h_abs = _initial_step(_DOP853, rhs, t0, w, y, f0, f1, t1, direction, cfg)
+    taus = [t0]
+    states = [(w, y)]
+
+    def by_y(y, s):
+        f0, f1 = rhs(s[1], (s[0], y))
+        if not direction * f1 < 0.0:
+            raise _StageRejected
+        return f0 / f1, 1.0 / f1
+
+    try:
+        for t_new, _, n0, n1, k in _steps(_DOP853, rhs, t0, w, y, f0, f1, t1, h_abs, cfg):
+            if _crossed(y, n1, SECTION.direction):
+                break
+            t, w, y, f0, f1 = t_new, n0, n1, k[-2], k[-1]
+            taus.append(t)
+            states.append((w, y))
+        else:
+            return Trajectory(np.array(taus), np.array(states), [], "completed")
+    except StepUnderflowError:
+        # where the field is not smooth, as at w = 0 of a Cartesian orbit at p
+        # near 1 with its source term |w|^(p-2) w, DOP853's estimate can shrink
+        # the steps below the floor where DP5's does not
+        return integrate(rhs, start, tau_span, [SECTION], cfg)
+
+    if not direction * f1 < 0.0:
+        t_old, (t, w, y, f0, f1) = t, (t_new, n0, n1, k[-2], k[-1])
+        if not direction * f1 < 0.0:
+            raise IntegrationError(f"cannot land on y = 0: y falls at neither end of the "
+                                   f"step from tau={t_old} to {t}")
+    for _, _, w, t, _ in _steps(_DOP853, by_y, y, w, t, f0 / f1, 1.0 / f1, 0.0, abs(y), cfg,
+                                var="y"):
+        pass
+    taus.append(t)
+    states.append((w, 0.0))
+    return Trajectory(np.array(taus), np.array(states),
+                      [TrajEvent(t, SECTION.name, _frozen((w, 0.0)))], "terminal-event")
 
 
 def integrate_to_section(
@@ -400,11 +584,18 @@ def integrate_to_section(
     """Time of the first SECTION crossing from ``start`` and the trajectory
     that ends there; a start on the section is not a crossing.
 
+    With dense output the run is integrate's: Dormand-Prince 5(4), the
+    crossing polished on the step's quartic, and a quartic per step for
+    sampling. Without it the run needs only the crossing, and the
+    Dormand-Prince 8(5,3) pair, which takes several times fewer steps at
+    tight tolerances, lands on the section with Henon's step (_to_section).
     The span (0, tau_max) also sets the first step size, so callers keep
     their own horizon. Raises NoCrossingError when the span ends first.
     """
-    traj = integrate(rhs, start, (0.0, tau_max), events=[SECTION], cfg=cfg,
-                     dense=dense)
+    if dense:
+        traj = integrate(rhs, start, (0.0, tau_max), events=[SECTION], cfg=cfg, dense=True)
+    else:
+        traj = _to_section(rhs, start, (0.0, tau_max), cfg or DEFAULT_CONFIG)
     if not traj.events:
         raise NoCrossingError(
             f"no downward crossing of y = 0 (u = 0 in slope charts) within tau <= {tau_max}")

@@ -247,6 +247,16 @@ class TestOrbitCommand:
 
 
 class TestPeriodScanCommand:
+    @pytest.mark.parametrize("n", [10_001, 1_000_000_000])
+    def test_grid_budget_exits_2_quickly(self, n):
+        # at the parent, 10^9 points ended in numpy's _ArrayMemoryError
+        # (7.45 GiB asked) and 10^6 points ran for minutes
+        proc = run_limited("period-scan", "-p", "2", "-q", "3", "-c", "0", "--kind",
+                           "sign-changing", "--grid", f"0.1:1:{n}")
+        assert proc.returncode == 2
+        assert f"grid of {n} points exceeds the 10000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_p1_constant_scan(self, capsys):
         code, out, _ = run_cli(capsys, "period-scan", "-p", "1", "-q", "2",
                                "-c", "0", "--kind", "positive",

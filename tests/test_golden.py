@@ -31,7 +31,7 @@ CLI_CASES = [
                           "--span", "7"], False, 0, "83be65d822ba0e6cfb7036c0dd72ae16e7a7a7377b9315a5d15cb34e15fd41f6"),
     ("readme-scan", ["period-scan", "-p", "2", "-q", "3", "-c", "0", "--kind",
                      "sign-changing", "--grid", "0.01:100:30:log"], False, 0,
-     "48ff690107b08e6408748addedbf1885f0b0dfba927c223681168bbee5c0426f"),
+     "a8522e0ed026a20da173a3442cb02c1c29e4e6433a91e4de39bc36c23ae8b29c"),
     ("readme-solve-set", ["solve-set", "-p", "1", "-q", "2", "-c", "3"], True, 0,
      "fe37de3fe8fd2ccc78a082d97790ec9a3289fed8e652961c9a20201877bec6ca"),
     ("readme-sector", ["sector", "-p", "2", "-q", "3", "--theta", "3.141592653589793"],
@@ -54,14 +54,14 @@ CLI_CASES = [
      "d01f8a9355dc56a89ad911ef42ca1879fe54752dc55cb6e31ebcf14812d239be"),
     ("scan-positive-json", ["period-scan", "-p", "2", "-q", "3", "-c", "2", "--kind",
                             "positive", "--grid", "0.1:0.9:8", "--format", "json"],
-     False, 0, "454caec3ced789f36e14aa1f0b0b8970ec9a37423276e01c4cf8acec3e8ac5bd"),
+     False, 0, "42e50505955f78daceb3352a2b3b1935f443a14ba8ab85d792966dbc053aa231"),
     ("scan-positive-p1", ["period-scan", "-p", "1", "-q", "2", "-c", "1", "--kind",
                           "positive", "--grid", "0.01:2.5:10"], False, 3,
      "2547b80af785a2b80f7f01d125b0de7231d682f07a7d1eb96af0beef87ad4d49"),
     ("solve-set-sc", ["solve-set", "-p", "2", "-q", "3", "-c", "0", "--k-max", "3"],
-     False, 0, "3bc70b18a6c315e165cf184be64705f1634c504045d85748a0493e37ce91581d"),
+     False, 0, "6f627e89c1fb47d112359be80312e669fff30c84e3252731b4da4e52cf97bd5c"),
     ("solve-set-pos", ["solve-set", "-p", "2", "-q", "3", "-c", "3", "--k-max", "1"],
-     False, 0, "f75b6de9dad135b69b510af8e5c8cc202b3422da6c6dbb1e6cbd2711d42510ab"),
+     False, 0, "bddb79a3fad246ddf6b9d66bdaf077276b1b04fd1353222630d614a1763a1279"),
     ("solve-set-explicit", ["solve-set", "-p", "1", "-q", "0.5", "-c", "0"], True, 0,
      "effa052d8ac2321376be7783e9f1ae466002bcaea1ea48f3bf14e5e1e0f4bb83"),
 ]
@@ -69,7 +69,7 @@ CLI_CASES = [
 # script file name -> sha256 of the tree it writes under OUT
 SCRIPT_CASES = {
     "mode_atlas.py": "5254f829d8eae6ca873351a9c4d18958052acec87eddb74fe5b05dcb0f04a299",
-    "period_curves.py": "45d7bfabf3bee2b02a4ca5f7757c3625cfd8545269c81ccda38695048293bdf3",
+    "period_curves.py": "752f7713517cf2f028a16ef6c11cab360ff424eabfffae959f3a5f76640f5604",
     "phase_portraits.py": "88f991605efeee82c107c80bfa3121fbf0c7c6964863edbb13ce99453adfb971",
 }
 

@@ -1,8 +1,13 @@
+import functools
 import math
+import operator
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import DOP853, RK45, rk_step
 
 from seplane.errors import (
     DomainError,
@@ -13,11 +18,17 @@ from seplane.errors import (
 )
 from seplane.fields import cartesian_rhs
 from seplane.integrate import (
+    _DOP853,
+    _DOP853_TABLEAU,
+    _DP5,
+    _DP5_TABLEAU,
     SECTION,
     EventSpec,
     IntegratorConfig,
-    _dp_step,
+    _dop853_norm,
     _quartic,
+    _rms,
+    _to_section,
     integrate,
     integrate_to_section,
 )
@@ -41,6 +52,19 @@ def cubic_quarter_time_oracle():
                   / math.sqrt(a2 * math.sin(ph) ** 2 + 1.0 + math.sqrt(3.0)),
                   0.0, math.pi / 2.0, epsabs=1e-13)
     return val, math.sqrt(a2)
+
+
+def dp5_run(rhs, start, span, cfg=None):
+    return integrate(rhs, start, span, cfg=cfg)
+
+
+def dop853_run(rhs, start, span, cfg=None):
+    """The run of integrate_to_section without dense output, over any span."""
+    return _to_section(rhs, start, span, cfg or IntegratorConfig())
+
+
+# the typed failures are the step-size controller's, which both pairs share
+PAIR_RUNS = (dp5_run, dop853_run)
 
 
 class TestIntegrate:
@@ -129,8 +153,9 @@ class TestIntegrate:
     def test_max_steps(self, duffing_soft):
         rp, nl = duffing_soft
         cfg = IntegratorConfig(max_steps=5, max_step=1e-3)
-        with pytest.raises(MaxStepsError):
-            integrate(cartesian_rhs(rp, nl), (0.0, 1.0), (0.0, 10.0), cfg=cfg)
+        for run in PAIR_RUNS:
+            with pytest.raises(MaxStepsError):
+                run(cartesian_rhs(rp, nl), (0.0, 1.0), (0.0, 10.0), cfg=cfg)
 
     def test_dense_output_matches_nodes(self, duffing_soft):
         rp, nl = duffing_soft
@@ -149,8 +174,8 @@ class TestIntegrate:
         for i in range(len(dense.q)):
             t, (y0, y1) = float(traj.taus[i]), traj.states[i].tolist()
             # the step's stages again, from its start and its size
-            *_, k = _dp_step(rhs, t, float(dense.h[i]), y0, y1, *rhs(t, (y0, y1)),
-                             cfg.rel_tol, cfg.abs_tol)
+            *_, k = _DP5.step(rhs, t, float(dense.h[i]), y0, y1, *rhs(t, (y0, y1)),
+                              cfg.rel_tol, cfg.abs_tol)
             assert np.array_equal(dense.q[i], np.reshape(_quartic(k), (2, 4)))
 
     def test_programming_error_in_step_propagates(self):
@@ -164,8 +189,9 @@ class TestIntegrate:
                 raise OverflowError("(34, 'Numerical result out of range')")
             return -s[0], -s[1]
 
-        with pytest.raises(IntegrationError):
-            integrate(rhs, (1.0, 2.0), (0.0, 1.0))
+        for run in PAIR_RUNS:
+            with pytest.raises(IntegrationError):
+                run(rhs, (1.0, 2.0), (0.0, 1.0))
 
     def test_error_on_first_call_propagates_as_raised(self):
         def rhs(t, s):
@@ -182,9 +208,23 @@ class TestIntegrate:
         ((1e-5, 0.0), (1e20, 1e20 + 1e6), "step size underflow at tau=1e\\+20"),
     ], ids=["forward", "backward", "ten-ulp-floor"])
     def test_blow_up_is_step_underflow(self, start, span, message):
-        # y' = y^2 leaves every float at tau = tau_0 + 1/y_0
-        with pytest.raises(StepUnderflowError, match=message):
-            integrate(lambda t, s: np.array([s[0] ** 2, 0.0]), start, span)
+        # y' = y^2 leaves every float at tau = tau_0 + 1/y_0; a DOP853 run
+        # whose steps underflow before the section is run again on DP5
+        for run in PAIR_RUNS:
+            with pytest.raises(StepUnderflowError, match=message):
+                run(lambda t, s: np.array([s[0] ** 2, 0.0]), start, span)
+
+    @pytest.mark.parametrize("run", PAIR_RUNS, ids=["dp5", "dop853"])
+    @pytest.mark.parametrize("start,span", [
+        ((math.nan, 1.0), (0.0, 1.0)),
+        ((0.0, math.inf), (0.0, 1.0)),
+        ((0.0, 1.0), (0.0, math.nan)),
+    ], ids=["nan-start", "inf-start", "nan-span"])
+    def test_non_finite_start_is_domain_error(self, start, span, run):
+        calls = []
+        with pytest.raises(DomainError, match="finite start and span"):
+            run(lambda t, s: calls.append(s) or (-s[1], s[0]), start, span)
+        assert calls == []
 
     def test_rhs_and_monitors_receive_float_tuples(self, duffing_soft):
         rp, nl = duffing_soft
@@ -253,9 +293,11 @@ class TestAdvanceToAxis:
 
     def test_no_crossing(self, duffing_soft):
         rp, nl = duffing_soft
-        # the quarter orbit from (0, 1) takes about 1.4 to reach the section
-        with pytest.raises(NoCrossingError):
-            integrate_to_section(cartesian_rhs(rp, nl), (0.0, 1.0), 1.0)
+        # the quarter orbit from (0, 1) takes about 1.4 to reach the section,
+        # with either pair
+        for dense in (True, False):
+            with pytest.raises(NoCrossingError):
+                integrate_to_section(cartesian_rhs(rp, nl), (0.0, 1.0), 1.0, dense=dense)
 
 
 def oracle_cases(n=12, seed=7):
@@ -291,7 +333,8 @@ class TestAgainstScipyRK45:
 
     @pytest.mark.parametrize("rhs,nu", oracle_cases())
     def test_quarter_orbit(self, rhs, nu):
-        tau, traj = integrate_to_section(rhs, (0.0, nu), 1e4)
+        traj = integrate(rhs, (0.0, nu), (0.0, 1e4), events=[SECTION])
+        tau = traj.events[-1].tau
         ref = scipy_rk45(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling])
         ref_tau, ref_state = ref.t_events[0][0], ref.y_events[0][0]
         assert abs(tau - ref_tau) <= 1e-9 * ref_tau
@@ -349,3 +392,153 @@ class TestAgainstScipyRK45:
             assert abs(s[0] if ev.kind == "w=0" else s[1] - 0.5 * s[0]) < 1e-10
             # an event state is the interpolant's value at its time
             assert np.array_equal(traj.sample(ev.tau), s)
+
+
+class TestAgainstScipyDOP853:
+    """A section run without dense output steps the arithmetic and step
+    control of scipy's DOP853, which serves as the oracle at the same
+    tolerances; it lands on the section by Henon's step, scipy by root
+    finding on its seventh-order interpolant."""
+
+    @pytest.mark.parametrize("rhs,nu", oracle_cases())
+    def test_quarter_orbit(self, rhs, nu):
+        tau, traj = integrate_to_section(rhs, (0.0, nu), 1e4)
+        cfg = IntegratorConfig()
+        ref = solve_ivp(rhs, (0.0, 1e4), [0.0, nu], method="DOP853", rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol, events=[y_falling])
+        ref_tau, ref_state = ref.t_events[0][0], ref.y_events[0][0]
+        assert abs(tau - ref_tau) <= 1e-9 * ref_tau
+        assert np.max(np.abs(traj.events[-1].state - ref_state)) \
+            <= 1e-9 * np.max(np.abs(ref_state))
+        steps, ref_steps = len(traj.taus) - 1, len(ref.t) - 1
+        assert abs(steps - ref_steps) <= 0.01 * ref_steps
+        assert abs(traj.events[-1].state[1]) < 1e-10
+
+    def test_tableaux_are_scipys(self):
+        c = dop853_coefficients
+        n = c.N_STAGES
+        for ours, ref in ((_DP5_TABLEAU, (RK45.C, RK45.A, RK45.B, [RK45.E])),
+                          (_DOP853_TABLEAU, (c.C[:n], c.A[:n, :n], c.A[n, :n],
+                                             [c.E5, c.E3]))):
+            assert ours.c == tuple(ref[0])
+            for i, row in enumerate(ours.a):
+                assert row == tuple(ref[1][i, :i]) and not ref[1][i, i:].any()
+            assert ours.b == tuple(ref[2])
+            assert ours.estimators == tuple(map(tuple, ref[3]))
+
+    @pytest.mark.parametrize("pair,tableau,keep,norm", [
+        (_DP5, _DP5_TABLEAU, (1, 3, 4, 5, 6, 7), _rms),
+        (_DOP853, _DOP853_TABLEAU, (13,), _dop853_norm)], ids=["dp5", "dop853"])
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(3, seed=5)))
+    def test_generated_step_is_the_tableau_loop(self, pair, tableau, keep, norm, rhs, nu):
+        # the straight-line step against a loop over the tableau that adds
+        # the nonzero terms left to right, as the generated sums do: equal
+        # to the last bit
+        def weighted(coeffs, k, m):
+            return functools.reduce(operator.add, (kj[m] * x for kj, x in zip(k, coeffs) if x))
+
+        t, h, y = 0.2, 0.07, (0.3 * nu, nu)
+        cfg = IntegratorConfig()
+        k = [rhs(t, y)]
+        for ci, row in zip(tableau.c[1:], tableau.a[1:]):
+            k.append(rhs(t + ci * h, tuple(y[m] + weighted(row, k, m) * h for m in (0, 1))))
+        new = tuple(y[m] + h * weighted(tableau.b, k, m) for m in (0, 1))
+        k.append(rhs(t + h, new))
+        errors = [weighted(e, k, m) * h / (cfg.abs_tol + max(abs(y[m]), abs(new[m])) * cfg.rel_tol)
+                  for e in tableau.estimators for m in (0, 1)]
+        stages = tuple(x for j in keep for x in k[j - 1])
+        assert pair.step(rhs, t, h, *y, *k[0], cfg.rel_tol, cfg.abs_tol) \
+            == (*new, norm(*errors), stages)
+
+    @pytest.mark.parametrize("pair,method", [(_DP5, RK45), (_DOP853, DOP853)],
+                             ids=["dp5", "dop853"])
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(3, seed=5)))
+    def test_one_step_against_scipys_loop(self, pair, method, rhs, nu):
+        # the unrolled step against scipy's stage loop on numpy arrays and
+        # its error norm, from a point near the orbit, both ways; the estimate
+        # sums weights that add up to 0, so its roundoff is relative to the
+        # stages, about 1e-8 of an estimate near 1 for DOP853
+        cfg = IntegratorConfig()
+        y = np.array([0.3 * nu, nu])
+        f = np.array(rhs(0.2, tuple(y)))
+        ref = method(lambda t, s: np.array(rhs(t, tuple(s))), 0.2, y, 10.0,
+                     rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        for h in (0.1, -0.1):
+            n0, n1, err, stages = pair.step(rhs, 0.2, h, *y, *f, cfg.rel_tol, cfg.abs_tol)
+            y_new, f_new = rk_step(ref.fun, 0.2, y, f, h, ref.A, ref.B, ref.C, ref.K)
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            assert np.max(np.abs([n0, n1] - y_new)) <= 1e-13 * np.max(np.abs(y_new))
+            assert np.max(np.abs(stages[-2:] - f_new)) <= 1e-13 * np.max(np.abs(f_new))
+            assert err == pytest.approx(ref._estimate_error_norm(ref.K, h, scale), rel=1e-6)
+
+
+class TestDOP853SectionRun:
+    """The DOP853 run lands on y = 0 by steps in y; the step-size control
+    checks each of them and subdivides the landing where one step's estimate
+    exceeds 1."""
+
+    @staticmethod
+    def landing_steps(monkeypatch):
+        module = sys.modules["seplane.integrate"]
+        steps, recorded = module._steps, []
+
+        def recording(*args, **kwargs):
+            for out in steps(*args, **kwargs):
+                if kwargs.get("var") == "y":
+                    recorded.append(out)
+                yield out
+
+        monkeypatch.setattr(module, "_steps", recording)
+        return recorded
+
+    def test_one_henon_step_on_an_orbit(self, duffing_soft, monkeypatch):
+        landing = self.landing_steps(monkeypatch)
+        rp, nl = duffing_soft
+        oracle, apex = cubic_quarter_time_oracle()
+        tau, traj = integrate_to_section(cartesian_rhs(rp, nl), (0.0, 1.0), 50.0)
+        assert len(landing) == 1 and landing[0][0] == 0.0
+        assert abs(tau - oracle) < 1e-9
+        assert traj.events[-1].state.tolist() == [pytest.approx(apex, abs=1e-9), 0.0]
+        assert traj.status == "terminal-event" and traj.taus[-1] == tau
+
+    def test_estimate_above_one_subdivides(self, monkeypatch):
+        # y = 1 - tau^2 and w = tau are polynomials that the pair steps in
+        # tau exactly, so its steps grow tenfold; in y the landing meets
+        # tau = sqrt(1 - y), which one step over most of the descent misses
+        landing = self.landing_steps(monkeypatch)
+        tau, traj = integrate_to_section(lambda t, s: (1.0, -2.0 * t), (0.0, 1.0), 10.0)
+        assert len(landing) > 1 and landing[-1][0] == 0.0
+        assert tau == pytest.approx(1.0, abs=1e-9)
+        assert traj.events[-1].state.tolist() == [pytest.approx(1.0, abs=1e-9), 0.0]
+
+    @pytest.mark.parametrize("y0,from_end", [(1.0, True), (3.0, False)])
+    def test_landing_starts_where_y_falls(self, y0, from_end, monkeypatch):
+        # y = y0 + tau - tau^2 has its root at (1 + sqrt(1 + 4 y0)) / 2. At
+        # y0 = 1 the step that brackets it also spans the maximum of y at
+        # tau = 1/2, so the landing starts from the step's end, below the
+        # section, and steps up in y
+        landing = self.landing_steps(monkeypatch)
+        tau, _ = integrate_to_section(lambda t, s: (1.0, 1.0 - 2.0 * t), (0.0, y0), 10.0)
+        assert landing[-1][0] == 0.0 and (landing[0][1] > 0.0) == from_end
+        assert tau == pytest.approx((1.0 + math.sqrt(1.0 + 4.0 * y0)) / 2.0, abs=1e-10)
+
+    def test_tangent_landing_is_integration_error(self):
+        # y = (1 - tau)^3 falls through 0 with y' = 0, so dtau/dy is
+        # unbounded there: the landing subdivides until its steps underflow
+        with pytest.raises(IntegrationError, match="at y="):
+            integrate_to_section(lambda t, s: (1.0, -3.0 * (1.0 - t) ** 2), (0.0, 1.0), 10.0)
+
+    def test_underflow_reruns_on_dp5(self, monkeypatch):
+        # p near 1: the source term |w|^(p-2) w has an unbounded slope at the
+        # start w = 0, where DOP853's steps underflow and DP5's do not
+        params = ProblemParams(1.1034525830151343, 1.3550154520533193, -6.973864794399716)
+        rhs = cartesian_rhs(reduce_params(params), reduced_nonlinearity(params))
+        start, cfg = (0.0, 4.529907864737164), IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+        module, reruns = sys.modules["seplane.integrate"], []
+        monkeypatch.setattr(module, "integrate",
+                            lambda *args, **kwargs: reruns.append(args) or integrate(*args,
+                                                                                     **kwargs))
+        tau, traj = integrate_to_section(rhs, start, 1e4, cfg)
+        dp5 = integrate(rhs, start, (0.0, 1e4), events=[SECTION], cfg=cfg)
+        assert len(reruns) == 1
+        assert tau == dp5.events[-1].tau and np.array_equal(traj.states, dp5.states)
