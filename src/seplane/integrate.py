@@ -7,15 +7,18 @@ explicit Runge-Kutta pair on floats. Two pairs share one step-size control
 as straight-line code from its Butcher tableau at import.
 
 - Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980), in the arithmetic of
-  scipy's RK45, runs every ``integrate`` call and every section run with
-  dense output. It records sampled states and polishes every sign change of
-  the scalar monitors g(t, s) on the step's quartic interpolant, the
-  continuous extension of Shampine (Math. Comp. 46, 1986).
+  scipy's RK45, runs every ``integrate`` call. It records sampled states and
+  polishes every sign change of the scalar monitors g(t, s) on the step's
+  quartic interpolant, the continuous extension of Shampine (Math. Comp. 46,
+  1986), which is also its dense output.
 - Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner I, II.10), in the
-  arithmetic of scipy's DOP853, runs ``integrate_to_section`` without dense
-  output: a run that needs only the time of its section crossing. It lands on
-  the section with one step in y as the independent variable (Henon, Physica
-  D 5, 1982), so it needs no interpolant.
+  arithmetic of scipy's DOP853, runs every ``integrate_to_section`` call: a
+  run to the first section crossing. It lands on the section with one step in
+  y as the independent variable (Henon, Physica D 5, 1982), so it needs no
+  interpolant to time the crossing. Its dense output is the pair's
+  seventh-order continuous extension, three extra stages per step (II.6),
+  on the same steps. A run whose steps underflow before the section is run
+  again on DP5, whose quartics are then its dense output.
 """
 
 from __future__ import annotations
@@ -97,6 +100,25 @@ class _Tableau(NamedTuple):
     estimators: tuple[tuple[float, ...], ...]
 
 
+def _weighted(coeffs, comp) -> str:
+    """The sum of coeffs[j] times stage j + 1, component ``comp``, as code:
+    in the coefficients' order, zero coefficients skipped."""
+    return " + ".join(f"k{j}{comp} * {x!r}" for j, x in enumerate(coeffs, 1) if x)
+
+
+def _stage_line(i: int, ci: float, row) -> str:
+    """The line that evaluates stage i at t + ci h from y + h (sum of row[j]
+    times stage j + 1)."""
+    return (f"    k{i}0, k{i}1 = rhs(t + {ci!r} * h, ("
+            f"y0 + ({_weighted(row, 0)}) * h, y1 + ({_weighted(row, 1)}) * h))")
+
+
+def _compiled(name, lines, namespace=None):
+    namespace = dict(namespace or {})
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 def _unrolled_step(name, tableau, keep, norm):
     """One step of the explicit Runge-Kutta pair ``tableau`` on a float pair,
     generated as straight-line code.
@@ -113,27 +135,39 @@ def _unrolled_step(name, tableau, keep, norm):
     (from 1), flat by component, the last stage last.
     """
     c, a, b, estimators = tableau
-
-    def weighted(coeffs, comp):
-        return " + ".join(f"k{j}{comp} * {x!r}" for j, x in enumerate(coeffs, 1) if x)
-
     last = len(c) + 1
     lines = [f"def {name}(rhs, t, h, y0, y1, k10, k11, rtol, atol):"]
-    for i in range(1, len(c)):
-        lines.append(f"    k{i + 1}0, k{i + 1}1 = rhs(t + {c[i]!r} * h, ("
-                     f"y0 + ({weighted(a[i], 0)}) * h, y1 + ({weighted(a[i], 1)}) * h))")
-    lines += [f"    n{m} = y{m} + h * ({weighted(b, m)})" for m in (0, 1)]
+    lines += [_stage_line(i + 1, c[i], a[i]) for i in range(1, len(c))]
+    lines += [f"    n{m} = y{m} + h * ({_weighted(b, m)})" for m in (0, 1)]
     lines.append(f"    k{last}0, k{last}1 = rhs(t + h, (n0, n1))")
     for m in (0, 1):
         lines.append(f"    s{m} = atol + max(abs(y{m}), abs(n{m})) * rtol")
-        lines += [f"    e{j}{m} = ({weighted(e, m)}) * h / s{m}"
+        lines += [f"    e{j}{m} = ({_weighted(e, m)}) * h / s{m}"
                   for j, e in enumerate(estimators)]
     errors = ", ".join(f"e{j}{m}" for j in range(len(estimators)) for m in (0, 1))
     stages = ", ".join(f"k{j}{m}" for j in keep for m in (0, 1))
     lines.append(f"    return n0, n1, _norm({errors}), ({stages},)")
-    namespace = {"_norm": norm}
-    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
-    return namespace[name]
+    return _compiled(name, lines, {"_norm": norm})
+
+
+def _unrolled_extra_stages(name, extension, keep):
+    """The extra stages of a continuous extension, generated as straight-line
+    code like the step itself.
+
+    The function ``name(rhs, t, h, y0, y1, k)`` takes the stages numbered in
+    ``keep`` (from 1) of an accepted step of size h from (t, y0, y1), flat by
+    component as the step returns them. It evaluates stage s + i at
+    t + c[i] h from y + h (sum of a[i][j] k_(j+1)), where s is the stage after
+    the last kept one, and returns the new stages flat by component.
+    """
+    first = keep[-1] + 1
+    kept = ", ".join(f"k{j}{m}" for j in keep for m in (0, 1))
+    lines = [f"def {name}(rhs, t, h, y0, y1, k):", f"    {kept}, = k"]
+    lines += [_stage_line(first + i, ci, row)
+              for i, (ci, row) in enumerate(zip(extension.c, extension.a))]
+    new = ", ".join(f"k{first + i}{m}" for i in range(len(extension.c)) for m in (0, 1))
+    lines.append(f"    return ({new},)")
+    return _compiled(name, lines)
 
 
 _SQRT2 = 2 ** 0.5
@@ -216,6 +250,78 @@ _DOP853_TABLEAU = _Tableau(
          0.02265179219836082, 0.0)))
 _DOP853 = _Pair(_unrolled_step("dop853_step", _DOP853_TABLEAU, keep=(13,),
                                norm=_dop853_norm), order=8)
+
+
+class _Extension(NamedTuple):
+    """Continuous extension of a pair: nodes c and rows a (over all earlier
+    stages) of its extra stages, and the rows d that weight all stages."""
+
+    c: tuple[float, ...]
+    a: tuple[tuple[float, ...], ...]
+    d: tuple[tuple[float, ...], ...]
+
+
+# DOP853's seventh-order continuous extension (Hairer, Norsett & Wanner I,
+# II.6 and II.10), as scipy ships it (C_EXTRA, A_EXTRA and D of
+# dop853_coefficients.py): stages 14-16 after the step, and the rows of D over
+# the sixteen stages. With Dy = y_new - y_old, f and f_new the derivatives at
+# the step's ends, and F3..F6 = h D K, the state at t + x h is
+# y_old + x (Dy + (1-x) (h f - Dy + x (2 Dy - h (f + f_new)
+#            + (1-x) (F3 + x (F4 + (1-x) (F5 + x F6))))))
+_DOP853_EXTENSION = _Extension(
+    c=(0.1, 0.2, 0.7777777777777778),
+    a=((0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+        -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+        0.007567897660545699, -0.008298),
+       (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+        -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325),
+       (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+        2.9475147891527724, -9.15095847217987)),
+    d=((-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+        2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+        0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894),
+       (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+        -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+        -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408),
+       (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+        527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+        0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279),
+       (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+        357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+        29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564)))
+# the stages that the extension reads: 2-5 have zero weight in every row
+_DOP853_DENSE_KEEP = (1, 6, 7, 8, 9, 10, 11, 12, 13)
+# the same step, returning the stages that its dense output reads; it runs
+# only where dense output is asked for
+_DOP853_DENSE = _Pair(_unrolled_step("dop853_dense_step", _DOP853_TABLEAU,
+                                     keep=_DOP853_DENSE_KEEP, norm=_dop853_norm), order=8)
+_dop853_extra_stages = _unrolled_extra_stages("dop853_extra_stages", _DOP853_EXTENSION,
+                                              _DOP853_DENSE_KEEP)
+
+
+# the rows of D over the stages that the dense step keeps and the extra ones
+_DOP853_D = np.array(_DOP853_EXTENSION.d)[:, [j - 1 for j in (*_DOP853_DENSE_KEEP, 14, 15, 16)]]
+
+
+def _nested_powers() -> np.ndarray:
+    """The nested form of the extension in powers of x: row i holds the
+    coefficients of x .. x^7 in x^(i//2 + 1) (1-x)^((i+1)//2), the factor of
+    F_i, with F0, F1, F2 = Dy, h f - Dy, 2 Dy - h (f + f_new)."""
+    powers = np.zeros((7, 7))
+    for i in range(7):
+        low, high = i // 2 + 1, (i + 1) // 2
+        for m in range(high + 1):
+            powers[i, low + m - 1] = math.comb(high, m) * (-1) ** m
+    return powers
+
+
+_DOP853_POWERS = _nested_powers()
 
 # the matrix P whose product K^T P, over the kept DP5 stages, gives the
 # coefficients of x, x^2, x^3, x^4 of the quartic interpolant
@@ -324,7 +430,8 @@ def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
         t, y0, y1, f0, f1 = t_new, n0, n1, k[-2], k[-1]
         if direction * (t - t1) >= 0.0:
             return
-    raise MaxStepsError(f"exceeded {cfg.max_steps} steps over {var} in ({t0}, {t1})")
+    raise MaxStepsError(f"exceeded {cfg.max_steps} steps over {var} in ({t0}, {t1}): "
+                        f"reached {var}={t!r} at the state ({y0!r}, {y1!r})")
 
 
 def _planar_start(start, tau_span) -> tuple[float, float, np.ndarray]:
@@ -338,25 +445,53 @@ def _planar_start(start, tau_span) -> tuple[float, float, np.ndarray]:
     return t0, t1, y_start
 
 
-class PiecewiseQuartic:
-    """Dense output of a run: step i starts at ``taus[i]`` from ``states[i]``
-    and spans ``h[i]`` (the last step may end past the last node, at a
-    terminal event); ``q[i]`` holds its interpolant coefficients, shape
-    (steps, 2, 4), built from the flat stage tuples ``stages[i]`` of the
-    DP5 step in one pass over all steps."""
+def _dp5_coefficients(stages) -> np.ndarray:
+    """Each step's quartic K^T P from the flat stage tuples of the DP5 steps,
+    shape (steps, 2, 4), in one pass over all steps."""
+    # k[i, j, c]: stage j (of 1, 3, 4, 5, 6, 7) of step i, component c
+    k = np.asarray(stages, dtype=float).reshape(-1, 6, 2)
+    q = np.empty((len(k), 2, 4))
+    q[..., 0] = k[:, 0]
+    # the x^2..x^4 columns summed stage by stage, in _quartic's order
+    acc = k[:, 0, :, None] * _P_HIGHER_ROWS[0]
+    for j in range(1, 6):
+        acc = acc + k[:, j, :, None] * _P_HIGHER_ROWS[j]
+    q[..., 1:] = acc
+    return q
 
-    def __init__(self, taus: np.ndarray, states: np.ndarray, h, stages):
+
+def _dop853_coefficients(starts: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Step sizes and degree-7 coefficients, shape (steps, 2, 7), of DOP853
+    steps from ``starts``, each given flat as (h, y_new, kept stages, extra
+    stages), in one pass over all steps: F / h of the nested form, then its
+    powers of x. The large entries of D cancel in D K, so the powers come
+    from the small F and keep the step ends to a few ulps."""
+    rows = np.array(steps)
+    h = rows[:, 0].copy()
+    k = rows[:, 3:].reshape(-1, 12, 2)
+    f, f_new = k[:, 0], k[:, _DOP853_DENSE_KEEP.index(13)]
+    dy = (rows[:, 1:3] - starts) / h[:, None]
+    nested = np.empty((len(rows), 2, 7))
+    nested[..., 0] = dy
+    nested[..., 1] = f - dy
+    nested[..., 2] = 2.0 * dy - (f_new + f)
+    # einsum sums without BLAS, whose code a matmul would page in
+    nested[..., 3:] = np.einsum("nsc,rs->ncr", k, _DOP853_D)
+    return h, np.einsum("nci,ij->ncj", nested, _DOP853_POWERS)
+
+
+class PiecewisePolynomial:
+    """Dense output of a run: step i starts at ``taus[i]`` from ``states[i]``
+    and spans ``h[i]`` (the last step may end past the last node, at the
+    section or a terminal event). At tau = taus[i] + x h[i] the state is
+    states[i] + h[i] (q[i, :, 0] x + ... + q[i, :, n-1] x^n), where the
+    degree n is read off ``q``, shape (steps, 2, n): the quartics of DP5
+    (Shampine 1986) or DOP853's seventh-order extension."""
+
+    def __init__(self, taus: np.ndarray, states: np.ndarray, h, q: np.ndarray):
         self.taus, self.starts = taus, states[:-1]
         self.h = np.asarray(h, dtype=float)
-        # k[i, j, c]: stage j (of 1, 3, 4, 5, 6, 7) of step i, component c
-        k = np.asarray(stages, dtype=float).reshape(-1, 6, 2)
-        self.q = np.empty((len(k), 2, 4))
-        self.q[..., 0] = k[:, 0]
-        # the x^2..x^4 columns summed stage by stage, in _quartic's order
-        acc = k[:, 0, :, None] * _P_HIGHER_ROWS[0]
-        for j in range(1, 6):
-            acc = acc + k[:, j, :, None] * _P_HIGHER_ROWS[j]
-        self.q[..., 1:] = acc
+        self.q = q
         self.ascending = taus[-1] >= taus[0]
 
     def __call__(self, ts) -> np.ndarray:
@@ -370,12 +505,14 @@ class PiecewiseQuartic:
         else:
             seg = n - np.searchsorted(self.taus[::-1], ts, side="right")
         seg = np.clip(seg, 0, n - 1)
-        x = (ts - self.taus[seg]) / self.h[seg]
-        x2 = x * x
-        x3 = x2 * x
-        q = self.q[seg]
-        poly = (q[..., 0] * x[:, None] + q[..., 1] * x2[:, None]
-                + q[..., 2] * x3[:, None] + q[..., 3] * (x3 * x)[:, None])
+        x = ((ts - self.taus[seg]) / self.h[seg])[:, None]
+        # one coefficient column at a time: the run's coefficients gathered
+        # for every time at once would take n times the memory of the states
+        power = x
+        poly = self.q[seg, :, 0] * power
+        for j in range(1, self.q.shape[-1]):
+            power = power * x
+            poly = poly + self.q[seg, :, j] * power
         return self.h[seg][:, None] * poly + self.starts[seg]
 
 
@@ -387,7 +524,7 @@ class Trajectory:
     states: np.ndarray
     events: list[TrajEvent]
     status: str
-    dense: PiecewiseQuartic | None = None
+    dense: PiecewisePolynomial | None = None
 
     def __post_init__(self):
         self.taus.flags.writeable = False
@@ -497,7 +634,8 @@ def integrate(
         states.append((y0, y1))
 
     taus_arr, states_arr = np.array(taus), np.array(states)
-    quartics = PiecewiseQuartic(taus_arr, states_arr, steps_h, steps_k) if dense else None
+    quartics = (PiecewisePolynomial(taus_arr, states_arr, steps_h, _dp5_coefficients(steps_k))
+                if dense else None)
     return Trajectory(taus_arr, states_arr, recorded, status, quartics)
 
 
@@ -512,11 +650,12 @@ def _frozen(pair) -> np.ndarray:
 SECTION = EventSpec("y=0", lambda t, s: s[1], terminal=True, direction=-1)
 
 
-def _to_section(rhs, start, tau_span, cfg: IntegratorConfig) -> Trajectory:
-    """The run of integrate(rhs, start, tau_span, [SECTION], cfg), stepped by
-    the Dormand-Prince 8(5,3) pair and ended on the section by Henon's step.
+def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False) -> Trajectory:
+    """The run of integrate(rhs, start, tau_span, [SECTION], cfg, dense=dense),
+    stepped by the Dormand-Prince 8(5,3) pair and ended on the section by
+    Henon's step.
 
-    The step that brackets the section is not recorded. From its start
+    The step that brackets the section is not recorded as a node. From its start
     (tau, w, y) one step of the same pair in the independent variable y, on
     the state (w, tau) with dw/dy = w'/y' and dtau/dy = 1/y', lands on y = 0
     (Henon, Physica D 5, 1982); it needs no interpolant. Where y does not
@@ -526,6 +665,13 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig) -> Trajectory:
     an estimate above 1, or a stage where y does not fall along the run
     (y' = 0 included), subdivides it. A run whose steps underflow before the
     section is run again by integrate, on Dormand-Prince 5(4).
+
+    With dense output the same steps also return the stages that DOP853's
+    continuous extension reads, and each accepted step evaluates its three
+    extra stages; the degree-7 polynomials of all steps, the bracketing one
+    included (it covers the last piece, up to the landing), are built in one
+    pass at the end. The steps, the landing and so the crossing time are
+    those of the run without dense output, bit for bit.
     """
     t0, t1, y_start = _planar_start(start, tau_span)
     if t1 == t0:
@@ -537,6 +683,7 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig) -> Trajectory:
     h_abs = _initial_step(_DOP853, rhs, t0, w, y, f0, f1, t1, direction, cfg)
     taus = [t0]
     states = [(w, y)]
+    steps = []   # with dense output: each step's h, new state and stages, flat
 
     def by_y(y, s):
         f0, f1 = rhs(s[1], (s[0], y))
@@ -544,20 +691,30 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig) -> Trajectory:
             raise _StageRejected
         return f0 / f1, 1.0 / f1
 
+    def run(events, status):
+        taus_arr, states_arr = np.array(taus), np.array(states)
+        polys = (PiecewisePolynomial(taus_arr, states_arr,
+                                     *_dop853_coefficients(states_arr[:-1], steps))
+                 if dense else None)
+        return Trajectory(taus_arr, states_arr, events, status, polys)
+
+    pair = _DOP853_DENSE if dense else _DOP853
     try:
-        for t_new, _, n0, n1, k in _steps(_DOP853, rhs, t0, w, y, f0, f1, t1, h_abs, cfg):
+        for t_new, h, n0, n1, k in _steps(pair, rhs, t0, w, y, f0, f1, t1, h_abs, cfg):
+            if dense:
+                steps.append((h, n0, n1, *k, *_extra_stages(rhs, t, h, w, y, k)))
             if _crossed(y, n1, SECTION.direction):
                 break
             t, w, y, f0, f1 = t_new, n0, n1, k[-2], k[-1]
             taus.append(t)
             states.append((w, y))
         else:
-            return Trajectory(np.array(taus), np.array(states), [], "completed")
+            return run([], "completed")
     except StepUnderflowError:
         # where the field is not smooth, as at w = 0 of a Cartesian orbit at p
         # near 1 with its source term |w|^(p-2) w, DOP853's estimate can shrink
         # the steps below the floor where DP5's does not
-        return integrate(rhs, start, tau_span, [SECTION], cfg)
+        return integrate(rhs, start, tau_span, [SECTION], cfg, dense=dense)
 
     if not direction * f1 < 0.0:
         t_old, (t, w, y, f0, f1) = t, (t_new, n0, n1, k[-2], k[-1])
@@ -569,8 +726,18 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig) -> Trajectory:
         pass
     taus.append(t)
     states.append((w, 0.0))
-    return Trajectory(np.array(taus), np.array(states),
-                      [TrajEvent(t, SECTION.name, _frozen((w, 0.0)))], "terminal-event")
+    return run([TrajEvent(t, SECTION.name, _frozen((w, 0.0)))], "terminal-event")
+
+
+def _extra_stages(rhs, t, h, y0, y1, k) -> tuple[float, ...]:
+    """The three extra stages of the accepted DOP853 step of size h from
+    (t, y0, y1) with the kept stages k; an error on one of them is an
+    IntegrationError, as on a stage of the step."""
+    try:
+        return _dop853_extra_stages(rhs, t, h, y0, y1, k)
+    except (SeplaneError, ArithmeticError, ValueError) as exc:
+        raise IntegrationError(f"dense-output stage failed in the step from tau={t}: "
+                               f"{exc}") from exc
 
 
 def integrate_to_section(
@@ -584,18 +751,17 @@ def integrate_to_section(
     """Time of the first SECTION crossing from ``start`` and the trajectory
     that ends there; a start on the section is not a crossing.
 
-    With dense output the run is integrate's: Dormand-Prince 5(4), the
-    crossing polished on the step's quartic, and a quartic per step for
-    sampling. Without it the run needs only the crossing, and the
-    Dormand-Prince 8(5,3) pair, which takes several times fewer steps at
-    tight tolerances, lands on the section with Henon's step (_to_section).
-    The span (0, tau_max) also sets the first step size, so callers keep
-    their own horizon. Raises NoCrossingError when the span ends first.
+    The run steps the Dormand-Prince 8(5,3) pair, which takes several times
+    fewer steps than DP5 at tight tolerances, and lands on the section with
+    Henon's step (_to_section). With dense output the same run also carries
+    DOP853's seventh-order continuous extension on every step, so the
+    crossing time is the one without it, bit for bit. Only a run whose
+    DOP853 steps underflow before the section runs again on DP5, with its
+    quartics as the dense output. The span (0, tau_max) also sets the first
+    step size, so callers keep their own horizon. Raises NoCrossingError
+    when the span ends first.
     """
-    if dense:
-        traj = integrate(rhs, start, (0.0, tau_max), events=[SECTION], cfg=cfg, dense=True)
-    else:
-        traj = _to_section(rhs, start, (0.0, tau_max), cfg or DEFAULT_CONFIG)
+    traj = _to_section(rhs, start, (0.0, tau_max), cfg or DEFAULT_CONFIG, dense)
     if not traj.events:
         raise NoCrossingError(
             f"no downward crossing of y = 0 (u = 0 in slope charts) within tau <= {tau_max}")

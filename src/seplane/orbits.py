@@ -16,6 +16,7 @@ from .errors import (
     DegenerateCriticalError,
     DomainError,
     InconclusiveOrbitError,
+    NoCrossingError,
 )
 from .fields import cartesian_rhs, regularized_rhs
 from .integrate import (
@@ -24,7 +25,6 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     integrate,
-    integrate_to_section,
 )
 from .params import (
     Nonlinearity,
@@ -244,7 +244,13 @@ def shoot_homoclinic(
 
     rhs = regularized_rhs(rp, nl)
     horizon = 200.0 + 4.0 * abs(math.log(max(v0, 1e-300))) / sd["unstable"]
-    tau_apex, traj = integrate_to_section(rhs, (v0, u0), horizon, cfg, dense=True)
+    # on DP5: its quartics sample the separatrix that classify_orbit reads,
+    # and starts that differ by 1e-13 can classify differently
+    traj = integrate(rhs, (v0, u0), (0.0, horizon), [SECTION], cfg, dense=True)
+    if not traj.events:
+        raise NoCrossingError(f"the ascent from the saddle never reached u = 0 "
+                              f"within tau <= {horizon}")
+    tau_apex = traj.events[-1].tau
     v_apex = float(traj.events[-1].state[0])
 
     e = 1.0 / (q + 1.0 - p)

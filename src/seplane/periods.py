@@ -1,22 +1,23 @@
 """Period functions of the closed orbits and their closed-form limits.
 
 Sign-changing periods come from quarter-orbit event timing, cross-checked by
-an angular quadrature over the orbit itself; positive periods from half-orbit
-timing; the p = 1 periods from the first-integral quadratures. The integer
-mode ranges are read off the endpoints of these period functions.
+a quadrature of the polar time element over the orbit itself; positive
+periods from half-orbit timing; the p = 1 periods from the first-integral
+quadratures. The integer mode ranges are read off the endpoints of these
+period functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, OutOfRangeError
+from .errors import DomainError, IntegrationError, OutOfRangeError, SeplaneError
 from .fields import cartesian_rhs
-from .integrate import IntegratorConfig, integrate_to_section
+from .integrate import IntegratorConfig, Trajectory, integrate_to_section
 from .numerics import brent as brentq
 from .numerics import tanh_sinh
 from .params import (
@@ -73,6 +74,18 @@ _GAUSS_GRID = np.linspace(0.0, _HALF_PI, 33)
 _NODE_NEWTON_STEPS = 8
 _NODE_X_TOL = 1e-10
 _NODE_ANGLE_TOL = 1e-12
+# a step may go to the radial time element where its log radius changes more
+# than _RADIAL_LEAD times as much as its polar angle; there it is cut once
+# for every _LOG_R_SPEED_CUT by which the log of the radial speed changes.
+# On period-scan seeds 1, 5 and 10 the leads 2 and 3 left route gaps of at
+# most 7.9e-9, and 5 of 2.1e-8
+_RADIAL_LEAD = 3.0
+_LOG_R_SPEED_CUT = 0.125
+_NO_PIECES = (np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros(0))
+# one numpy pass of the quadrature covers this many runs. At the default
+# tolerances a period-scan run has about 60 pieces of four nodes; one pass
+# over a whole 30-run scan peaked at 1.7 MB of arrays, against 0.66 MB here
+_RUNS_PER_PASS = 8
 
 
 @dataclass(frozen=True)
@@ -116,97 +129,327 @@ def period_sign_changing(
     """Least period of the sign-changing orbit through (0, nu).
 
     Event timing measures a quarter and multiplies by four. With
-    method="both" the quadrature route also integrates the angular time
-    element over the same quarter and returns it as ``cross_check``: a
-    four-point Gauss-Legendre rule runs on the polar-angle range of every
-    step, cut at least every pi/64 rad, and reads w at each node off the
-    step's own quartic (its dense output), where Newton finds the node's
-    angle; one numpy pass covers all nodes. The rule's own error stays near
-    roundoff, so the gap to event timing is the dense output's. A node the
-    iteration does not resolve raises IntegrationError.
+    method="both" the quadrature route also integrates the time element of
+    the polar form over the same quarter and returns it as ``cross_check``:
+    over the polar angle, but over the log radius where the orbit runs out
+    along a ray (_quarter_quadratures). It reads the orbit off the dense
+    output of the same run, so the period is the event-timing one bit for
+    bit.
     """
+    return _sign_changing_samples([nu], rp, nl, cfg, method)[0]
+
+
+def _sign_changing_samples(amplitudes: Sequence[float], rp: ReducedParams, nl: Nonlinearity,
+                           cfg: IntegratorConfig | None, method: str) -> list[PeriodSample]:
+    """period_sign_changing at each amplitude, in order, with the quadrature
+    of all runs in a few numpy passes; the first failing amplitude raises."""
     require_family("sign-changing", rp)
     if method not in ("event-timing", "both"):
         raise DomainError(f"unknown method {method!r}")
-    if nu <= 0.0:
-        raise DomainError("need nu > 0")
-    # only the quadrature route reads the dense output
-    tau_q, traj = integrate_to_section(cartesian_rhs(rp, nl), (0.0, nu), 1e4, cfg,
-                                       dense=method == "both")
-    period_ev = 4.0 * tau_q
-    err_ev = 4.0 * max((cfg or IntegratorConfig()).event_tol,
-                       1e-9 * tau_q)
+    rhs = cartesian_rhs(rp, nl)
+    event_tol = (cfg or IntegratorConfig()).event_tol
+    samples, runs = [], []
+    for nu in amplitudes:
+        try:
+            if nu <= 0.0:
+                raise DomainError("need nu > 0")
+            # only the quadrature route reads the dense output; the steps, and
+            # so the event-timing period, are the same without it
+            tau_q, traj = integrate_to_section(rhs, (0.0, nu), 1e4, cfg, dense=method == "both")
+        except SeplaneError:
+            # a quadrature failure at an earlier amplitude comes first
+            _quarter_quadratures(runs, rp, nl)
+            raise
+        samples.append(PeriodSample(nu, 4.0 * tau_q, "event-timing",
+                                    4.0 * max(event_tol, 1e-9 * tau_q)))
+        runs.append((nu, traj))
     if method == "event-timing":
-        return PeriodSample(nu, period_ev, "event-timing", err_ev)
+        return samples
+    quads = 4.0 * _quarter_quadratures(runs, rp, nl)
+    return [replace(s, est_error=max(s.est_error, abs(s.period - quad)), cross_check=quad)
+            for s, quad in zip(samples, quads.tolist())]
 
-    # the knots are the step ends, at angles falling from pi/2 to the section;
-    # w of theta is held at the section's w below the lowest angle and at 0
-    # above the highest. Every piece between knots and grid cuts gets the
-    # four-point Gauss rule
-    theta = np.arctan2(traj.states[:, 1], traj.states[:, 0])
-    if not np.all(np.diff(theta) < 0.0):
-        raise IntegrationError(f"the polar angle does not fall along the quarter orbit at nu={nu}")
-    n = len(theta) - 1
-    knots = np.concatenate(([min(theta[-1], 0.0)], theta[::-1], [max(theta[0], _HALF_PI)]))
-    edges = np.union1d(np.clip(knots, 0.0, _HALF_PI), _GAUSS_GRID)
-    piece = np.searchsorted(knots, edges[:-1], side="right") - 1
-    half = 0.5 * np.diff(edges)
-    th = edges[:-1, None] + half[:, None] * (1.0 + _GAUSS_NODES)
+
+class _Steps(NamedTuple):
+    """The dense output of one or more runs, each followed by one unused
+    step: step i starts at taus[i] from starts[i], spans h[i] and has the
+    coefficients q[i], as in PiecewisePolynomial."""
+
+    taus: np.ndarray
+    starts: np.ndarray
+    h: np.ndarray
+    q: np.ndarray
+
+
+def _quarter_quadratures(runs, rp: ReducedParams, nl: Nonlinearity) -> np.ndarray:
+    """The quadrature route's quarter time of each (nu, trajectory) run, from
+    its dense output; the first run whose quadrature fails raises.
+
+    A four-point Gauss-Legendre rule runs on the polar-angle range of every
+    step, cut at least every pi/64 rad, and reads w at each node off the
+    step's own polynomial, where Newton finds the node's angle
+    (_w_at_angles). A step along which the orbit runs out more than it
+    turns is integrated over its log radius instead (_quadrature_pieces).
+    One numpy pass covers the nodes of _RUNS_PER_PASS runs; a node the
+    iteration does not resolve raises IntegrationError.
+    """
+    return np.concatenate([np.zeros(0)] + [
+        _quadrature_pass(runs[i:i + _RUNS_PER_PASS], rp, nl)
+        for i in range(0, len(runs), _RUNS_PER_PASS)])
+
+
+def _quadrature_pass(runs, rp: ReducedParams, nl: Nonlinearity) -> np.ndarray:
+    """_quarter_quadratures of a few runs in one numpy pass."""
+    if not runs:
+        return np.zeros(0)
+    pieces = []
+    for i, (nu, traj) in enumerate(runs):
+        try:
+            pieces.append(_quadrature_pieces(nu, traj, rp, nl))
+        except IntegrationError:
+            _quadrature_pass(runs[:i], rp, nl)
+            raise
+    # the runs' steps in one table, run i from offsets[i], each with one
+    # unused step after its last; the knots' angles and log radii alike
+    sizes = np.array([len(traj.taus) for _, traj in runs])
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    q = np.zeros((sizes.sum(), 2, max(traj.dense.q.shape[-1] for _, traj in runs)))
+    for (_, traj), at in zip(runs, offsets):
+        q[at:at + len(traj.dense.h), :, :traj.dense.q.shape[-1]] = traj.dense.q
+    steps = _Steps(np.concatenate([traj.taus for _, traj in runs]),
+                   np.concatenate([traj.states for _, traj in runs]),
+                   np.concatenate([np.append(traj.dense.h, 1.0) for _, traj in runs]), q)
+    theta, log_r = (np.concatenate(knots) for knots in zip(*(piece[0] for piece in pieces)))
+    nus = [nu for nu, _ in runs]
+
+    # angular pieces: w at the nodes, held at the section's w below a run's
+    # lowest angle and at 0 above its highest
+    lo, hi, step, held = (np.concatenate(x) for x in zip(*(piece[1] for piece in pieces)))
+    run = np.repeat(np.arange(len(runs)), [len(piece[1][0]) for piece in pieces])
+    half = 0.5 * (hi - lo)
+    th = lo[:, None] + half[:, None] * (1.0 + _GAUSS_NODES)
     w = np.zeros_like(th)
-    w[piece == 0] = traj.states[-1, 0]
-    inner = (piece >= 1) & (piece <= n)
-    w[inner] = _w_at_angles(traj.dense, theta, n - piece[inner], th[inner], nu)
+    w[held] = steps.starts[offsets + sizes - 1, 0][run[held], None]
+    inner = step >= 0
+    if inner.any():
+        w[inner] = _w_at_angles(steps, theta, (offsets[run] + step)[inner], th[inner], nus,
+                                run[inner], step[inner])
     hv = nl.h(np.maximum(w, 0.0))
     # tan^2 as 1/cos^2 - 1 and a plain sum: numpy's tan loop and the BLAS
     # behind a matmul would page in about 0.4 MB of code
     cos = np.cos(th)
     pt2 = (rp.p - 1.0) * (1.0 / (cos * cos) - 1.0)
     dtau = (1.0 + pt2) / (pt2 - rp.b + (hv - rp.d) * cos ** (rp.p - 2.0))
-    period_quad = 4.0 * float(np.sum(dtau * _GAUSS_WEIGHTS * half[:, None]))
-    return PeriodSample(nu, period_ev, "event-timing",
-                        max(err_ev, abs(period_ev - period_quad)),
-                        cross_check=period_quad)
+    quarters = np.bincount(run, (dtau * _GAUSS_WEIGHTS).sum(axis=1) * half, len(runs))
+
+    # radial pieces: the nodes' states, and 1 / R there
+    step, rho, half = (np.concatenate(x) for x in zip(*(piece[2] for piece in pieces)))
+    if len(step):
+        run = np.repeat(np.arange(len(runs)), [len(piece[2][0]) for piece in pieces])
+        w, y = _states_at_radii(steps, log_r, offsets[run] + step, rho, nus, run, step)
+        speed, _ = _radial_speed(w, y, np.exp(rho), rp, nl)
+        quarters += np.bincount(run, (_GAUSS_WEIGHTS / speed).sum(axis=1) * half, len(runs))
+    return quarters
 
 
-def _w_at_angles(dense, theta: np.ndarray, step: np.ndarray, th: np.ndarray,
-                 nu: float) -> np.ndarray:
+def _quadrature_pieces(nu: float, traj: Trajectory, rp: ReducedParams, nl: Nonlinearity):
+    """The quadrature pieces of one run: its knots' angles and log radii;
+    its angular pieces' ends (lo, hi), step (-1 outside the steps) and
+    whether w is held at the section's w there (below the lowest angle); and
+    its radial pieces (_radial_pieces). Raises IntegrationError where the
+    polar angle does not fall along the run."""
+    # the knots are the step ends, the last one read off the last step's
+    # polynomial: a landing on the section lies off it by the interpolant's
+    # error, and the nodes are found on the polynomials
+    dense, knots = traj.dense, traj.states.copy()
+    x_end = (traj.taus[-1] - traj.taus[-2]) / dense.h[-1]
+    knots[-1] = dense.starts[-1] + dense.h[-1] * x_end * _horner(dense.q[-1].T, x_end)
+    theta = np.arctan2(knots[:, 1], knots[:, 0])
+    if not np.all(np.diff(theta) < 0.0):
+        raise IntegrationError(f"the polar angle does not fall along the quarter orbit at nu={nu}")
+    log_r = np.log(np.hypot(knots[:, 0], knots[:, 1]))
+    # a radial step lies off the axes, where the radial speed vanishes, and
+    # keeps the sign of that speed. At both ends the log of the speed changes
+    # along the circle by less than the lead per radian, so an error in the
+    # angle moves 1/R less than it moves the angle's element: near w = 0 at
+    # p < 2, cos^(p-2) makes the radial element the worse one
+    inside = (theta > 0.0) & (theta < _HALF_PI)
+    lead = np.abs(np.diff(log_r)) / -np.diff(theta)
+    steps = np.flatnonzero(inside[:-1] & inside[1:] & (lead > _RADIAL_LEAD))
+    if len(steps):
+        ends = np.stack((steps, steps + 1))
+        speed, slope = _radial_speed(knots[ends, 0], knots[ends, 1], np.exp(log_r[ends]), rp, nl)
+        radial = (speed[0] * speed[1] > 0.0) & np.all(np.abs(slope) < lead[steps], axis=0)
+        steps, speed = steps[radial], speed[:, radial]
+    # the angular knots run from pi/2 down to the section, between the ends
+    # of the range; every piece between knots and grid cuts gets the
+    # four-point Gauss rule, but those inside radial steps
+    n = len(theta) - 1
+    angles = np.concatenate(([min(theta[-1], 0.0)], theta[::-1], [max(theta[0], _HALF_PI)]))
+    edges = np.union1d(np.clip(angles, 0.0, _HALF_PI), _GAUSS_GRID)
+    lo, hi = edges[:-1], edges[1:]
+    step = n - (np.searchsorted(angles, lo, side="right") - 1)
+    held = step == n
+    step[held | (step < 0)] = -1
+    if not len(steps):
+        return (theta, log_r), (lo, hi, step, held), _NO_PIECES
+    keep = (step < 0) | ~np.isin(step, steps)
+    return ((theta, log_r), (lo[keep], hi[keep], step[keep], held[keep]),
+            _radial_pieces(log_r, steps, speed))
+
+
+def _radial_pieces(log_r: np.ndarray, steps: np.ndarray, speed: np.ndarray):
+    """The pieces of the radial ``steps``, whose ends have the radial speeds
+    ``speed``: each step is cut into equal pieces of log radius, one more
+    for every _LOG_R_SPEED_CUT by which the log of the speed changes between
+    its ends. Their steps, four Gauss nodes in log radius each and half
+    widths."""
+    cuts = 1 + np.floor(np.abs(np.log(speed[1] / speed[0])) / _LOG_R_SPEED_CUT).astype(int)
+    step = np.repeat(steps, cuts)
+    width = np.repeat((log_r[steps + 1] - log_r[steps]) / cuts, cuts)
+    j = np.arange(len(step)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+    half = 0.5 * width
+    return step, (log_r[step] + j * width)[:, None] + half[:, None] * (1.0 + _GAUSS_NODES), half
+
+
+def _radial_speed(w: np.ndarray, y: np.ndarray, r: np.ndarray, rp: ReducedParams,
+                  nl: Nonlinearity) -> tuple[np.ndarray, np.ndarray]:
+    """R = d(log r)/dtau at (w, y) off the axes on the circle of radius r, from
+    the polar form, and d log R / dtheta along that circle. With
+    g = (h(w) - d) cos^(p-2) and h(w) = w^(q+1-p),
+    R = tan (1 + b - g) / (1 + (p-1) tan^2)."""
+    p, b, d = rp.p, rp.b, rp.d
+    cos, sin, tan = w / r, y / r, y / w
+    pt2 = (p - 1.0) * tan * tan
+    hv = nl.h(w)
+    g = (hv - d) * cos ** (p - 2.0)
+    dg = -sin * cos ** (p - 3.0) * ((nl.power + 1.0 - p) * hv + (p - 2.0) * (hv - d))
+    # a knot where R is 0 has an infinite slope and is not radial
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (tan * (1.0 + b - g) / (1.0 + pt2),
+                (1.0 + tan * tan) * (1.0 - pt2) / (tan * (1.0 + pt2)) - dg / (1.0 + b - g))
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """coeffs[0] + x (coeffs[1] + x (... + x coeffs[-1])), the coefficients
+    along the first axis."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + x * acc
+    return acc
+
+
+def _horner_slope(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_horner's polynomial and its derivative in x, in one pass."""
+    acc, slope = coeffs[-1], 0.0
+    for c in coeffs[-2::-1]:
+        slope = acc + x * slope
+        acc = c + x * acc
+    return acc, slope
+
+
+def _step_polynomials(dense, step: np.ndarray):
+    """The start, the size h, x at the end (1, but the last step stops at
+    the section) and the coefficients C of each step in ``step``, shaped
+    against rows of nodes: the state at x is start + h x (C[0] + C[1] x +
+    ... + C[n-1] x^(n-1)), C of shape (n, 2, k, 1), start of shape
+    (2, k, 1)."""
+    h = dense.h[step]
+    x_end = (dense.taus[step + 1] - dense.taus[step]) / h
+    coeffs = dense.q[step].transpose(2, 1, 0)[..., None]
+    return dense.starts[step].T[..., None], h[:, None], x_end[:, None], coeffs
+
+
+def _newton(residual, x: np.ndarray, x_end: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """Newton's iteration on rows of nodes, x <- x - dx with (value, slope)
+    = residual(x), at most _NODE_NEWTON_STEPS times; the rows of a run, which
+    are contiguous, stop together once none moves by more than _NODE_X_TOL.
+    The result is kept inside its step, [0, x_end]."""
+    first = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+    counts = np.diff(np.append(first, len(run)))
+    going = np.ones(len(first), dtype=bool)
+    for _ in range(_NODE_NEWTON_STEPS):
+        value, slope = residual(x)
+        dx = value / slope
+        x = np.where(np.repeat(going, counts)[:, None], x - dx, x)
+        going &= ~(np.maximum.reduceat(np.abs(dx).max(axis=1), first) <= _NODE_X_TOL)
+        if not going.any():
+            break
+    # a root the polynomial finds beyond its step is read at the step's end
+    return np.minimum(np.maximum(x, 0.0), x_end)
+
+
+def _w_at_angles(dense, theta: np.ndarray, step: np.ndarray, th: np.ndarray, nu,
+                 run: np.ndarray | None = None, label: np.ndarray | None = None) -> np.ndarray:
     """w where the orbit crosses the angles ``th``, shape (k, 4), row j inside
     step ``step[j]``, whose ends lie at the angles ``theta[step]`` and
-    ``theta[step + 1]``: Newton on the step's quartic
-    G(x) = sin th w(x) - cos th y(x), from the linear-in-angle guess, kept
-    inside the step. Raises IntegrationError where a node is not finite or
-    misses its angle by more than _NODE_ANGLE_TOL rad."""
-    h = dense.h[step]
-    # x at the step's end: 1, but the last step stops at the section
-    x_end = (dense.taus[step + 1] - dense.taus[step]) / h
-    top = theta[step]
-    x = (x_end / (top - theta[step + 1]))[:, None] * (top[:, None] - th)
-    h = h[:, None]
+    ``theta[step + 1]``: Newton on the step's polynomial, of any degree,
+    G(x) = sin th w(x) - cos th y(x), from the linear-in-angle guess.
+
+    The rows of one run are contiguous; ``run`` numbers the run of each row
+    (all one run by default), ``nu`` is the amplitude of each run (or of the
+    one run) and ``label`` the step of each row within its run (``step`` by
+    default). Raises IntegrationError for the first run with a node that is
+    not finite or misses its angle by more than _NODE_ANGLE_TOL rad."""
+    start, h, x_end, coeffs = _step_polynomials(dense, step)
+    top = theta[step, None]
     sn, cs = np.sin(th), np.cos(th)
-    qw, qy = dense.q[step, 0, :, None], dense.q[step, 1, :, None]
-    w0, y0 = dense.starts[step, 0, None], dense.starts[step, 1, None]
-    # G / h = g0 + a0 x + a1 x^2 + a2 x^3 + a3 x^4
-    g0 = (sn * w0 - cs * y0) / h
-    a0, a1, a2, a3 = (sn * qw[:, j] - cs * qy[:, j] for j in range(4))
-    for _ in range(_NODE_NEWTON_STEPS):
-        dg = a0 + x * (2.0 * a1 + x * (3.0 * a2 + 4.0 * x * a3))
-        dx = (g0 + x * (a0 + x * (a1 + x * (a2 + x * a3)))) / dg
-        x = x - dx
-        if np.max(np.abs(dx)) <= _NODE_X_TOL:
-            break
-    # a root the quartic finds beyond its step is read at the step's end
-    x = np.minimum(np.maximum(x, 0.0), x_end[:, None])
-    w = w0 + h * x * (qw[:, 0] + x * (qw[:, 1] + x * (qw[:, 2] + x * qw[:, 3])))
-    y = y0 + h * x * (qy[:, 0] + x * (qy[:, 1] + x * (qy[:, 2] + x * qy[:, 3])))
+    # G / h = g[0] + g[1] x + ... + g[n] x^n
+    g = np.empty((len(coeffs) + 1,) + th.shape)
+    g[0] = (sn * start[0] - cs * start[1]) / h
+    np.multiply(sn, coeffs[:, 0], out=g[1:])
+    g[1:] -= cs * coeffs[:, 1]
+    run = np.zeros(len(step), dtype=int) if run is None else run
+    x = _newton(lambda x: _horner_slope(g, x),
+                x_end / (top - theta[step + 1, None]) * (top - th), x_end, run)
+    w, y = start + h * x * _horner(coeffs, x)
     with np.errstate(invalid="ignore"):
         off = np.abs(sn * w - cs * y) / np.hypot(w, y)
-    if not np.all(off <= _NODE_ANGLE_TOL):
-        j = np.unravel_index(np.argmax(np.nan_to_num(off, nan=np.inf)), off.shape)
-        raise IntegrationError(
-            f"quadrature node not resolved at nu={nu}: theta={float(th[j]):.17g} in step "
-            f"{int(step[j[0]])}, x={float(x[j]):.17g}, angle residual {float(off[j]):.3g} rad "
-            f"(tolerance {_NODE_ANGLE_TOL:g})")
+    _check_nodes(nu, run, step if label is None else label, x, off, "theta", th, " rad")
     return w
+
+
+def _states_at_radii(dense, log_r: np.ndarray, step: np.ndarray, rho: np.ndarray, nu,
+                     run: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, y) where the orbit crosses the log radii ``rho``, shape (k, 4), row
+    j inside step ``step[j]``, whose ends lie at ``log_r[step]`` and
+    ``log_r[step + 1]``: Newton on the step's polynomial for
+    log |s(x)| = rho, from the linear-in-log-radius guess. ``nu``, ``run``
+    and ``label`` are _w_at_angles'; a node that misses its log radius by
+    more than _NODE_ANGLE_TOL raises IntegrationError."""
+    start, h, x_end, coeffs = _step_polynomials(dense, step)
+    low = log_r[step, None]
+
+    # the state start + h x P(x) and its slope h (P + x P')
+    def residual(x):
+        poly, slope = _horner_slope(coeffs, x)
+        (w, y), (dw, dy) = start + h * x * poly, h * (poly + x * slope)
+        r2 = w * w + y * y
+        return (0.5 * np.log(r2) - rho) * r2, w * dw + y * dy
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = _newton(residual, x_end / (log_r[step + 1, None] - low) * (rho - low), x_end, run)
+        w, y = start + h * x * _horner(coeffs, x)
+        off = np.abs(0.5 * np.log(w * w + y * y) - rho)
+    _check_nodes(nu, run, label, x, off, "log r", rho, "")
+    return w, y
+
+
+def _check_nodes(nu, run: np.ndarray, step: np.ndarray, x: np.ndarray, off: np.ndarray,
+                 name: str, value: np.ndarray, unit: str) -> None:
+    """Raise IntegrationError for the first run with a node whose residual
+    ``off`` is not finite or exceeds _NODE_ANGLE_TOL, naming its worst node
+    by its ``name`` and ``value``."""
+    bad = ~np.all(off <= _NODE_ANGLE_TOL, axis=1)
+    if not bad.any():
+        return
+    first = run[bad].min()
+    worst = np.where((run == first)[:, None], np.nan_to_num(off, nan=np.inf), -1.0)
+    j = np.unravel_index(np.argmax(worst), off.shape)
+    raise IntegrationError(
+        f"quadrature node not resolved at nu={nu if np.isscalar(nu) else nu[first]}: "
+        f"{name}={float(value[j]):.17g} in step {int(step[j[0]])}, x={float(x[j]):.17g}, "
+        f"{name} residual {float(off[j]):.3g}{unit} (tolerance {_NODE_ANGLE_TOL:g})")
 
 
 def period_positive(
@@ -442,7 +685,10 @@ def period_scan(
     amplitudes = list(amplitudes)
     if not amplitudes:
         raise DomainError("empty amplitude grid")
-    samples = [period_sample(kind, amp, rp, nl, cfg, method=method) for amp in amplitudes]
+    if kind == "sign-changing" and method == "both":
+        samples = _sign_changing_samples(amplitudes, rp, nl, cfg, method)
+    else:
+        samples = [period_sample(kind, amp, rp, nl, cfg, method=method) for amp in amplitudes]
     verdict, violation = monotonicity([s.period for s in samples])
     return ScanResult(samples, verdict, violation)
 

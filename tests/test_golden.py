@@ -33,7 +33,7 @@ CLI_CASES = [
                      "sign-changing", "--grid", "0.01:100:30:log"], False, 0,
      "a8522e0ed026a20da173a3442cb02c1c29e4e6433a91e4de39bc36c23ae8b29c"),
     ("readme-solve-set", ["solve-set", "-p", "1", "-q", "2", "-c", "3"], True, 0,
-     "fe37de3fe8fd2ccc78a082d97790ec9a3289fed8e652961c9a20201877bec6ca"),
+     "a28d8aac327ded2a1845be392569d36560aa78ccbbf67123396eab513285ff32"),
     ("readme-sector", ["sector", "-p", "2", "-q", "3", "--theta", "3.141592653589793"],
      False, 0, "2bbf0d02c35536ef9ac23e56deefeb8e36371cccf830fce9705f4d55a6fe8487"),
     ("params-p1", ["params", "-p", "1", "-q", "2", "-c", "3"], False, 0, "527ce197cd2c9d44431653ebeac4827e64f070b0b074d0be5165bb2b5d171285"),
@@ -59,9 +59,9 @@ CLI_CASES = [
                           "positive", "--grid", "0.01:2.5:10"], False, 3,
      "2547b80af785a2b80f7f01d125b0de7231d682f07a7d1eb96af0beef87ad4d49"),
     ("solve-set-sc", ["solve-set", "-p", "2", "-q", "3", "-c", "0", "--k-max", "3"],
-     False, 0, "6f627e89c1fb47d112359be80312e669fff30c84e3252731b4da4e52cf97bd5c"),
+     False, 0, "2b5f00574d87540fcfbc47ef11da2f557eabc076418608e4ee048fa097862ceb"),
     ("solve-set-pos", ["solve-set", "-p", "2", "-q", "3", "-c", "3", "--k-max", "1"],
-     False, 0, "bddb79a3fad246ddf6b9d66bdaf077276b1b04fd1353222630d614a1763a1279"),
+     False, 0, "60788be72f1ab475426064d14f632a6cd2e3beb4e21d972417f6b89e5fe6b3df"),
     ("solve-set-explicit", ["solve-set", "-p", "1", "-q", "0.5", "-c", "0"], True, 0,
      "effa052d8ac2321376be7783e9f1ae466002bcaea1ea48f3bf14e5e1e0f4bb83"),
 ]

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from seplane.errors import (
 from seplane.fields import cartesian_rhs
 from seplane.integrate import (
     _DOP853,
+    _DOP853_EXTENSION,
     _DOP853_TABLEAU,
     _DP5,
     _DP5_TABLEAU,
@@ -151,11 +153,22 @@ class TestIntegrate:
             traj.states[0, 0] = 9.9
 
     def test_max_steps(self, duffing_soft):
+        # the message names the tau reached and the state there: those of the
+        # same run over the span that ends at that tau
         rp, nl = duffing_soft
+        rhs = cartesian_rhs(rp, nl)
         cfg = IntegratorConfig(max_steps=5, max_step=1e-3)
         for run in PAIR_RUNS:
-            with pytest.raises(MaxStepsError):
-                run(cartesian_rhs(rp, nl), (0.0, 1.0), (0.0, 10.0), cfg=cfg)
+            with pytest.raises(MaxStepsError) as caught:
+                run(rhs, (0.0, 1.0), (0.0, 10.0), cfg=cfg)
+            found = re.fullmatch(r"exceeded 5 steps over tau in \(0\.0, 10\.0\): "
+                                 r"reached tau=(\S+) at the state \((\S+), (\S+)\)",
+                                 str(caught.value))
+            assert found
+            tau, w, y = map(float, found.groups())
+            assert tau == pytest.approx(5e-3, rel=1e-12)
+            short = run(rhs, (0.0, 1.0), (0.0, tau), cfg=IntegratorConfig(max_step=1e-3))
+            assert len(short.taus) == 6 and short.states[-1].tolist() == [w, y]
 
     def test_dense_output_matches_nodes(self, duffing_soft):
         rp, nl = duffing_soft
@@ -425,6 +438,28 @@ class TestAgainstScipyDOP853:
                 assert row == tuple(ref[1][i, :i]) and not ref[1][i, i:].any()
             assert ours.b == tuple(ref[2])
             assert ours.estimators == tuple(map(tuple, ref[3]))
+        # the continuous extension: stages 14-16 over all earlier stages, and
+        # the rows of D over all sixteen
+        ext = _DOP853_EXTENSION
+        assert ext.c == tuple(DOP853.C_EXTRA)
+        for s, (row, ref_row) in enumerate(zip(ext.a, DOP853.A_EXTRA), start=n + 1):
+            assert row == tuple(ref_row[:s]) and not ref_row[s:].any()
+        assert ext.d == tuple(map(tuple, DOP853.D))
+
+    @pytest.mark.parametrize("rhs,nu", oracle_cases())
+    def test_dense_output(self, rhs, nu):
+        # the seventh-order extension against scipy's, at x = 1/4, 1/2 and
+        # 3/4 of every step, the bracketing one included. The steps agree to
+        # a few ulps of tau, and the states to 1e-14 of the orbit's size in
+        # 11 of these 12 cases; in the twelfth the runs part by 1.2e-11
+        tau, traj = integrate_to_section(rhs, (0.0, nu), 1e4, dense=True)
+        cfg = IntegratorConfig()
+        ref = solve_ivp(rhs, (0.0, 1e4), [0.0, nu], method="DOP853", rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol, events=[y_falling], dense_output=True)
+        assert len(traj.taus) == len(ref.t)
+        ts = (traj.taus[:-1, None] + traj.dense.h[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+        scale = np.max(np.abs(ref.y))
+        assert np.max(np.abs(traj.sample(ts) - ref.sol(ts).T)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("pair,tableau,keep,norm", [
         (_DP5, _DP5_TABLEAU, (1, 3, 4, 5, 6, 7), _rms),
@@ -542,3 +577,25 @@ class TestDOP853SectionRun:
         dp5 = integrate(rhs, start, (0.0, 1e4), events=[SECTION], cfg=cfg)
         assert len(reruns) == 1
         assert tau == dp5.events[-1].tau and np.array_equal(traj.states, dp5.states)
+        # with dense output the rerun's quartics are the dense output
+        _, traj = integrate_to_section(rhs, start, 1e4, cfg, dense=True)
+        assert len(reruns) == 2 and traj.dense.q.shape[-1] == 4
+        assert np.array_equal(traj.states, dp5.states)
+
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=13)))
+    def test_dense_run_is_the_plain_run(self, rhs, nu):
+        # dense output adds three stages to the same steps, so the steps, the
+        # landing and the crossing are those of the plain run bit for bit.
+        # The step ends lie on the polynomials (exactly, in these cases); the
+        # landing is off the last one by at most 4.3e-12 of the orbit's size
+        # over 12 such cases
+        cfg = IntegratorConfig()
+        plain = _to_section(rhs, (0.0, nu), (0.0, 1e4), cfg)
+        traj = _to_section(rhs, (0.0, nu), (0.0, 1e4), cfg, dense=True)
+        assert np.array_equal(plain.taus, traj.taus)
+        assert np.array_equal(plain.states, traj.states)
+        assert plain.events[0].tau == traj.events[0].tau
+        assert traj.dense.q.shape == (len(traj.taus) - 1, 2, 7)
+        scale = np.max(np.abs(traj.states))
+        assert np.max(np.abs(traj.sample(traj.taus[:-1]) - traj.states[:-1])) <= 1e-13 * scale
+        assert np.max(np.abs(traj.sample(traj.taus[-1]) - traj.states[-1])) <= 1e-10 * scale

@@ -199,7 +199,7 @@ class TestSignChanging:
         i = len(traj.taus) // 2
         if where == "inside-a-step":
             chord = float(np.hypot(*(traj.states[i + 1] - traj.states[i])))
-            traj.dense.q[i, 1, 1:] += np.array([1.0, -2.0, 1.0]) * 30.0 * chord / traj.dense.h[i]
+            traj.dense.q[i, 1, 1:4] += np.array([1.0, -2.0, 1.0]) * 30.0 * chord / traj.dense.h[i]
             on_step = traj.sample(traj.taus[i] + np.linspace(0.0, 1.0, 21) * traj.dense.h[i])
             assert np.any(np.diff(np.arctan2(on_step[:, 1], on_step[:, 0])) > 0.0)
             match = f"nu=1.0: theta=.* in step {i},"
@@ -432,6 +432,18 @@ class TestScans:
         # increasing, and a sequence broken by it alone is 0 from strict
         assert monotonicity(values) == (verdict, violation)
 
+    def test_seed_1_triple_falls_at_small_amplitude(self):
+        # period-scan seed 1's triple (3.9565, 7.3206, 1.4642): its periods
+        # at the grid's first three amplitudes fall by 2.0e-10 and 7.5e-10,
+        # 5e-11 and 2e-10 relative, within the "constant" spread. Timed on
+        # DP5 they rose by 5.0e-10 and 2.3e-10, and the verdict of the full
+        # grid read "none"
+        params = ProblemParams(3.9564906300532474, 7.32061024846698, 1.464168536386377)
+        grid = [0.01, 0.01373823795883263, 0.018873918221350976]
+        scan = period_scan("sign-changing", grid, reduce_params(params),
+                           reduced_nonlinearity(params), method="both")
+        assert np.all(np.diff([s.period for s in scan.samples]) < 0.0)
+
     def test_empty_grid(self, duffing_soft):
         rp, nl = duffing_soft
         with pytest.raises(DomainError):
@@ -635,23 +647,72 @@ class TestSignChangingDenseOutput:
         monkeypatch.setattr(periods, "integrate_to_section", recorded)
         both = period_sign_changing(nu, rp, nl, method="both")
         alone = period_sign_changing(nu, rp, nl, method="event-timing")
-        # only the quadrature route reads the dense output; without it the
-        # quarter is timed by the DOP853 run, with it by the DP5 run, and the
-        # two agree within the event-timing error estimate
+        # only the quadrature route reads the dense output, and the DOP853
+        # run that carries it takes the same steps as the one without: one
+        # run times the quarter for both routes
         assert asked == [True, False]
-        rhs = periods.cartesian_rhs(rp, nl)
-        assert alone.period == 4.0 * section(rhs, (0.0, nu), 1e4)[0]
-        assert both.period == 4.0 * section(rhs, (0.0, nu), 1e4, dense=True)[0]
-        assert abs(alone.period - both.period) <= alone.est_error
+        assert both.period == alone.period
         assert alone.cross_check is None and both.cross_check is not None
 
 
+class TestQuadratureRoute:
+    # period-scan seed 1's triple (3.9154, 7.2150, 6.0913), c above c_q: at
+    # nu = 0.01 the quarter orbit runs out along a ray from the origin, where
+    # the angular speed nearly vanishes
+    CREEP = ProblemParams(3.9154375563508577, 7.21503433798867, 6.0912532922241756)
+
+    def test_radial_steps_keep_the_routes_together(self, monkeypatch):
+        # the angle's time element alone, on the same run, turns the dense
+        # output's error into a route gap of 1.1e-4; with the steps that run
+        # out along the ray integrated over their log radius the gap is
+        # 9.9e-10 (2.2e-7 with DP5's quartics and the angle alone)
+        rp, nl = reduce_params(self.CREEP), reduced_nonlinearity(self.CREEP)
+        s = period_sign_changing(0.01, rp, nl)
+        assert rel_err(s.cross_check, s.period) < 1e-8
+        monkeypatch.setattr(periods, "_RADIAL_LEAD", math.inf)
+        angular = period_sign_changing(0.01, rp, nl)
+        assert angular.period == s.period
+        assert rel_err(angular.cross_check, angular.period) > 1e-5
+
+    def test_scan_samples_are_the_single_samples(self):
+        # the scan's quadrature covers its runs a few at a time; each sample
+        # is the one period_sign_changing returns alone, bit for bit
+        rp, nl = reduce_params(self.CREEP), reduced_nonlinearity(self.CREEP)
+        grid = np.geomspace(0.01, 100.0, 2 * periods._RUNS_PER_PASS + 3)
+        scan = period_scan("sign-changing", grid, rp, nl, method="both")
+        assert scan.samples == [period_sign_changing(nu, rp, nl) for nu in grid]
+
+    def test_first_failing_amplitude_raises(self, duffing_soft, monkeypatch):
+        # the quadrature of the scan's second amplitude fails (its angle
+        # turns back up between two steps) before the third amplitude's run
+        rp, nl = duffing_soft
+        section = periods.integrate_to_section
+
+        def turned(rhs, start, tau_max, cfg=None, *, dense=False):
+            if start[1] < 0.0:
+                raise DomainError("a run that fails")
+            tau, traj = section(rhs, start, tau_max, cfg, dense=dense)
+            if start[1] == 2.0:
+                states = traj.states.copy()
+                states[3] = states[2] * np.array([1.0, 1.1])
+                traj = Trajectory(traj.taus.copy(), states, traj.events, traj.status, traj.dense)
+            return tau, traj
+
+        monkeypatch.setattr(periods, "integrate_to_section", turned)
+        with pytest.raises(IntegrationError, match="quarter orbit at nu=2.0"):
+            period_scan("sign-changing", [1.0, 2.0, 3.0], rp, nl, method="both")
+        with pytest.raises(IntegrationError, match="quarter orbit at nu=2.0"):
+            period_scan("sign-changing", [1.0, 2.0, -3.0], rp, nl, method="both")
+        with pytest.raises(DomainError, match="need nu > 0"):
+            period_scan("sign-changing", [1.0, -3.0, 2.0], rp, nl, method="both")
+
+
 # the two sign-changing period routes as each other's oracle,
-# drawn over period-scan's ranges. Over the 1440 samples of its seeds 5 and 11
-# they differed by at most 3.2e-7 relative (3.03e-7 and 3.20e-7, both at
-# nu = 0.01, the default config), with the quadrature route reading w off the
-# dense output's quartics; the gap there is the default-config orbit's:
-# refining the angular grid 64-fold moves it there by under 1e-12.
+# drawn over period-scan's ranges. Both read one DOP853 run, so their gap is
+# the quadrature's alone: over the 1440 samples of period-scan seeds 5 and 11
+# it was at most 1.3e-8 relative (2.9e-9 at nu = 0.049 and 1.3e-8 at
+# nu = 0.45, both with c above c_q, the default config), where event timing
+# was within 7e-12 of a rel_tol = 1e-13 reference.
 @pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(1.5, 4.0, exclude_min=True, exclude_max=True),
