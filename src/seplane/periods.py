@@ -10,12 +10,12 @@ period functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, OutOfRangeError, SeplaneError
+from .errors import DomainError, IntegrationError, OutOfRangeError
 from .fields import cartesian_rhs
 from .integrate import IntegratorConfig, Trajectory, integrate_to_section
 from .numerics import brent as brentq
@@ -82,10 +82,6 @@ _NODE_ANGLE_TOL = 1e-12
 _RADIAL_LEAD = 3.0
 _LOG_R_SPEED_CUT = 0.125
 _NO_PIECES = (np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros(0))
-# one numpy pass of the quadrature covers this many runs. At the default
-# tolerances a period-scan run has about 60 pieces of four nodes; one pass
-# over a whole 30-run scan peaked at 1.7 MB of arrays, against 0.66 MB here
-_RUNS_PER_PASS = 8
 
 
 @dataclass(frozen=True)
@@ -132,124 +128,65 @@ def period_sign_changing(
     method="both" the quadrature route also integrates the time element of
     the polar form over the same quarter and returns it as ``cross_check``:
     over the polar angle, but over the log radius where the orbit runs out
-    along a ray (_quarter_quadratures). It reads the orbit off the dense
+    along a ray (_quarter_quadrature). It reads the orbit off the dense
     output of the same run, so the period is the event-timing one bit for
     bit.
     """
-    return _sign_changing_samples([nu], rp, nl, cfg, method)[0]
-
-
-def _sign_changing_samples(amplitudes: Sequence[float], rp: ReducedParams, nl: Nonlinearity,
-                           cfg: IntegratorConfig | None, method: str) -> list[PeriodSample]:
-    """period_sign_changing at each amplitude, in order, with the quadrature
-    of all runs in a few numpy passes; the first failing amplitude raises."""
     require_family("sign-changing", rp)
     if method not in ("event-timing", "both"):
         raise DomainError(f"unknown method {method!r}")
-    rhs = cartesian_rhs(rp, nl)
-    event_tol = (cfg or IntegratorConfig()).event_tol
-    samples, runs = [], []
-    for nu in amplitudes:
-        try:
-            if nu <= 0.0:
-                raise DomainError("need nu > 0")
-            # only the quadrature route reads the dense output; the steps, and
-            # so the event-timing period, are the same without it
-            tau_q, traj = integrate_to_section(rhs, (0.0, nu), 1e4, cfg, dense=method == "both")
-        except SeplaneError:
-            # a quadrature failure at an earlier amplitude comes first
-            _quarter_quadratures(runs, rp, nl)
-            raise
-        samples.append(PeriodSample(nu, 4.0 * tau_q, "event-timing",
-                                    4.0 * max(event_tol, 1e-9 * tau_q)))
-        runs.append((nu, traj))
+    if nu <= 0.0:
+        raise DomainError("need nu > 0")
+    # only the quadrature route reads the dense output; the steps, and so the
+    # event-timing period, are the same without it
+    tau_q, traj = integrate_to_section(cartesian_rhs(rp, nl), (0.0, nu), 1e4, cfg,
+                                       dense=method == "both")
+    period_ev = 4.0 * tau_q
+    err_ev = 4.0 * max((cfg or IntegratorConfig()).event_tol, 1e-9 * tau_q)
     if method == "event-timing":
-        return samples
-    quads = 4.0 * _quarter_quadratures(runs, rp, nl)
-    return [replace(s, est_error=max(s.est_error, abs(s.period - quad)), cross_check=quad)
-            for s, quad in zip(samples, quads.tolist())]
+        return PeriodSample(nu, period_ev, "event-timing", err_ev)
+    period_quad = 4.0 * _quarter_quadrature(nu, traj, rp, nl)
+    return PeriodSample(nu, period_ev, "event-timing", max(err_ev, abs(period_ev - period_quad)),
+                        cross_check=period_quad)
 
 
-class _Steps(NamedTuple):
-    """The dense output of one or more runs, each followed by one unused
-    step: step i starts at taus[i] from starts[i], spans h[i] and has the
-    coefficients q[i], as in PiecewisePolynomial."""
-
-    taus: np.ndarray
-    starts: np.ndarray
-    h: np.ndarray
-    q: np.ndarray
-
-
-def _quarter_quadratures(runs, rp: ReducedParams, nl: Nonlinearity) -> np.ndarray:
-    """The quadrature route's quarter time of each (nu, trajectory) run, from
-    its dense output; the first run whose quadrature fails raises.
+def _quarter_quadrature(nu: float, traj: Trajectory, rp: ReducedParams,
+                        nl: Nonlinearity) -> float:
+    """The quadrature route's quarter time of the run ``traj`` from (0, nu),
+    read off its dense output.
 
     A four-point Gauss-Legendre rule runs on the polar-angle range of every
     step, cut at least every pi/64 rad, and reads w at each node off the
     step's own polynomial, where Newton finds the node's angle
     (_w_at_angles). A step along which the orbit runs out more than it
     turns is integrated over its log radius instead (_quadrature_pieces).
-    One numpy pass covers the nodes of _RUNS_PER_PASS runs; a node the
-    iteration does not resolve raises IntegrationError.
+    One numpy pass covers all nodes of each kind; a node the iteration does
+    not resolve raises IntegrationError.
     """
-    return np.concatenate([np.zeros(0)] + [
-        _quadrature_pass(runs[i:i + _RUNS_PER_PASS], rp, nl)
-        for i in range(0, len(runs), _RUNS_PER_PASS)])
-
-
-def _quadrature_pass(runs, rp: ReducedParams, nl: Nonlinearity) -> np.ndarray:
-    """_quarter_quadratures of a few runs in one numpy pass."""
-    if not runs:
-        return np.zeros(0)
-    pieces = []
-    for i, (nu, traj) in enumerate(runs):
-        try:
-            pieces.append(_quadrature_pieces(nu, traj, rp, nl))
-        except IntegrationError:
-            _quadrature_pass(runs[:i], rp, nl)
-            raise
-    # the runs' steps in one table, run i from offsets[i], each with one
-    # unused step after its last; the knots' angles and log radii alike
-    sizes = np.array([len(traj.taus) for _, traj in runs])
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    q = np.zeros((sizes.sum(), 2, max(traj.dense.q.shape[-1] for _, traj in runs)))
-    for (_, traj), at in zip(runs, offsets):
-        q[at:at + len(traj.dense.h), :, :traj.dense.q.shape[-1]] = traj.dense.q
-    steps = _Steps(np.concatenate([traj.taus for _, traj in runs]),
-                   np.concatenate([traj.states for _, traj in runs]),
-                   np.concatenate([np.append(traj.dense.h, 1.0) for _, traj in runs]), q)
-    theta, log_r = (np.concatenate(knots) for knots in zip(*(piece[0] for piece in pieces)))
-    nus = [nu for nu, _ in runs]
-
-    # angular pieces: w at the nodes, held at the section's w below a run's
-    # lowest angle and at 0 above its highest
-    lo, hi, step, held = (np.concatenate(x) for x in zip(*(piece[1] for piece in pieces)))
-    run = np.repeat(np.arange(len(runs)), [len(piece[1][0]) for piece in pieces])
+    (theta, log_r), (lo, hi, step, held), (r_step, rho, r_half) = \
+        _quadrature_pieces(nu, traj, rp, nl)
+    # angular pieces: w at the nodes, held at the section's w below the
+    # lowest angle and at 0 above the highest
     half = 0.5 * (hi - lo)
     th = lo[:, None] + half[:, None] * (1.0 + _GAUSS_NODES)
     w = np.zeros_like(th)
-    w[held] = steps.starts[offsets + sizes - 1, 0][run[held], None]
+    w[held] = traj.states[-1, 0]
     inner = step >= 0
     if inner.any():
-        w[inner] = _w_at_angles(steps, theta, (offsets[run] + step)[inner], th[inner], nus,
-                                run[inner], step[inner])
+        w[inner] = _w_at_angles(traj.dense, theta, step[inner], th[inner], nu)
     hv = nl.h(np.maximum(w, 0.0))
     # tan^2 as 1/cos^2 - 1 and a plain sum: numpy's tan loop and the BLAS
     # behind a matmul would page in about 0.4 MB of code
     cos = np.cos(th)
     pt2 = (rp.p - 1.0) * (1.0 / (cos * cos) - 1.0)
     dtau = (1.0 + pt2) / (pt2 - rp.b + (hv - rp.d) * cos ** (rp.p - 2.0))
-    quarters = np.bincount(run, (dtau * _GAUSS_WEIGHTS).sum(axis=1) * half, len(runs))
-
-    # radial pieces: the nodes' states, and 1 / R there
-    step, rho, half = (np.concatenate(x) for x in zip(*(piece[2] for piece in pieces)))
-    if len(step):
-        run = np.repeat(np.arange(len(runs)), [len(piece[2][0]) for piece in pieces])
-        w, y = _states_at_radii(steps, log_r, offsets[run] + step, rho, nus, run, step)
+    quarter = float(np.sum(dtau * _GAUSS_WEIGHTS * half[:, None]))
+    if len(r_step):
+        # radial pieces: the nodes' states, and 1 / R there
+        w, y = _states_at_radii(traj.dense, log_r, r_step, rho, nu)
         speed, _ = _radial_speed(w, y, np.exp(rho), rp, nl)
-        quarters += np.bincount(run, (_GAUSS_WEIGHTS / speed).sum(axis=1) * half, len(runs))
-    return quarters
+        quarter += float(np.sum(_GAUSS_WEIGHTS / speed * r_half[:, None]))
+    return quarter
 
 
 def _quadrature_pieces(nu: float, traj: Trajectory, rp: ReducedParams, nl: Nonlinearity):
@@ -360,37 +297,29 @@ def _step_polynomials(dense, step: np.ndarray):
     return dense.starts[step].T[..., None], h[:, None], x_end[:, None], coeffs
 
 
-def _newton(residual, x: np.ndarray, x_end: np.ndarray, run: np.ndarray) -> np.ndarray:
+def _newton(residual, x: np.ndarray, x_end: np.ndarray) -> np.ndarray:
     """Newton's iteration on rows of nodes, x <- x - dx with (value, slope)
-    = residual(x), at most _NODE_NEWTON_STEPS times; the rows of a run, which
-    are contiguous, stop together once none moves by more than _NODE_X_TOL.
-    The result is kept inside its step, [0, x_end]."""
-    first = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
-    counts = np.diff(np.append(first, len(run)))
-    going = np.ones(len(first), dtype=bool)
+    = residual(x), at most _NODE_NEWTON_STEPS times and ended once no node
+    moves by more than _NODE_X_TOL. The result is kept inside its step,
+    [0, x_end]."""
     for _ in range(_NODE_NEWTON_STEPS):
         value, slope = residual(x)
         dx = value / slope
-        x = np.where(np.repeat(going, counts)[:, None], x - dx, x)
-        going &= ~(np.maximum.reduceat(np.abs(dx).max(axis=1), first) <= _NODE_X_TOL)
-        if not going.any():
+        x = x - dx
+        if np.max(np.abs(dx)) <= _NODE_X_TOL:
             break
     # a root the polynomial finds beyond its step is read at the step's end
     return np.minimum(np.maximum(x, 0.0), x_end)
 
 
-def _w_at_angles(dense, theta: np.ndarray, step: np.ndarray, th: np.ndarray, nu,
-                 run: np.ndarray | None = None, label: np.ndarray | None = None) -> np.ndarray:
+def _w_at_angles(dense, theta: np.ndarray, step: np.ndarray, th: np.ndarray,
+                 nu: float) -> np.ndarray:
     """w where the orbit crosses the angles ``th``, shape (k, 4), row j inside
     step ``step[j]``, whose ends lie at the angles ``theta[step]`` and
     ``theta[step + 1]``: Newton on the step's polynomial, of any degree,
-    G(x) = sin th w(x) - cos th y(x), from the linear-in-angle guess.
-
-    The rows of one run are contiguous; ``run`` numbers the run of each row
-    (all one run by default), ``nu`` is the amplitude of each run (or of the
-    one run) and ``label`` the step of each row within its run (``step`` by
-    default). Raises IntegrationError for the first run with a node that is
-    not finite or misses its angle by more than _NODE_ANGLE_TOL rad."""
+    G(x) = sin th w(x) - cos th y(x), from the linear-in-angle guess. Raises
+    IntegrationError where a node is not finite or misses its angle by more
+    than _NODE_ANGLE_TOL rad."""
     start, h, x_end, coeffs = _step_polynomials(dense, step)
     top = theta[step, None]
     sn, cs = np.sin(th), np.cos(th)
@@ -399,24 +328,23 @@ def _w_at_angles(dense, theta: np.ndarray, step: np.ndarray, th: np.ndarray, nu,
     g[0] = (sn * start[0] - cs * start[1]) / h
     np.multiply(sn, coeffs[:, 0], out=g[1:])
     g[1:] -= cs * coeffs[:, 1]
-    run = np.zeros(len(step), dtype=int) if run is None else run
     x = _newton(lambda x: _horner_slope(g, x),
-                x_end / (top - theta[step + 1, None]) * (top - th), x_end, run)
+                x_end / (top - theta[step + 1, None]) * (top - th), x_end)
     w, y = start + h * x * _horner(coeffs, x)
     with np.errstate(invalid="ignore"):
         off = np.abs(sn * w - cs * y) / np.hypot(w, y)
-    _check_nodes(nu, run, step if label is None else label, x, off, "theta", th, " rad")
+    _check_nodes(nu, step, x, off, "theta", th, " rad")
     return w
 
 
-def _states_at_radii(dense, log_r: np.ndarray, step: np.ndarray, rho: np.ndarray, nu,
-                     run: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _states_at_radii(dense, log_r: np.ndarray, step: np.ndarray, rho: np.ndarray,
+                     nu: float) -> tuple[np.ndarray, np.ndarray]:
     """(w, y) where the orbit crosses the log radii ``rho``, shape (k, 4), row
     j inside step ``step[j]``, whose ends lie at ``log_r[step]`` and
     ``log_r[step + 1]``: Newton on the step's polynomial for
-    log |s(x)| = rho, from the linear-in-log-radius guess. ``nu``, ``run``
-    and ``label`` are _w_at_angles'; a node that misses its log radius by
-    more than _NODE_ANGLE_TOL raises IntegrationError."""
+    log |s(x)| = rho, from the linear-in-log-radius guess. A node that
+    misses its log radius by more than _NODE_ANGLE_TOL raises
+    IntegrationError."""
     start, h, x_end, coeffs = _step_polynomials(dense, step)
     low = log_r[step, None]
 
@@ -428,28 +356,25 @@ def _states_at_radii(dense, log_r: np.ndarray, step: np.ndarray, rho: np.ndarray
         return (0.5 * np.log(r2) - rho) * r2, w * dw + y * dy
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        x = _newton(residual, x_end / (log_r[step + 1, None] - low) * (rho - low), x_end, run)
+        x = _newton(residual, x_end / (log_r[step + 1, None] - low) * (rho - low), x_end)
         w, y = start + h * x * _horner(coeffs, x)
         off = np.abs(0.5 * np.log(w * w + y * y) - rho)
-    _check_nodes(nu, run, label, x, off, "log r", rho, "")
+    _check_nodes(nu, step, x, off, "log r", rho, "")
     return w, y
 
 
-def _check_nodes(nu, run: np.ndarray, step: np.ndarray, x: np.ndarray, off: np.ndarray,
+def _check_nodes(nu: float, step: np.ndarray, x: np.ndarray, off: np.ndarray,
                  name: str, value: np.ndarray, unit: str) -> None:
-    """Raise IntegrationError for the first run with a node whose residual
-    ``off`` is not finite or exceeds _NODE_ANGLE_TOL, naming its worst node
-    by its ``name`` and ``value``."""
-    bad = ~np.all(off <= _NODE_ANGLE_TOL, axis=1)
-    if not bad.any():
+    """Raise IntegrationError where a node's residual ``off`` is not finite
+    or exceeds _NODE_ANGLE_TOL, naming the worst node by its ``name`` and
+    ``value``."""
+    if np.all(off <= _NODE_ANGLE_TOL):
         return
-    first = run[bad].min()
-    worst = np.where((run == first)[:, None], np.nan_to_num(off, nan=np.inf), -1.0)
-    j = np.unravel_index(np.argmax(worst), off.shape)
+    j = np.unravel_index(np.argmax(np.nan_to_num(off, nan=np.inf)), off.shape)
     raise IntegrationError(
-        f"quadrature node not resolved at nu={nu if np.isscalar(nu) else nu[first]}: "
-        f"{name}={float(value[j]):.17g} in step {int(step[j[0]])}, x={float(x[j]):.17g}, "
-        f"{name} residual {float(off[j]):.3g}{unit} (tolerance {_NODE_ANGLE_TOL:g})")
+        f"quadrature node not resolved at nu={nu}: {name}={float(value[j]):.17g} in step "
+        f"{int(step[j[0]])}, x={float(x[j]):.17g}, {name} residual {float(off[j]):.3g}{unit} "
+        f"(tolerance {_NODE_ANGLE_TOL:g})")
 
 
 def period_positive(
@@ -685,10 +610,7 @@ def period_scan(
     amplitudes = list(amplitudes)
     if not amplitudes:
         raise DomainError("empty amplitude grid")
-    if kind == "sign-changing" and method == "both":
-        samples = _sign_changing_samples(amplitudes, rp, nl, cfg, method)
-    else:
-        samples = [period_sample(kind, amp, rp, nl, cfg, method=method) for amp in amplitudes]
+    samples = [period_sample(kind, amp, rp, nl, cfg, method=method) for amp in amplitudes]
     verdict, violation = monotonicity([s.period for s in samples])
     return ScanResult(samples, verdict, violation)
 

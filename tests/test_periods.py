@@ -674,13 +674,21 @@ class TestQuadratureRoute:
         assert angular.period == s.period
         assert rel_err(angular.cross_check, angular.period) > 1e-5
 
-    def test_scan_samples_are_the_single_samples(self):
-        # the scan's quadrature covers its runs a few at a time; each sample
-        # is the one period_sign_changing returns alone, bit for bit
+    def test_radial_node_beyond_its_step_is_refused(self, monkeypatch):
+        # the end of a radial step moved out along its ray by half: its angle,
+        # and so every angular node, stays, but the step's polynomial no
+        # longer reaches its top log radii, which are read at x = 1 and refused
         rp, nl = reduce_params(self.CREEP), reduced_nonlinearity(self.CREEP)
-        grid = np.geomspace(0.01, 100.0, 2 * periods._RUNS_PER_PASS + 3)
-        scan = period_scan("sign-changing", grid, rp, nl, method="both")
-        assert scan.samples == [period_sign_changing(nu, rp, nl) for nu in grid]
+        tau, traj = periods.integrate_to_section(periods.cartesian_rhs(rp, nl), (0.0, 0.01),
+                                                 1e4, dense=True)
+        radial = np.unique(periods._quadrature_pieces(0.01, traj, rp, nl)[2][0])
+        i = radial[len(radial) // 2]
+        states = traj.states.copy()
+        states[i + 1] *= 1.5
+        moved = Trajectory(traj.taus.copy(), states, traj.events, traj.status, traj.dense)
+        monkeypatch.setattr(periods, "integrate_to_section", lambda *a, **k: (tau, moved))
+        with pytest.raises(IntegrationError, match=f"nu=0.01: log r=.* in step {i}, x=1,"):
+            period_sign_changing(0.01, rp, nl)
 
     def test_first_failing_amplitude_raises(self, duffing_soft, monkeypatch):
         # the quadrature of the scan's second amplitude fails (its angle
