@@ -12,13 +12,14 @@ as straight-line code from its Butcher tableau at import.
   quartic interpolant, the continuous extension of Shampine (Math. Comp. 46,
   1986), which is also its dense output.
 - Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner I, II.10), in the
-  arithmetic of scipy's DOP853, runs every ``integrate_to_section`` call: a
-  run to the first section crossing. It lands on the section with one step in
-  y as the independent variable (Henon, Physica D 5, 1982), so it needs no
-  interpolant to time the crossing. Its dense output is the pair's
-  seventh-order continuous extension, three extra stages per step (II.6),
-  on the same steps. A run whose steps underflow before the section is run
-  again on DP5, whose quartics are then its dense output.
+  arithmetic of scipy's DOP853, runs every ``integrate_to_section`` call, a
+  run to the first section crossing, and every ``integrate_to_end`` call, a
+  run over a fixed span whose rhs may reject a stage. The first lands on the
+  section with one step in y as the independent variable (Henon, Physica D 5,
+  1982), so it needs no interpolant to time the crossing. Its dense output,
+  which only profile folding reads, is the pair's seventh-order continuous
+  extension, three extra stages per step (II.6), on the same steps. A run
+  whose steps underflow before the section is run again on DP5.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ __all__ = [
     "SECTION",
     "integrate",
     "integrate_to_section",
+    "integrate_to_end",
+    "StageRejected",
 ]
 
 
@@ -297,8 +300,7 @@ _DOP853_EXTENSION = _Extension(
         -149.72683625798564)))
 # the stages that the extension reads: 2-5 have zero weight in every row
 _DOP853_DENSE_KEEP = (1, 6, 7, 8, 9, 10, 11, 12, 13)
-# the same step, returning the stages that its dense output reads; it runs
-# only where dense output is asked for
+# the same step, returning the stages that its dense output reads
 _DOP853_DENSE = _Pair(_unrolled_step("dop853_dense_step", _DOP853_TABLEAU,
                                      keep=_DOP853_DENSE_KEEP, norm=_dop853_norm), order=8)
 _dop853_extra_stages = _unrolled_extra_stages("dop853_extra_stages", _DOP853_EXTENSION,
@@ -354,15 +356,24 @@ def _quartic(k) -> tuple[float, ...]:
                    for p1, p3, p4, p5, p6, p7 in _P_HIGHER])
 
 
+class StageRejected(Exception):
+    """Raised by an rhs for a stage that a shorter step would avoid; the
+    controller rejects the step as if its error estimate were infinite."""
+
+
 def _initial_step(pair, rhs, t0, y0, y1, f0, f1, t1, direction, cfg) -> float:
     """First step size of Hairer, Norsett & Wanner II.4 (scipy's
-    select_initial_step for the pair's error order): one extra rhs call."""
+    select_initial_step for the pair's error order): one extra rhs call. A
+    derivative whose scaled norm overflows leaves none: IntegrationError."""
     span = abs(t1 - t0)
     s0 = cfg.abs_tol + abs(y0) * cfg.rel_tol
     s1 = cfg.abs_tol + abs(y1) * cfg.rel_tol
     d0 = _rms(y0 / s0, y1 / s1)
     d1 = _rms(f0 / s0, f1 / s1)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:
+        raise IntegrationError(f"no first step from the start ({y0!r}, {y1!r}) at {t0}: "
+                               f"the norm of its derivative ({f0!r}, {f1!r}) overflows")
     h0 = min(h0, span)
     g0, g1 = rhs(t0 + h0 * direction, (y0 + h0 * direction * f0,
                                         y1 + h0 * direction * f1))
@@ -372,11 +383,6 @@ def _initial_step(pair, rhs, t0, y0, y1, f0, f1, t1, direction, cfg) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / pair.order)
     return min(100 * h0, h1, span, cfg.max_step)
-
-
-class _StageRejected(Exception):
-    """Raised by an rhs for a stage that a shorter step would avoid; the
-    controller rejects the step as if its error estimate were infinite."""
 
 
 def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
@@ -406,7 +412,7 @@ def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
                 h_abs = abs(h)
                 try:
                     n0, n1, err, k = step(rhs, t, h, y0, y1, f0, f1, rtol, atol)
-                except _StageRejected:
+                except StageRejected:
                     err = math.inf
                 accepted = err < 1.0
                 if accepted:
@@ -655,23 +661,20 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False
     stepped by the Dormand-Prince 8(5,3) pair and ended on the section by
     Henon's step.
 
-    The step that brackets the section is not recorded as a node. From its start
-    (tau, w, y) one step of the same pair in the independent variable y, on
-    the state (w, tau) with dw/dy = w'/y' and dtau/dy = 1/y', lands on y = 0
-    (Henon, Physica D 5, 1982); it needs no interpolant. Where y does not
-    fall at the start, as on a step across a maximum of y, the landing runs
-    from the step's end instead, and where it falls at neither end the run
-    raises IntegrationError. The landing is error-controlled like any step:
-    an estimate above 1, or a stage where y does not fall along the run
-    (y' = 0 included), subdivides it. A run whose steps underflow before the
-    section is run again by integrate, on Dormand-Prince 5(4).
+    The step that brackets the section is not recorded as a node. From its
+    start (tau, w, y) a run of the same pair in the independent variable y,
+    on the state (w, tau) with dw/dy = w'/y' and dtau/dy = 1/y', lands on
+    y = 0 (Henon, Physica D 5, 1982). Where y does not fall at the start, as
+    on a step across a maximum of y, the landing runs from the step's end,
+    and where it falls at neither end the run raises IntegrationError. An
+    estimate above 1, or a stage where y does not fall (y' = 0 included),
+    subdivides the landing. A run whose steps underflow before the section
+    is run again by integrate, on Dormand-Prince 5(4).
 
-    With dense output the same steps also return the stages that DOP853's
-    continuous extension reads, and each accepted step evaluates its three
-    extra stages; the degree-7 polynomials of all steps, the bracketing one
-    included (it covers the last piece, up to the landing), are built in one
-    pass at the end. The steps, the landing and so the crossing time are
-    those of the run without dense output, bit for bit.
+    Dense output, which only profile folding asks for, adds each accepted
+    step's three extra stages and builds the degree-7 polynomials of all
+    steps, the bracketing one included, in one pass at the end. The steps and
+    the landing are those of the run without it, bit for bit.
     """
     t0, t1, y_start = _planar_start(start, tau_span)
     if t1 == t0:
@@ -688,7 +691,7 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False
     def by_y(y, s):
         f0, f1 = rhs(s[1], (s[0], y))
         if not direction * f1 < 0.0:
-            raise _StageRejected
+            raise StageRejected
         return f0 / f1, 1.0 / f1
 
     def run(events, status):
@@ -751,18 +754,35 @@ def integrate_to_section(
     """Time of the first SECTION crossing from ``start`` and the trajectory
     that ends there; a start on the section is not a crossing.
 
-    The run steps the Dormand-Prince 8(5,3) pair, which takes several times
-    fewer steps than DP5 at tight tolerances, and lands on the section with
-    Henon's step (_to_section). With dense output the same run also carries
-    DOP853's seventh-order continuous extension on every step, so the
-    crossing time is the one without it, bit for bit. Only a run whose
-    DOP853 steps underflow before the section runs again on DP5, with its
-    quartics as the dense output. The span (0, tau_max) also sets the first
-    step size, so callers keep their own horizon. Raises NoCrossingError
-    when the span ends first.
+    The run steps the Dormand-Prince 8(5,3) pair and lands on the section
+    with Henon's step (_to_section); dense output does not change its
+    crossing time. The span (0, tau_max) also sets the first step size, so
+    callers keep their own horizon. Raises NoCrossingError when the span
+    ends first.
     """
     traj = _to_section(rhs, start, (0.0, tau_max), cfg or DEFAULT_CONFIG, dense)
     if not traj.events:
         raise NoCrossingError(
             f"no downward crossing of y = 0 (u = 0 in slope charts) within tau <= {tau_max}")
     return traj.events[-1].tau, traj
+
+
+def integrate_to_end(rhs, start, span: tuple[float, float], cfg: IntegratorConfig | None = None,
+                     *, var: str = "tau") -> tuple[float, float]:
+    """The state at the end of ``span`` of the Dormand-Prince 8(5,3) run from
+    ``start``, without events or dense output. ``rhs`` may raise
+    StageRejected for a stage that a shorter step would avoid, as the
+    landing's does. An error at the start is an IntegrationError, as on any
+    later stage; ``var`` names the independent variable in messages."""
+    t0, t1, y_start = _planar_start(start, span)
+    y0, y1 = y_start.tolist()
+    cfg = cfg or DEFAULT_CONFIG
+    try:
+        f0, f1 = rhs(t0, (y0, y1))
+        h_abs = _initial_step(_DOP853, rhs, t0, y0, y1, f0, f1, t1, 1.0 if t1 > t0 else -1.0, cfg)
+    except (SeplaneError, ArithmeticError, ValueError, StageRejected) as exc:
+        raise IntegrationError(f"cannot start at {var}={t0} from ({y0!r}, {y1!r}): "
+                               f"{exc!r}") from exc
+    for _, _, y0, y1, _ in _steps(_DOP853, rhs, t0, y0, y1, f0, f1, t1, h_abs, cfg, var=var):
+        pass
+    return y0, y1

@@ -1,7 +1,7 @@
 """Period functions of the closed orbits and their closed-form limits.
 
 Sign-changing periods come from quarter-orbit event timing, cross-checked by
-a quadrature of the polar time element over the orbit itself; positive
+a second run of the quarter with the polar angle as the clock; positive
 periods from half-orbit timing; the p = 1 periods from the first-integral
 quadratures. The integer mode ranges are read off the endpoints of these
 period functions.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, OutOfRangeError
 from .fields import cartesian_rhs
-from .integrate import IntegratorConfig, Trajectory, integrate_to_section
+from .integrate import IntegratorConfig, StageRejected, integrate_to_end, integrate_to_section
 from .numerics import brent as brentq
 from .numerics import tanh_sinh
 from .params import (
@@ -57,31 +57,6 @@ QUAD_ABS_TOL = 1e-10
 P1_QUAD_ABS_TOL = 1e-11
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
-# four-point Gauss-Legendre rule on [-1, 1]: nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)),
-# weights (18 +- sqrt(30))/36, the larger weight on the inner pair
-_GAUSS_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
-    3.0 / 7.0 + np.array([1.0, -1.0, -1.0, 1.0]) * 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
-_GAUSS_WEIGHTS = (18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * math.sqrt(30.0)) / 36.0
-# cuts every step at the multiples of pi/64 rad: at the default tolerances a
-# step sweeps under 0.05 rad and the cuts move the sum by 3e-15 relative, but
-# with rel_tol = 1e-3 one step sweeps 1.13 rad, where a single rule is off by
-# 1.2e-5
-_GAUSS_GRID = np.linspace(0.0, _HALF_PI, 33)
-# the quadrature nodes' Newton iteration: at most _NODE_NEWTON_STEPS steps,
-# ended by a step below _NODE_X_TOL of a step's length; a node may then miss
-# its angle by _NODE_ANGLE_TOL rad. On period-scan orbits three steps leave
-# 2.2e-16 rad
-_NODE_NEWTON_STEPS = 8
-_NODE_X_TOL = 1e-10
-_NODE_ANGLE_TOL = 1e-12
-# a step may go to the radial time element where its log radius changes more
-# than _RADIAL_LEAD times as much as its polar angle; there it is cut once
-# for every _LOG_R_SPEED_CUT by which the log of the radial speed changes.
-# On period-scan seeds 1, 5 and 10 the leads 2 and 3 left route gaps of at
-# most 7.9e-9, and 5 of 2.1e-8
-_RADIAL_LEAD = 3.0
-_LOG_R_SPEED_CUT = 0.125
-_NO_PIECES = (np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -125,256 +100,57 @@ def period_sign_changing(
     """Least period of the sign-changing orbit through (0, nu).
 
     Event timing measures a quarter and multiplies by four. With
-    method="both" the quadrature route also integrates the time element of
-    the polar form over the same quarter and returns it as ``cross_check``:
-    over the polar angle, but over the log radius where the orbit runs out
-    along a ray (_quarter_quadrature). It reads the orbit off the dense
-    output of the same run, so the period is the event-timing one bit for
-    bit.
+    method="both" a second run steps the quarter with the polar angle as the
+    clock (_polar_clock) and returns four times its time as ``cross_check``;
+    the runs share no step, so their gap sees the global error of both.
     """
     require_family("sign-changing", rp)
     if method not in ("event-timing", "both"):
         raise DomainError(f"unknown method {method!r}")
+    nu = float(nu)   # a numpy scalar would slow every stage of the polar-angle run
     if nu <= 0.0:
         raise DomainError("need nu > 0")
-    # only the quadrature route reads the dense output; the steps, and so the
-    # event-timing period, are the same without it
-    tau_q, traj = integrate_to_section(cartesian_rhs(rp, nl), (0.0, nu), 1e4, cfg,
-                                       dense=method == "both")
+    tau_q, _ = integrate_to_section(cartesian_rhs(rp, nl), (0.0, nu), 1e4, cfg)
     period_ev = 4.0 * tau_q
     err_ev = 4.0 * max((cfg or IntegratorConfig()).event_tol, 1e-9 * tau_q)
     if method == "event-timing":
         return PeriodSample(nu, period_ev, "event-timing", err_ev)
-    period_quad = 4.0 * _quarter_quadrature(nu, traj, rp, nl)
-    return PeriodSample(nu, period_ev, "event-timing", max(err_ev, abs(period_ev - period_quad)),
-                        cross_check=period_quad)
+    try:
+        _, quarter = integrate_to_end(_polar_clock(nu, rp, nl), (1.0, 0.0), (_HALF_PI, 0.0),
+                                      cfg, var="theta")
+    except IntegrationError as exc:
+        raise type(exc)(f"the polar-angle run of the quarter orbit failed at nu={nu}: "
+                        f"{exc}") from exc
+    period_theta = 4.0 * quarter
+    return PeriodSample(nu, period_ev, "event-timing", max(err_ev, abs(period_ev - period_theta)),
+                        cross_check=period_theta)
 
 
-def _quarter_quadrature(nu: float, traj: Trajectory, rp: ReducedParams,
-                        nl: Nonlinearity) -> float:
-    """The quadrature route's quarter time of the run ``traj`` from (0, nu),
-    read off its dense output.
-
-    A four-point Gauss-Legendre rule runs on the polar-angle range of every
-    step, cut at least every pi/64 rad, and reads w at each node off the
-    step's own polynomial, where Newton finds the node's angle
-    (_w_at_angles). A step along which the orbit runs out more than it
-    turns is integrated over its log radius instead (_quadrature_pieces).
-    One numpy pass covers all nodes of each kind; a node the iteration does
-    not resolve raises IntegrationError.
+def _polar_clock(nu: float, rp: ReducedParams, nl: Nonlinearity):
+    """rhs(theta, (x, tau)) of the quarter orbit from (0, nu), x = rho / nu,
+    with the polar angle as the clock: Henon's change of variable (Physica D
+    5, 1982) over the whole quarter, from (1, 0) at theta = pi/2 to theta = 0.
+    With c, s = cos theta, sin theta, h = h(nu x c) and
+    n = b c^2 - (p-1) s^2 + (d - h) c^p, the polar form gives
+    dtau/dtheta = (c^2 + (p-1) s^2) / n and
+    dx/dtheta = x ((1+b) c + (d - h) c^(p-1)) s / n, both finite at pi/2. A
+    stage where the angle does not fall (n >= 0) or x <= 0 is rejected.
     """
-    (theta, log_r), (lo, hi, step, held), (r_step, rho, r_half) = \
-        _quadrature_pieces(nu, traj, rp, nl)
-    # angular pieces: w at the nodes, held at the section's w below the
-    # lowest angle and at 0 above the highest
-    half = 0.5 * (hi - lo)
-    th = lo[:, None] + half[:, None] * (1.0 + _GAUSS_NODES)
-    w = np.zeros_like(th)
-    w[held] = traj.states[-1, 0]
-    inner = step >= 0
-    if inner.any():
-        w[inner] = _w_at_angles(traj.dense, theta, step[inner], th[inner], nu)
-    hv = nl.h(np.maximum(w, 0.0))
-    # tan^2 as 1/cos^2 - 1 and a plain sum: numpy's tan loop and the BLAS
-    # behind a matmul would page in about 0.4 MB of code
-    cos = np.cos(th)
-    pt2 = (rp.p - 1.0) * (1.0 / (cos * cos) - 1.0)
-    dtau = (1.0 + pt2) / (pt2 - rp.b + (hv - rp.d) * cos ** (rp.p - 2.0))
-    quarter = float(np.sum(dtau * _GAUSS_WEIGHTS * half[:, None]))
-    if len(r_step):
-        # radial pieces: the nodes' states, and 1 / R there
-        w, y = _states_at_radii(traj.dense, log_r, r_step, rho, nu)
-        speed, _ = _radial_speed(w, y, np.exp(rho), rp, nl)
-        quarter += float(np.sum(_GAUSS_WEIGHTS / speed * r_half[:, None]))
-    return quarter
+    pm1, b, b1, d, e = rp.p - 1.0, rp.b, 1.0 + rp.b, rp.d, nl.power + 1.0 - nl.p
 
+    def rhs(theta, state):
+        x = state[0]
+        if not x > 0.0:
+            raise StageRejected
+        c, s = math.cos(theta), math.sin(theta)
+        cpm1 = c ** pm1
+        g = d - (nu * x * c) ** e
+        n = b * c * c - pm1 * s * s + g * cpm1 * c
+        if not n < 0.0:
+            raise StageRejected
+        return x * (b1 * c + g * cpm1) * s / n, (c * c + pm1 * s * s) / n
 
-def _quadrature_pieces(nu: float, traj: Trajectory, rp: ReducedParams, nl: Nonlinearity):
-    """The quadrature pieces of one run: its knots' angles and log radii;
-    its angular pieces' ends (lo, hi), step (-1 outside the steps) and
-    whether w is held at the section's w there (below the lowest angle); and
-    its radial pieces (_radial_pieces). Raises IntegrationError where the
-    polar angle does not fall along the run."""
-    # the knots are the step ends, the last one read off the last step's
-    # polynomial: a landing on the section lies off it by the interpolant's
-    # error, and the nodes are found on the polynomials
-    dense, knots = traj.dense, traj.states.copy()
-    x_end = (traj.taus[-1] - traj.taus[-2]) / dense.h[-1]
-    knots[-1] = dense.starts[-1] + dense.h[-1] * x_end * _horner(dense.q[-1].T, x_end)
-    theta = np.arctan2(knots[:, 1], knots[:, 0])
-    if not np.all(np.diff(theta) < 0.0):
-        raise IntegrationError(f"the polar angle does not fall along the quarter orbit at nu={nu}")
-    log_r = np.log(np.hypot(knots[:, 0], knots[:, 1]))
-    # a radial step lies off the axes, where the radial speed vanishes, and
-    # keeps the sign of that speed. At both ends the log of the speed changes
-    # along the circle by less than the lead per radian, so an error in the
-    # angle moves 1/R less than it moves the angle's element: near w = 0 at
-    # p < 2, cos^(p-2) makes the radial element the worse one
-    inside = (theta > 0.0) & (theta < _HALF_PI)
-    lead = np.abs(np.diff(log_r)) / -np.diff(theta)
-    steps = np.flatnonzero(inside[:-1] & inside[1:] & (lead > _RADIAL_LEAD))
-    if len(steps):
-        ends = np.stack((steps, steps + 1))
-        speed, slope = _radial_speed(knots[ends, 0], knots[ends, 1], np.exp(log_r[ends]), rp, nl)
-        radial = (speed[0] * speed[1] > 0.0) & np.all(np.abs(slope) < lead[steps], axis=0)
-        steps, speed = steps[radial], speed[:, radial]
-    # the angular knots run from pi/2 down to the section, between the ends
-    # of the range; every piece between knots and grid cuts gets the
-    # four-point Gauss rule, but those inside radial steps
-    n = len(theta) - 1
-    angles = np.concatenate(([min(theta[-1], 0.0)], theta[::-1], [max(theta[0], _HALF_PI)]))
-    edges = np.union1d(np.clip(angles, 0.0, _HALF_PI), _GAUSS_GRID)
-    lo, hi = edges[:-1], edges[1:]
-    step = n - (np.searchsorted(angles, lo, side="right") - 1)
-    held = step == n
-    step[held | (step < 0)] = -1
-    if not len(steps):
-        return (theta, log_r), (lo, hi, step, held), _NO_PIECES
-    keep = (step < 0) | ~np.isin(step, steps)
-    return ((theta, log_r), (lo[keep], hi[keep], step[keep], held[keep]),
-            _radial_pieces(log_r, steps, speed))
-
-
-def _radial_pieces(log_r: np.ndarray, steps: np.ndarray, speed: np.ndarray):
-    """The pieces of the radial ``steps``, whose ends have the radial speeds
-    ``speed``: each step is cut into equal pieces of log radius, one more
-    for every _LOG_R_SPEED_CUT by which the log of the speed changes between
-    its ends. Their steps, four Gauss nodes in log radius each and half
-    widths."""
-    cuts = 1 + np.floor(np.abs(np.log(speed[1] / speed[0])) / _LOG_R_SPEED_CUT).astype(int)
-    step = np.repeat(steps, cuts)
-    width = np.repeat((log_r[steps + 1] - log_r[steps]) / cuts, cuts)
-    j = np.arange(len(step)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
-    half = 0.5 * width
-    return step, (log_r[step] + j * width)[:, None] + half[:, None] * (1.0 + _GAUSS_NODES), half
-
-
-def _radial_speed(w: np.ndarray, y: np.ndarray, r: np.ndarray, rp: ReducedParams,
-                  nl: Nonlinearity) -> tuple[np.ndarray, np.ndarray]:
-    """R = d(log r)/dtau at (w, y) off the axes on the circle of radius r, from
-    the polar form, and d log R / dtheta along that circle. With
-    g = (h(w) - d) cos^(p-2) and h(w) = w^(q+1-p),
-    R = tan (1 + b - g) / (1 + (p-1) tan^2)."""
-    p, b, d = rp.p, rp.b, rp.d
-    cos, sin, tan = w / r, y / r, y / w
-    pt2 = (p - 1.0) * tan * tan
-    hv = nl.h(w)
-    g = (hv - d) * cos ** (p - 2.0)
-    dg = -sin * cos ** (p - 3.0) * ((nl.power + 1.0 - p) * hv + (p - 2.0) * (hv - d))
-    # a knot where R is 0 has an infinite slope and is not radial
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (tan * (1.0 + b - g) / (1.0 + pt2),
-                (1.0 + tan * tan) * (1.0 - pt2) / (tan * (1.0 + pt2)) - dg / (1.0 + b - g))
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """coeffs[0] + x (coeffs[1] + x (... + x coeffs[-1])), the coefficients
-    along the first axis."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = c + x * acc
-    return acc
-
-
-def _horner_slope(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_horner's polynomial and its derivative in x, in one pass."""
-    acc, slope = coeffs[-1], 0.0
-    for c in coeffs[-2::-1]:
-        slope = acc + x * slope
-        acc = c + x * acc
-    return acc, slope
-
-
-def _step_polynomials(dense, step: np.ndarray):
-    """The start, the size h, x at the end (1, but the last step stops at
-    the section) and the coefficients C of each step in ``step``, shaped
-    against rows of nodes: the state at x is start + h x (C[0] + C[1] x +
-    ... + C[n-1] x^(n-1)), C of shape (n, 2, k, 1), start of shape
-    (2, k, 1)."""
-    h = dense.h[step]
-    x_end = (dense.taus[step + 1] - dense.taus[step]) / h
-    coeffs = dense.q[step].transpose(2, 1, 0)[..., None]
-    return dense.starts[step].T[..., None], h[:, None], x_end[:, None], coeffs
-
-
-def _newton(residual, x: np.ndarray, x_end: np.ndarray) -> np.ndarray:
-    """Newton's iteration on rows of nodes, x <- x - dx with (value, slope)
-    = residual(x), at most _NODE_NEWTON_STEPS times and ended once no node
-    moves by more than _NODE_X_TOL. The result is kept inside its step,
-    [0, x_end]."""
-    for _ in range(_NODE_NEWTON_STEPS):
-        value, slope = residual(x)
-        dx = value / slope
-        x = x - dx
-        if np.max(np.abs(dx)) <= _NODE_X_TOL:
-            break
-    # a root the polynomial finds beyond its step is read at the step's end
-    return np.minimum(np.maximum(x, 0.0), x_end)
-
-
-def _w_at_angles(dense, theta: np.ndarray, step: np.ndarray, th: np.ndarray,
-                 nu: float) -> np.ndarray:
-    """w where the orbit crosses the angles ``th``, shape (k, 4), row j inside
-    step ``step[j]``, whose ends lie at the angles ``theta[step]`` and
-    ``theta[step + 1]``: Newton on the step's polynomial, of any degree,
-    G(x) = sin th w(x) - cos th y(x), from the linear-in-angle guess. Raises
-    IntegrationError where a node is not finite or misses its angle by more
-    than _NODE_ANGLE_TOL rad."""
-    start, h, x_end, coeffs = _step_polynomials(dense, step)
-    top = theta[step, None]
-    sn, cs = np.sin(th), np.cos(th)
-    # G / h = g[0] + g[1] x + ... + g[n] x^n
-    g = np.empty((len(coeffs) + 1,) + th.shape)
-    g[0] = (sn * start[0] - cs * start[1]) / h
-    np.multiply(sn, coeffs[:, 0], out=g[1:])
-    g[1:] -= cs * coeffs[:, 1]
-    x = _newton(lambda x: _horner_slope(g, x),
-                x_end / (top - theta[step + 1, None]) * (top - th), x_end)
-    w, y = start + h * x * _horner(coeffs, x)
-    with np.errstate(invalid="ignore"):
-        off = np.abs(sn * w - cs * y) / np.hypot(w, y)
-    _check_nodes(nu, step, x, off, "theta", th, " rad")
-    return w
-
-
-def _states_at_radii(dense, log_r: np.ndarray, step: np.ndarray, rho: np.ndarray,
-                     nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """(w, y) where the orbit crosses the log radii ``rho``, shape (k, 4), row
-    j inside step ``step[j]``, whose ends lie at ``log_r[step]`` and
-    ``log_r[step + 1]``: Newton on the step's polynomial for
-    log |s(x)| = rho, from the linear-in-log-radius guess. A node that
-    misses its log radius by more than _NODE_ANGLE_TOL raises
-    IntegrationError."""
-    start, h, x_end, coeffs = _step_polynomials(dense, step)
-    low = log_r[step, None]
-
-    # the state start + h x P(x) and its slope h (P + x P')
-    def residual(x):
-        poly, slope = _horner_slope(coeffs, x)
-        (w, y), (dw, dy) = start + h * x * poly, h * (poly + x * slope)
-        r2 = w * w + y * y
-        return (0.5 * np.log(r2) - rho) * r2, w * dw + y * dy
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x = _newton(residual, x_end / (log_r[step + 1, None] - low) * (rho - low), x_end)
-        w, y = start + h * x * _horner(coeffs, x)
-        off = np.abs(0.5 * np.log(w * w + y * y) - rho)
-    _check_nodes(nu, step, x, off, "log r", rho, "")
-    return w, y
-
-
-def _check_nodes(nu: float, step: np.ndarray, x: np.ndarray, off: np.ndarray,
-                 name: str, value: np.ndarray, unit: str) -> None:
-    """Raise IntegrationError where a node's residual ``off`` is not finite
-    or exceeds _NODE_ANGLE_TOL, naming the worst node by its ``name`` and
-    ``value``."""
-    if np.all(off <= _NODE_ANGLE_TOL):
-        return
-    j = np.unravel_index(np.argmax(np.nan_to_num(off, nan=np.inf)), off.shape)
-    raise IntegrationError(
-        f"quadrature node not resolved at nu={nu}: {name}={float(value[j]):.17g} in step "
-        f"{int(step[j[0]])}, x={float(x[j]):.17g}, {name} residual {float(off[j]):.3g}{unit} "
-        f"(tolerance {_NODE_ANGLE_TOL:g})")
+    return rhs
 
 
 def period_positive(

@@ -245,6 +245,15 @@ class TestOrbitCommand:
         code, _, err = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "-c", "0")
         assert code == 2
 
+    def test_overflowing_start_exits_3(self, capsys):
+        # the norm of the start's derivative overflows, which left the first
+        # step size 0 and ended in a ZeroDivisionError (exit 1)
+        code, out, err = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "-c", "-2",
+                                 "--start", "0", "1e150", "--span", "1")
+        assert code == 3
+        assert "no first step from the start (0.0, 1e+150)" in err
+        assert "Traceback" not in err + out
+
 
 class TestPeriodScanCommand:
     @pytest.mark.parametrize("n", [10_001, 1_000_000_000])
@@ -274,6 +283,14 @@ class TestPeriodScanCommand:
                                "--grid", "0.01:100:12:log")
         assert code == 0
         assert "# verdict: decreasing" in out
+
+    def test_overflowing_starts_exit_3(self, capsys):
+        # as the orbit command's overflowing start: each row names its start
+        code, out, err = run_cli(capsys, "period-scan", "-p", "2", "-q", "3", "-c", "-2",
+                                 "--kind", "sign-changing", "--grid", "1e150:2e150:2")
+        assert code == 3
+        assert "no first step from the start (0.0; 2e+150)" in out
+        assert "Traceback" not in err + out
 
     def test_partial_failure_rows(self, capsys):
         # amplitudes beyond the admissible interval flush error rows, exit 3

@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from seplane import periods
-from seplane.errors import DomainError, IntegrationError, OutOfRangeError
+from seplane.errors import DomainError, OutOfRangeError, StepUnderflowError
 from seplane.fields import p1_slope_rhs
-from seplane.integrate import EventSpec, IntegratorConfig, Trajectory, integrate
+from seplane.integrate import EventSpec, IntegratorConfig, StageRejected, integrate
 from seplane.params import (
     Nonlinearity,
     ProblemParams,
@@ -133,100 +133,11 @@ class TestSignChanging:
 
     @pytest.mark.parametrize("nu", [0.05, 0.2, 0.5, 1.0, 3.0, 10.0, 30.0])
     def test_quadrature_route_energy_oracle(self, duffing_soft, nu):
-        # the Gauss pass integrates the time element on the dense output's own
-        # quartics: measured at most 1.6e-12 here, at nu = 1
+        # the polar-angle run steps its own orbit: measured at most 3.7e-12
+        # here, at nu = 3, where event timing was off by up to 1.6e-11
         rp, nl = duffing_soft
         s = period_sign_changing(nu, rp, nl)
         assert rel_err(s.cross_check, cubic_period_oracle(nu)) < 1e-11
-
-    @pytest.mark.parametrize("top, end, cfg", [(1.4, 0.1, None), (1.7, -0.05, None),
-                                               (math.pi / 2.0, None, LOOSE)],
-                             ids=["short-of-both-axes", "past-both-axes", "one-wide-step"])
-    def test_quadrature_route_integrates_the_quartics(self, top, end, cfg, monkeypatch):
-        # a real dense run from polar angle top down to end: short of the
-        # axes, w is held at the section's w below the last angle and at 0
-        # above the first; past them, the steps are cut at 0 and pi/2. The
-        # loose tolerances make a quarter orbit whose second step sweeps
-        # 1.13 rad. The Gauss pass must match an adaptive quadrature of the
-        # same time element, step by step, with w found on the same quartics
-        # by brentq (measured within 2.2e-16 relative)
-        rp = ReducedParams(3.0, 5.0, -3.0, 0.5)
-        nl = Nonlinearity(3.0, 5.0)
-        rhs = periods.cartesian_rhs(rp, nl)
-        if end is None:
-            tau, traj = periods.integrate_to_section(rhs, (0.0, 1.0), 1e4, cfg, dense=True)
-        else:
-            stop = EventSpec("theta=end", lambda t, s: s[1] * math.cos(end) - s[0] * math.sin(end),
-                             terminal=True, direction=-1)
-            traj = integrate(rhs, (math.cos(top), math.sin(top)), (0.0, 1e4), [stop], dense=True)
-            tau = traj.events[-1].tau
-        monkeypatch.setattr(periods, "integrate_to_section", lambda *a, **k: (tau, traj))
-        got = period_sign_changing(1.0, rp, nl, cfg).cross_check
-
-        theta = np.arctan2(traj.states[:, 1], traj.states[:, 0])
-        if end is None:
-            assert np.max(-np.diff(theta)) > 1.0
-
-        def dtau(th, wv):
-            pt2 = (rp.p - 1.0) * math.tan(th) ** 2
-            return (1.0 + pt2) / (pt2 - rp.b + (nl.h(wv) - rp.d) * math.cos(th) ** (rp.p - 2.0))
-
-        def w_on_step(i, th):
-            def off(t):
-                w, y = traj.sample(t)
-                return math.sin(th) * w - math.cos(th) * y
-            t = brentq(off, traj.taus[i], traj.taus[i + 1], xtol=1e-300)
-            return max(float(traj.sample(t)[0]), 0.0)
-
-        lo, hi = max(theta[-1], 0.0), min(theta[0], math.pi / 2.0)
-        val = quad(lambda th: dtau(th, traj.states[-1, 0]), 0.0, lo)[0] \
-            + quad(lambda th: dtau(th, 0.0), hi, math.pi / 2.0)[0]
-        for i in range(len(theta) - 1):
-            a, b = max(theta[i + 1], 0.0), min(theta[i], math.pi / 2.0)
-            if a < b:
-                val += quad(lambda th: dtau(th, w_on_step(i, th)), a, b,
-                            epsabs=1e-15, limit=200)[0]
-        assert rel_err(got, 4.0 * val) < 1e-13
-
-    @pytest.mark.parametrize("where", ["inside-a-step", "between-steps"])
-    def test_quadrature_refuses_a_turning_angle(self, duffing_soft, where, monkeypatch):
-        # inside a step: a bump c x^2 (1 - x)^2 in y keeps the step's ends and
-        # end slopes but turns its angle back up, so no node there may be read
-        # off. Between steps: one step end is turned 0.05 rad back up
-        rp, nl = duffing_soft
-        tau, traj = periods.integrate_to_section(periods.cartesian_rhs(rp, nl), (0.0, 1.0),
-                                                 1e4, dense=True)
-        i = len(traj.taus) // 2
-        if where == "inside-a-step":
-            chord = float(np.hypot(*(traj.states[i + 1] - traj.states[i])))
-            traj.dense.q[i, 1, 1:4] += np.array([1.0, -2.0, 1.0]) * 30.0 * chord / traj.dense.h[i]
-            on_step = traj.sample(traj.taus[i] + np.linspace(0.0, 1.0, 21) * traj.dense.h[i])
-            assert np.any(np.diff(np.arctan2(on_step[:, 1], on_step[:, 0])) > 0.0)
-            match = f"nu=1.0: theta=.* in step {i},"
-        else:
-            states = traj.states.copy()
-            turn = 0.05 + np.arctan2(states[i, 1], states[i, 0])
-            states[i + 1] = np.hypot(*states[i + 1]) * np.array([math.cos(turn), math.sin(turn)])
-            traj = Trajectory(traj.taus.copy(), states, traj.events, traj.status, traj.dense)
-            match = "the polar angle does not fall along the quarter orbit at nu=1.0"
-        monkeypatch.setattr(periods, "integrate_to_section", lambda *a, **k: (tau, traj))
-        with pytest.raises(IntegrationError, match=match):
-            period_sign_changing(1.0, rp, nl)
-
-    def test_quadrature_node_beyond_its_step_is_refused(self, duffing_soft):
-        # Newton may find a node's angle on the step's quartic extended past
-        # the step; the node is then read at the step's end and refused. Here
-        # the middle angle of step i + 1 is handed to step i
-        rp, nl = duffing_soft
-        _, traj = periods.integrate_to_section(periods.cartesian_rhs(rp, nl), (0.0, 1.0),
-                                               1e4, dense=True)
-        theta = np.arctan2(traj.states[:, 1], traj.states[:, 0])
-        i = len(theta) // 2
-        th = np.full((1, 4), 0.5 * (theta[i + 1] + theta[i + 2]))
-        with pytest.raises(IntegrationError, match=f"nu=1.0: theta=.* in step {i}, x=1,"):
-            periods._w_at_angles(traj.dense, theta, np.array([i]), th, 1.0)
-        w = periods._w_at_angles(traj.dense, theta, np.array([i + 1]), th, 1.0)
-        assert np.all(w > traj.states[i + 1, 0])
 
     def test_domain(self, duffing_soft):
         rp, nl = duffing_soft
@@ -647,82 +558,114 @@ class TestSignChangingDenseOutput:
         monkeypatch.setattr(periods, "integrate_to_section", recorded)
         both = period_sign_changing(nu, rp, nl, method="both")
         alone = period_sign_changing(nu, rp, nl, method="event-timing")
-        # only the quadrature route reads the dense output, and the DOP853
-        # run that carries it takes the same steps as the one without: one
-        # run times the quarter for both routes
-        assert asked == [True, False]
+        # neither method reads dense output: the polar-angle route steps its
+        # own run, and event timing's run is the same for both
+        assert asked == [False, False]
         assert both.period == alone.period
         assert alone.cross_check is None and both.cross_check is not None
 
 
 class TestQuadratureRoute:
+    # the angular-time integral T/4, stepped as an ODE in the polar angle.
     # period-scan seed 1's triple (3.9154, 7.2150, 6.0913), c above c_q: at
     # nu = 0.01 the quarter orbit runs out along a ray from the origin, where
     # the angular speed nearly vanishes
     CREEP = ProblemParams(3.9154375563508577, 7.21503433798867, 6.0912532922241756)
 
-    def test_radial_steps_keep_the_routes_together(self, monkeypatch):
-        # the angle's time element alone, on the same run, turns the dense
-        # output's error into a route gap of 1.1e-4; with the steps that run
-        # out along the ray integrated over their log radius the gap is
-        # 9.9e-10 (2.2e-7 with DP5's quartics and the angle alone)
+    def test_creeping_orbit_keeps_the_routes_together(self):
+        # along the ray the angle is a slow clock but a smooth one: the gap
+        # was 6.6e-12 (9.9e-10 for the quadrature on event timing's dense
+        # output, 1.1e-4 for the angle's element alone on that output)
         rp, nl = reduce_params(self.CREEP), reduced_nonlinearity(self.CREEP)
         s = period_sign_changing(0.01, rp, nl)
         assert rel_err(s.cross_check, s.period) < 1e-8
-        monkeypatch.setattr(periods, "_RADIAL_LEAD", math.inf)
-        angular = period_sign_changing(0.01, rp, nl)
-        assert angular.period == s.period
-        assert rel_err(angular.cross_check, angular.period) > 1e-5
 
-    def test_radial_node_beyond_its_step_is_refused(self, monkeypatch):
-        # the end of a radial step moved out along its ray by half: its angle,
-        # and so every angular node, stays, but the step's polynomial no
-        # longer reaches its top log radii, which are read at x = 1 and refused
+    @pytest.mark.parametrize("p, beta, offset, nu", [
+        (3.7211263994576536, 1.049030228930469, 0.8740916453280638, 0.002366921138037098),
+        (4.201461762826547, 1.0008817736499278, 2.5112172526279744, 0.012161217204995627),
+        (3.325536234606319, 0.9674089345137071, 2.5141547973676883, 0.004291841009452685)])
+    def test_loose_tolerances_keep_the_route(self, p, beta, offset, nu):
+        # draws of a seeded fuzz at rel_tol = abs_tol = 1e-3, c above c_q,
+        # where a quadrature on event timing's dense output found the angle
+        # rising; the polar-angle run came within 1.3e-6 of the default
+        # config's period, where event timing was off by up to 7.3e-3
+        q = p - 1.0 + p / beta
+        pp = ProblemParams(p, q, critical_potential(p, q) + offset)
+        rp, nl = reduce_params(pp), reduced_nonlinearity(pp)
+        s = period_sign_changing(nu, rp, nl, LOOSE)
+        assert rel_err(s.cross_check, period_sign_changing(nu, rp, nl).period) < 1e-5
+
+    def test_a_stage_whose_angle_turns_back_up_is_rejected(self):
+        # above c_q the angle rises on the w axis inside the positive
+        # equilibrium a, where h(w) < b + d: a stage there is rejected, as is
+        # one with rho <= 0, and the controller shrinks the step
         rp, nl = reduce_params(self.CREEP), reduced_nonlinearity(self.CREEP)
-        tau, traj = periods.integrate_to_section(periods.cartesian_rhs(rp, nl), (0.0, 0.01),
-                                                 1e4, dense=True)
-        radial = np.unique(periods._quadrature_pieces(0.01, traj, rp, nl)[2][0])
-        i = radial[len(radial) // 2]
-        states = traj.states.copy()
-        states[i + 1] *= 1.5
-        moved = Trajectory(traj.taus.copy(), states, traj.events, traj.status, traj.dense)
-        monkeypatch.setattr(periods, "integrate_to_section", lambda *a, **k: (tau, moved))
-        with pytest.raises(IntegrationError, match=f"nu=0.01: log r=.* in step {i}, x=1,"):
-            period_sign_changing(0.01, rp, nl)
+        a = stationary_abscissa(rp, nl)
+        rhs = periods._polar_clock(1.0, rp, nl)
+        for theta, x in ((0.0, 0.5 * a), (0.0, 0.0), (0.1, -1.0)):
+            with pytest.raises(StageRejected):
+                rhs(theta, (x, 0.0))
+        assert all(map(math.isfinite, rhs(0.0, (2.0 * a, 0.0))))
+        assert all(map(math.isfinite, rhs(math.pi / 2.0, (1.0, 0.0))))
+
+    def test_only_floats_reach_the_polar_clock(self, monkeypatch):
+        # perfbench's grid is numpy's; a numpy scalar nu would carry numpy
+        # arithmetic into every stage of the polar-angle run
+        rp, nl = reduce_params(self.CREEP), reduced_nonlinearity(self.CREEP)
+        grid = np.geomspace(0.01, 100.0, 5)
+        seen = set()
+        clock = periods._polar_clock
+
+        def recorded(nu, rp, nl):
+            rhs = clock(nu, rp, nl)
+            seen.add(type(nu))
+
+            def typed(theta, state):
+                seen.update(map(type, (theta, *state)))
+                return rhs(theta, state)
+
+            return typed
+
+        monkeypatch.setattr(periods, "_polar_clock", recorded)
+        scan = period_scan("sign-changing", grid, rp, nl, method="both")
+        assert seen == {float}
+        floats = period_scan("sign-changing", [float(nu) for nu in grid], rp, nl, method="both")
+        assert scan.samples == floats.samples
 
     def test_first_failing_amplitude_raises(self, duffing_soft, monkeypatch):
-        # the quadrature of the scan's second amplitude fails (its angle
-        # turns back up between two steps) before the third amplitude's run
+        # the polar-angle run of the scan's second amplitude fails (its angle
+        # stops falling short of 0) before the third amplitude's run
         rp, nl = duffing_soft
-        section = periods.integrate_to_section
+        clock = periods._polar_clock
 
-        def turned(rhs, start, tau_max, cfg=None, *, dense=False):
-            if start[1] < 0.0:
-                raise DomainError("a run that fails")
-            tau, traj = section(rhs, start, tau_max, cfg, dense=dense)
-            if start[1] == 2.0:
-                states = traj.states.copy()
-                states[3] = states[2] * np.array([1.0, 1.1])
-                traj = Trajectory(traj.taus.copy(), states, traj.events, traj.status, traj.dense)
-            return tau, traj
+        def stalled(nu, rp, nl):
+            rhs = clock(nu, rp, nl)
 
-        monkeypatch.setattr(periods, "integrate_to_section", turned)
-        with pytest.raises(IntegrationError, match="quarter orbit at nu=2.0"):
+            def stalls(theta, state):
+                if nu == 2.0 and theta < 0.5:
+                    raise StageRejected
+                return rhs(theta, state)
+
+            return stalls
+
+        monkeypatch.setattr(periods, "_polar_clock", stalled)
+        match = "polar-angle run of the quarter orbit failed at nu=2.0: step .* at theta=0.5"
+        with pytest.raises(StepUnderflowError, match=match):
             period_scan("sign-changing", [1.0, 2.0, 3.0], rp, nl, method="both")
-        with pytest.raises(IntegrationError, match="quarter orbit at nu=2.0"):
+        with pytest.raises(StepUnderflowError, match=match):
             period_scan("sign-changing", [1.0, 2.0, -3.0], rp, nl, method="both")
         with pytest.raises(DomainError, match="need nu > 0"):
             period_scan("sign-changing", [1.0, -3.0, 2.0], rp, nl, method="both")
 
 
-# the two sign-changing period routes as each other's oracle,
-# drawn over period-scan's ranges. Both read one DOP853 run, so their gap is
-# the quadrature's alone: over the 1440 samples of period-scan seeds 5 and 11
-# it was at most 1.3e-8 relative (2.9e-9 at nu = 0.049 and 1.3e-8 at
-# nu = 0.45, both with c above c_q, the default config), where event timing
-# was within 7e-12 of a rel_tol = 1e-13 reference.
+# the two sign-changing period routes as each other's oracle, drawn over
+# period-scan's ranges. Each route steps its own run, event timing in tau and
+# the other in the polar angle, so their gap sees the global error of both.
+# The example's nu is 1 + 8e-16: a first step sized from |log nu| there would
+# be 8e-16, which is why the polar-angle run's state is rho / nu, not log rho
 @pytest.mark.slow
 @settings(max_examples=200, deadline=None)
+@example(p=2.0, beta=1.0, offset=1.0, side=-1.0, log_nu=3.5035098051949985e-16)
 @given(p=st.floats(1.5, 4.0, exclude_min=True, exclude_max=True),
        beta=st.floats(0.9, 1.1, exclude_min=True, exclude_max=True),
        offset=st.floats(0.3, 3.0, exclude_min=True, exclude_max=True),
