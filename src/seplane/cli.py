@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as _checks
-from .errors import DomainError, SeplaneError
+from .errors import DomainError, IntegrationError, SeplaneError
 from .fields import cartesian_rhs, field_cartesian
 from .integrate import DEFAULT_CONFIG, EventSpec, IntegratorConfig, integrate
 from .orbits import classify_orbit, conserved_quantity, saddle_data, shoot_homoclinic
@@ -233,6 +233,13 @@ def cmd_orbit(args) -> int:
                      events=[EventSpec("w=0", lambda t, s: s[0]),
                              EventSpec("y=0", lambda t, s: s[1])],
                      cfg=cfg, dense=True)
+    if rp.p == 1.0:
+        # off the circle no p = 1 orbit crosses the singular line w = 0, and
+        # within 1e-9 of it the first integral that checks the run is undefined
+        near = [s for s in (*traj.states, *(e.state for e in traj.events)) if abs(s[0]) <= 1e-9]
+        if near:
+            raise IntegrationError(f"the p = 1 run reached {near[0].tolist()}, within 1e-9 of "
+                                   "the singular line w = 0")
     taus, states = _orbit_rows(traj)
     meta["events"] = [{"tau": e.tau, "kind": e.kind,
                        "state": [float(x) for x in e.state]}

@@ -6,20 +6,21 @@ explicit Runge-Kutta pair on floats. Two pairs share one step-size control
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and each step is generated
 as straight-line code from its Butcher tableau at import.
 
-- Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980), in the arithmetic of
-  scipy's RK45, runs every ``integrate`` call. It records sampled states and
-  polishes every sign change of the scalar monitors g(t, s) on the step's
-  quartic interpolant, the continuous extension of Shampine (Math. Comp. 46,
-  1986), which is also its dense output.
 - Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner I, II.10), in the
-  arithmetic of scipy's DOP853, runs every ``integrate_to_section`` call, a
-  run to the first section crossing, and every ``integrate_to_end`` call, a
-  run over a fixed span whose rhs may reject a stage. The first lands on the
-  section with one step in y as the independent variable (Henon, Physica D 5,
-  1982), so it needs no interpolant to time the crossing. Its dense output,
-  which only profile folding reads, is the pair's seventh-order continuous
-  extension, three extra stages per step (II.6), on the same steps. A run
-  whose steps underflow before the section is run again on DP5.
+  arithmetic of scipy's DOP853, runs every call: ``integrate``, which records
+  sampled states and polishes every sign change of the scalar monitors
+  g(t, s); ``integrate_to_section``, a run to the first section crossing; and
+  ``integrate_to_end``, a run over a fixed span whose rhs may reject a stage.
+  Its dense output is the pair's seventh-order continuous extension, three
+  extra stages per step (II.6), on the same steps; ``integrate`` computes
+  them on every step that brackets an event and polishes the event on that
+  step's polynomial. A section run lands on the section with one step in y
+  as the independent variable (Henon, Physica D 5, 1982), so it needs no
+  interpolant to time the crossing.
+- Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980), in the arithmetic of
+  scipy's RK45, runs only a section run whose DOP853 steps underflow before
+  the section. It lands the same way, and its dense output is the quartic
+  continuous extension of Shampine (Math. Comp. 46, 1986).
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class _Pair(NamedTuple):
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980): nodes, stage rows, fifth-order
 # weights and the error weights over all seven stages. The kept stages 1, 3,
-# 4, 5, 6 and 7 build the quartic interpolant; the row of stage 2 in _P is zero
+# 4, 5, 6 and 7 build the quartic extension; the row of stage 2 in _P is zero
 _DP5_TABLEAU = _Tableau(
     c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0),
     a=((),
@@ -326,9 +327,9 @@ def _nested_powers() -> np.ndarray:
 _DOP853_POWERS = _nested_powers()
 
 # the matrix P whose product K^T P, over the kept DP5 stages, gives the
-# coefficients of x, x^2, x^3, x^4 of the quartic interpolant
+# coefficients of x, x^2, x^3, x^4 of the quartic extension
 # y_old + h K^T P (x, .., x^4) (Shampine 1986)
-_P = (
+_P = np.array((
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432),
     (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
@@ -339,21 +340,8 @@ _P = (
      701980252875 / 199316789632),
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-# the columns of x^2, x^3, x^4; the column of x is stage 1 alone
-_P_HIGHER = tuple(zip(*_P))[1:]
-# the same coefficients by stage, shape (6, 3), for the coefficients of a whole run
-_P_HIGHER_ROWS = np.array(_P)[:, 1:]
+))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-
-
-def _quartic(k) -> tuple[float, ...]:
-    """Interpolant coefficients K^T P of one step, component 0 then 1."""
-    k10, k11, k30, k31, k40, k41, k50, k51, k60, k61, k70, k71 = k
-    return (k10, *[k10 * p1 + k30 * p3 + k40 * p4 + k50 * p5 + k60 * p6 + k70 * p7
-                   for p1, p3, p4, p5, p6, p7 in _P_HIGHER],
-            k11, *[k11 * p1 + k31 * p3 + k41 * p4 + k51 * p5 + k61 * p6 + k71 * p7
-                   for p1, p3, p4, p5, p6, p7 in _P_HIGHER])
 
 
 class StageRejected(Exception):
@@ -451,19 +439,20 @@ def _planar_start(start, tau_span) -> tuple[float, float, np.ndarray]:
     return t0, t1, y_start
 
 
-def _dp5_coefficients(stages) -> np.ndarray:
-    """Each step's quartic K^T P from the flat stage tuples of the DP5 steps,
-    shape (steps, 2, 4), in one pass over all steps."""
-    # k[i, j, c]: stage j (of 1, 3, 4, 5, 6, 7) of step i, component c
-    k = np.asarray(stages, dtype=float).reshape(-1, 6, 2)
-    q = np.empty((len(k), 2, 4))
-    q[..., 0] = k[:, 0]
-    # the x^2..x^4 columns summed stage by stage, in _quartic's order
-    acc = k[:, 0, :, None] * _P_HIGHER_ROWS[0]
-    for j in range(1, 6):
-        acc = acc + k[:, j, :, None] * _P_HIGHER_ROWS[j]
-    q[..., 1:] = acc
-    return q
+def _weighted_sums(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sums over s of k[:, s, c] rows[s], shape (n, 2, len(rows[0])), term by
+    term in the order of s: einsum's arithmetic, without paging its code in."""
+    acc = k[:, 0, :, None] * rows[0]
+    for s in range(1, len(rows)):
+        acc = acc + k[:, s, :, None] * rows[s]
+    return acc
+
+
+def _dp5_coefficients(starts: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Step sizes and quartics K^T P, shape (steps, 2, 4), of DP5 steps, each
+    given flat as (h, y_new, kept stages), in one pass; the starts are unused."""
+    rows = np.array(steps)
+    return rows[:, 0].copy(), _weighted_sums(rows[:, 3:].reshape(-1, 6, 2), _P)
 
 
 def _dop853_coefficients(starts: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
@@ -481,9 +470,8 @@ def _dop853_coefficients(starts: np.ndarray, steps) -> tuple[np.ndarray, np.ndar
     nested[..., 0] = dy
     nested[..., 1] = f - dy
     nested[..., 2] = 2.0 * dy - (f_new + f)
-    # einsum sums without BLAS, whose code a matmul would page in
-    nested[..., 3:] = np.einsum("nsc,rs->ncr", k, _DOP853_D)
-    return h, np.einsum("nci,ij->ncj", nested, _DOP853_POWERS)
+    nested[..., 3:] = _weighted_sums(k, _DOP853_D.T)
+    return h, _weighted_sums(nested.transpose(0, 2, 1), _DOP853_POWERS)
 
 
 class PiecewisePolynomial:
@@ -491,8 +479,8 @@ class PiecewisePolynomial:
     and spans ``h[i]`` (the last step may end past the last node, at the
     section or a terminal event). At tau = taus[i] + x h[i] the state is
     states[i] + h[i] (q[i, :, 0] x + ... + q[i, :, n-1] x^n), where the
-    degree n is read off ``q``, shape (steps, 2, n): the quartics of DP5
-    (Shampine 1986) or DOP853's seventh-order extension."""
+    degree n is read off ``q``, shape (steps, 2, n): DOP853's seventh-order
+    extension, or the quartics of DP5 (Shampine 1986) on an underflow rerun."""
 
     def __init__(self, taus: np.ndarray, states: np.ndarray, h, q: np.ndarray):
         self.taus, self.starts = taus, states[:-1]
@@ -554,16 +542,29 @@ def _crossed(g_old: float, g_new: float, direction: int) -> bool:
     return direction == 0 or (direction > 0) == rising
 
 
-def _interpolant(t_old, h, y0, y1, q):
-    """State at tau on one step's quartic, as a pair of floats."""
+def _step_polynomial(t_old, y0, y1, step):
+    """State at tau, a pair of floats, on the degree-7 extension of one DOP853
+    step from (t_old, y0, y1), given flat as _dop853_coefficients reads it;
+    its sums are PiecewisePolynomial's term for term."""
+    h, q = _dop853_coefficients(np.array([(y0, y1)]), [step])
+    h, (q0, q1) = float(h[0]), q[0].tolist()
     def at(tau):
         x = (tau - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return (h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * x4) + y0,
-                h * (q[4] * x + q[5] * x2 + q[6] * x3 + q[7] * x4) + y1)
+        power, s0, s1 = x, q0[0] * x, q1[0] * x
+        for c0, c1 in zip(q0[1:], q1[1:]):
+            power = power * x
+            s0, s1 = s0 + c0 * power, s1 + c1 * power
+        return h * s0 + y0, h * s1 + y1
     return at
+
+
+def _trajectory(taus, states, events, status, steps=None, coefficients=None) -> Trajectory:
+    """The run's Trajectory, with the dense output of ``steps`` if given."""
+    taus_arr, states_arr = np.array(taus), np.array(states)
+    polys = (PiecewisePolynomial(taus_arr, states_arr,
+                                 *(coefficients or _dop853_coefficients)(states_arr[:-1], steps))
+             if steps is not None else None)
+    return Trajectory(taus_arr, states_arr, events, status, polys)
 
 
 def integrate(
@@ -575,16 +576,19 @@ def integrate(
     *,
     dense: bool = False,
 ) -> Trajectory:
-    """Advance the planar state over tau_span with the Dormand-Prince 5(4)
-    pair, localizing events on each step's quartic to event_tol.
+    """Advance the planar state over tau_span with the Dormand-Prince 8(5,3)
+    pair, localizing events to event_tol on the seventh-order extension of
+    the step that brackets them.
 
     ``rhs(t, s)`` receives the state as a pair of Python floats and returns
-    its two derivatives as floats; event monitors receive the same pair.
-    Stops at the span end, at the first terminal event, or with an error at
-    the step budget / step underflow; a non-finite start or span end is a
-    DomainError. An error raised by the first two rhs calls (the start and the
-    trial of the first step size) propagates as it is; a chart-domain,
-    arithmetic or value error on a later stage becomes an IntegrationError.
+    its two derivatives as floats; event monitors receive the same pair. A
+    step that brackets an event evaluates its three extra stages, as every
+    step does with ``dense``. Stops at the span end, at the first terminal
+    event, or with an error at the step budget / step underflow; a non-finite
+    start or span end is a DomainError. An error raised by the first two rhs
+    calls (the start and the trial of the first step size) propagates as it
+    is; a chart-domain, arithmetic or value error on a later stage becomes an
+    IntegrationError.
     """
     cfg = cfg or DEFAULT_CONFIG
     t0, t1, y_start = _planar_start(start, tau_span)
@@ -594,42 +598,43 @@ def integrate(
     direction = 1.0 if t1 > t0 else -1.0
     t, (y0, y1) = t0, y_start.tolist()
     f0, f1 = rhs(t0, (y0, y1))
-    h_abs = _initial_step(_DP5, rhs, t0, y0, y1, f0, f1, t1, direction, cfg)
+    h_abs = _initial_step(_DOP853, rhs, t0, y0, y1, f0, f1, t1, direction, cfg)
     taus = [t0]
     states = [(y0, y1)]
-    steps_h, steps_k = [], []
+    steps = []   # with dense output: each step's h, new state and stages, flat
     recorded: list[TrajEvent] = []
     g_prev = [ev.fn(t0, (y0, y1)) for ev in events]
     status = "completed"
 
-    for t_new, h, n0, n1, k in _steps(_DP5, rhs, t0, y0, y1, f0, f1, t1, h_abs, cfg):
+    pair = _DOP853_DENSE if dense or events else _DOP853
+    for t_new, h, n0, n1, k in _steps(pair, rhs, t0, y0, y1, f0, f1, t1, h_abs, cfg):
+        step = (h, n0, n1, *k, *_extra_stages(rhs, t, h, y0, y1, k)) if dense else None
         hits = []
         if events:
             g_now = [ev.fn(t_new, (n0, n1)) for ev in events]
-            q = None   # the step's interpolant, built at its first bracketed event
+            at = None   # the step's polynomial, built at its first bracketed event
             for i, ev in enumerate(events):
                 if _crossed(g_prev[i], g_now[i], ev.direction):
-                    if q is None:
-                        q = _quartic(k)
-                    at = _interpolant(t, h, y0, y1, q)
+                    if at is None:
+                        step = step or (h, n0, n1, *k, *_extra_stages(rhs, t, h, y0, y1, k))
+                        at = _step_polynomial(t, y0, y1, step)
                     lo, hi = (t_new, t) if direction < 0.0 else (t, t_new)
                     t_ev = brentq(lambda s, e=ev: e.fn(s, at(s)), lo, hi,
                                   xtol=cfg.event_tol)
-                    hits.append((t_ev, ev, at))
+                    hits.append((t_ev, ev))
             if len(hits) > 1:
                 hits.sort(key=lambda hit: hit[0], reverse=direction < 0.0)
             g_prev = g_now
 
         stop = None
-        for t_ev, ev, at in hits:
+        for t_ev, ev in hits:
             s_ev = at(t_ev)
             recorded.append(TrajEvent(t_ev, ev.name, _frozen(s_ev)))
             if ev.terminal:
                 stop = (t_ev, s_ev)
                 break
         if dense:
-            steps_h.append(h)
-            steps_k.append(k)
+            steps.append(step)
         if stop is not None:
             taus.append(stop[0])
             states.append(stop[1])
@@ -639,10 +644,7 @@ def integrate(
         taus.append(t)
         states.append((y0, y1))
 
-    taus_arr, states_arr = np.array(taus), np.array(states)
-    quartics = (PiecewisePolynomial(taus_arr, states_arr, steps_h, _dp5_coefficients(steps_k))
-                if dense else None)
-    return Trajectory(taus_arr, states_arr, recorded, status, quartics)
+    return _trajectory(taus, states, recorded, status, steps if dense else None)
 
 
 def _frozen(pair) -> np.ndarray:
@@ -656,25 +658,27 @@ def _frozen(pair) -> np.ndarray:
 SECTION = EventSpec("y=0", lambda t, s: s[1], terminal=True, direction=-1)
 
 
-def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False) -> Trajectory:
+def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False,
+                dp5: bool = False) -> Trajectory:
     """The run of integrate(rhs, start, tau_span, [SECTION], cfg, dense=dense),
-    stepped by the Dormand-Prince 8(5,3) pair and ended on the section by
-    Henon's step.
+    stepped by the Dormand-Prince 8(5,3) pair, or 5(4) with ``dp5``, and
+    ended on the section by Henon's step.
 
     The step that brackets the section is not recorded as a node. From its
-    start (tau, w, y) a run of the same pair in the independent variable y,
-    on the state (w, tau) with dw/dy = w'/y' and dtau/dy = 1/y', lands on
-    y = 0 (Henon, Physica D 5, 1982). Where y does not fall at the start, as
-    on a step across a maximum of y, the landing runs from the step's end,
-    and where it falls at neither end the run raises IntegrationError. An
+    start (tau, w, y) a DOP853 run in the independent variable y, on the
+    state (w, tau) with dw/dy = w'/y' and dtau/dy = 1/y', lands on y = 0
+    (Henon, Physica D 5, 1982). Where y does not fall at the start, as on a
+    step across a maximum of y, the landing runs from the step's end, and
+    where it falls at neither end the run raises IntegrationError. An
     estimate above 1, or a stage where y does not fall (y' = 0 included),
-    subdivides the landing. A run whose steps underflow before the section
-    is run again by integrate, on Dormand-Prince 5(4).
+    subdivides the landing, and a landed tau outside the bracketing step by
+    more than its tolerance on tau raises IntegrationError. A DOP853 run
+    whose steps underflow before the section is run again on DP5.
 
-    Dense output, which only profile folding asks for, adds each accepted
-    step's three extra stages and builds the degree-7 polynomials of all
-    steps, the bracketing one included, in one pass at the end. The steps and
-    the landing are those of the run without it, bit for bit.
+    Dense output adds each accepted DOP853 step's three extra stages and
+    builds the polynomials of all steps, the bracketing one included, in one
+    pass at the end. The steps and the landing are those of the run without
+    it, bit for bit.
     """
     t0, t1, y_start = _planar_start(start, tau_span)
     if t1 == t0:
@@ -683,7 +687,8 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False
     direction = 1.0 if t1 > t0 else -1.0
     t, (w, y) = t0, y_start.tolist()
     f0, f1 = rhs(t0, (w, y))
-    h_abs = _initial_step(_DOP853, rhs, t0, w, y, f0, f1, t1, direction, cfg)
+    pair = _DP5 if dp5 else _DOP853_DENSE if dense else _DOP853
+    h_abs = _initial_step(pair, rhs, t0, w, y, f0, f1, t1, direction, cfg)
     taus = [t0]
     states = [(w, y)]
     steps = []   # with dense output: each step's h, new state and stages, flat
@@ -695,17 +700,14 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False
         return f0 / f1, 1.0 / f1
 
     def run(events, status):
-        taus_arr, states_arr = np.array(taus), np.array(states)
-        polys = (PiecewisePolynomial(taus_arr, states_arr,
-                                     *_dop853_coefficients(states_arr[:-1], steps))
-                 if dense else None)
-        return Trajectory(taus_arr, states_arr, events, status, polys)
+        return _trajectory(taus, states, events, status, steps if dense else None,
+                           _dp5_coefficients if dp5 else None)
 
-    pair = _DOP853_DENSE if dense else _DOP853
     try:
         for t_new, h, n0, n1, k in _steps(pair, rhs, t0, w, y, f0, f1, t1, h_abs, cfg):
             if dense:
-                steps.append((h, n0, n1, *k, *_extra_stages(rhs, t, h, w, y, k)))
+                steps.append((h, n0, n1, *k) if dp5 else
+                             (h, n0, n1, *k, *_extra_stages(rhs, t, h, w, y, k)))
             if _crossed(y, n1, SECTION.direction):
                 break
             t, w, y, f0, f1 = t_new, n0, n1, k[-2], k[-1]
@@ -717,16 +719,23 @@ def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False
         # where the field is not smooth, as at w = 0 of a Cartesian orbit at p
         # near 1 with its source term |w|^(p-2) w, DOP853's estimate can shrink
         # the steps below the floor where DP5's does not
-        return integrate(rhs, start, tau_span, [SECTION], cfg, dense=dense)
+        if dp5:
+            raise
+        return _to_section(rhs, start, tau_span, cfg, dense, dp5=True)
 
+    lo, hi = sorted((t, t_new))
     if not direction * f1 < 0.0:
-        t_old, (t, w, y, f0, f1) = t, (t_new, n0, n1, k[-2], k[-1])
+        t, w, y, f0, f1 = t_new, n0, n1, k[-2], k[-1]
         if not direction * f1 < 0.0:
             raise IntegrationError(f"cannot land on y = 0: y falls at neither end of the "
-                                   f"step from tau={t_old} to {t}")
+                                   f"step from tau={lo} to {hi}")
     for _, _, w, t, _ in _steps(_DOP853, by_y, y, w, t, f0 / f1, 1.0 / f1, 0.0, abs(y), cfg,
                                 var="y"):
         pass
+    slack = cfg.abs_tol + cfg.rel_tol * abs(t)
+    if not lo - slack <= t <= hi + slack:
+        raise IntegrationError(f"the landing on y = 0 at tau={t} left its step from "
+                               f"tau={lo} to {hi}")
     taus.append(t)
     states.append((w, 0.0))
     return run([TrajEvent(t, SECTION.name, _frozen((w, 0.0)))], "terminal-event")

@@ -16,13 +16,16 @@ from .errors import (
     DegenerateCriticalError,
     DomainError,
     InconclusiveOrbitError,
+    IntegrationError,
     NoCrossingError,
 )
 from .fields import cartesian_rhs, regularized_rhs
 from .integrate import (
+    DEFAULT_CONFIG,
     SECTION,
     EventSpec,
     IntegratorConfig,
+    StageRejected,
     Trajectory,
     integrate,
 )
@@ -233,20 +236,40 @@ def shoot_homoclinic(
     regularized chart along its unstable eigenvector.
 
     The ascent is integrated to the apex (u = 0), sampled at 2000 points, and
-    mirrored across the w-axis for the descent.
+    mirrored across the w-axis for the descent. A stage that leaves the chart
+    shrinks the step. Where a float u fixes the saddle's slope m only to more
+    than rel_tol, as near p = 1, the shot raises IntegrationError.
     """
     p, q = rp.p, rp.q
     sd = saddle_data(rp, nl)
-    u_s = sd["u_saddle"]
+    u_s, m = sd["u_saddle"], sd["m"]
+    # the condition (1 + m^2) / (1 + (p-1) m^2) of the slope map's inverse at
+    # m, which grows to 1/(p-1) as m grows, times the unit roundoff of u
+    spread = math.ulp(1.0) / (p - 1.0 + (2.0 - p) / (1.0 + m * m))
+    rel_tol = (cfg or DEFAULT_CONFIG).rel_tol
+    if spread > rel_tol:
+        raise IntegrationError(f"the slope map at p={p} is too flat at the saddle: a float u "
+                               f"fixes its slope m={m!r} only to {spread:.2g}, above rel_tol")
     eps = offset * u_s
     v0 = eps * sd["eigvec_unstable"][0]
     u0 = u_s + eps * sd["eigvec_unstable"][1]
 
-    rhs = regularized_rhs(rp, nl)
+    field = regularized_rhs(rp, nl)
+    def rhs(t, s):
+        # the ascent keeps v > 0 and u in (0, u_s]; a stage off the chart or
+        # past the slope map's range overshoots it, and a shorter step does not
+        try:
+            return field(t, s)
+        except DomainError:
+            raise StageRejected from None
+
     horizon = 200.0 + 4.0 * abs(math.log(max(v0, 1e-300))) / sd["unstable"]
-    # on DP5: its quartics sample the separatrix that classify_orbit reads,
+    # DOP853's extension samples the separatrix that classify_orbit reads,
     # and starts that differ by 1e-13 can classify differently
-    traj = integrate(rhs, (v0, u0), (0.0, horizon), [SECTION], cfg, dense=True)
+    try:
+        traj = integrate(rhs, (v0, u0), (0.0, horizon), [SECTION], cfg, dense=True)
+    except StageRejected:
+        raise IntegrationError(f"the launch ({v0!r}, {u0!r}) leaves the chart") from None
     if not traj.events:
         raise NoCrossingError(f"the ascent from the saddle never reached u = 0 "
                               f"within tau <= {horizon}")

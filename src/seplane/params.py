@@ -352,12 +352,13 @@ def slope_map_inv(u, p: float):
              f"slope map preimage of u={u} at p={p} exceeds the largest float")
     xi = math.exp(t)
     # (u - a) / u' with u = s^half xi, s = 1 + xi^2, and u' = u (1 + (p-1) xi^2)
-    # / (s xi); past xi^2 = inf or u = inf the correction is nan and xi stands
+    # / (s xi); past xi^2 = inf, where s^half xi is inf or 0, xi stands
     s = 1.0 + xi * xi
-    uxi = s**half * xi
-    corr = xi * ((uxi - a) / uxi) * (s / (1.0 + pm1 * xi * xi))
-    if math.isfinite(corr):
-        xi -= corr
+    if s < math.inf:
+        uxi = s**half * xi
+        corr = xi * ((uxi - a) / uxi) * (s / (1.0 + pm1 * xi * xi))
+        if math.isfinite(corr):
+            xi -= corr
     return sign * xi
 
 

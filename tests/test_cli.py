@@ -189,12 +189,29 @@ class TestOrbitCommand:
         assert meta["homoclinic"]["apex_w"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
     def test_homoclinic_near_p1_is_a_typed_failure(self, capsys):
-        # the launch point's slope preimage overflows a float at p = 1 + 1e-7
+        # at p = 1 + 1e-7 the slope map is so flat at the saddle that a float
+        # u fixes the launch slope only to 2.2e-9, above rel_tol
         code, out, err = run_cli(capsys, "orbit", "-p", "1.0000001", "-q", "2", "-c", "2",
                                  "--homoclinic")
         assert code == 3
         assert "slope map" in err
         assert "Traceback" not in err + out
+
+    @pytest.mark.parametrize("c,message", [("0", "singular line w = 0"),
+                                           ("1e-9", "singular line w = 0"),
+                                           ("0.01", "step shrank below 1e-14 of the span")])
+    def test_p1_run_into_the_singular_line_is_a_typed_failure(self, capsys, c, message):
+        # a start 2.5e-7 off the circle of radius 2. At c = 0 the first
+        # integral w^2 (1/r - 1/2) = -6.2e-14 keeps the orbit at w >= 3.5e-7,
+        # and scipy's DOP853 at rtol 1e-13 follows it to y = -1.7e3 there at
+        # tau = 3.141; the run passed w = 9e-13 instead and came back around
+        # the circle. At c = 1e-9 the orbit passes the origin, and the run
+        # ended 2.5e-3 from that reference. Within 1e-9 of w = 0 the first
+        # integral, the run's check, is undefined
+        code, out, err = run_cli(capsys, "orbit", "-p", "1", "-q", "2", "-c", c,
+                                 "--start", "0.001", "2", "--span", "7")
+        assert code == 3
+        assert message in err and "Traceback" not in err + out
 
     def test_stationary_start(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "-p", "2", "-q", "3", "-c", "2",

@@ -26,7 +26,7 @@ CLI_CASES = [
     ("readme-params", ["params", "-p", "2", "-q", "3", "-c", "0"], False, 0,
      "2f3f42e7dc342c46a756a599747a55c51b2f0b164893bd7829eaf1ed793435e9"),
     ("readme-homoclinic", ["orbit", "-p", "2", "-q", "3", "-c", "2", "--homoclinic"],
-     False, 0, "8d8eb87f02d1fb00bb95cdeaca544e12b7086003670793ac831a67614fb5b134"),
+     False, 0, "8abe31fef3414136964ba0401c5f404baee6d36b027100b2d37476a84cb4e923"),
     ("readme-p1-circle", ["orbit", "-p", "1", "-q", "2", "-c", "0", "--start", "0", "2",
                           "--span", "7"], False, 0, "83be65d822ba0e6cfb7036c0dd72ae16e7a7a7377b9315a5d15cb34e15fd41f6"),
     ("readme-scan", ["period-scan", "-p", "2", "-q", "3", "-c", "0", "--kind",
@@ -39,19 +39,19 @@ CLI_CASES = [
     ("params-p1", ["params", "-p", "1", "-q", "2", "-c", "3"], False, 0, "527ce197cd2c9d44431653ebeac4827e64f070b0b074d0be5165bb2b5d171285"),
     ("params-p3", ["params", "-p", "3", "-q", "5", "-c", "30"], False, 0, "9d22420365ef54b854cdebc39aef44d3b610aff3aad1607f1331c7abbc094090"),
     ("orbit-b1", ["orbit", "-p", "1.5", "-q", "5", "-c", "0.5", "--start", "0", "1"],
-     False, 0, "e2120e069fd83ca4bc2653edc5a53f699b63fe30d9b40a0d21ff2daa64db00a0"),
+     False, 0, "7ac95df78e3928f7513723f14091da8c0d2d65d914b7807658a1480e00909142"),
     ("orbit-p2-energy", ["orbit", "-p", "2", "-q", "3", "-c", "0", "--start", "0", "1"],
-     False, 0, "a3ef75f7b587ffc4ca451093b52f6e039a1f3ac84829ac7d1e473e2d8c8d6d61"),
+     False, 0, "9839d3ff6ee1d889b803fc94b9550be9382e03085fc40dba90aa4cebe6a89b50"),
     ("orbit-p1-off-circle", ["orbit", "-p", "1", "-q", "2", "-c", "0.5", "--start",
                              "1.2", "0", "--span", "5"], False, 0,
-     "f0e7d75b6bc0d1696418d92a12ed4497da52610e982a42e1b20bbaab90a9a5f4"),
+     "4cf29066401fa857e6c459f8f5dba737719c9c1d235256662ab3a02842bfd8a8"),
     ("orbit-center", ["orbit", "-p", "3", "-q", "5", "-c", "30", "--start", "2", "0"],
-     False, 0, "787ffc569c1d9c80779cae522f689204f1bec34c5a6c54e89c0ff9ddaeeaff99"),
+     False, 0, "a3144c451af86a2bcc817d3634d6fe0218b10ec277d309901ec8d5813bb2bc39"),
     ("orbit-stationary", ["orbit", "-p", "2", "-q", "3", "-c", "2", "--start", "1", "0"],
      False, 0, "ccf0cf5c940cb7a1b5fcc6adb534c63a1925922a0d547977fa92f97bfba2a17b"),
     ("orbit-homoclinic-json", ["orbit", "-p", "2.5", "-q", "4", "-c", "10",
                                "--homoclinic", "--format", "json"], False, 0,
-     "d01f8a9355dc56a89ad911ef42ca1879fe54752dc55cb6e31ebcf14812d239be"),
+     "271a350abd60cc49662f5dc479828fc68160110e04563f2be3c981820d77fa2a"),
     ("scan-positive-json", ["period-scan", "-p", "2", "-q", "3", "-c", "2", "--kind",
                             "positive", "--grid", "0.1:0.9:8", "--format", "json"],
      False, 0, "42e50505955f78daceb3352a2b3b1935f443a14ba8ab85d792966dbc053aa231"),
@@ -70,7 +70,7 @@ CLI_CASES = [
 SCRIPT_CASES = {
     "mode_atlas.py": "5254f829d8eae6ca873351a9c4d18958052acec87eddb74fe5b05dcb0f04a299",
     "period_curves.py": "752f7713517cf2f028a16ef6c11cab360ff424eabfffae959f3a5f76640f5604",
-    "phase_portraits.py": "88f991605efeee82c107c80bfa3121fbf0c7c6964863edbb13ce99453adfb971",
+    "phase_portraits.py": "bf582d5049643fcf1aea9de78881ff214375d9bcf47f4656c18e780fe2e2a910",
 }
 
 def tree_digest(root: Path) -> str:

@@ -20,15 +20,19 @@ from seplane.errors import (
 from seplane.fields import cartesian_rhs
 from seplane.integrate import (
     _DOP853,
+    _DOP853_D,
+    _DOP853_DENSE,
     _DOP853_EXTENSION,
+    _DOP853_POWERS,
     _DOP853_TABLEAU,
     _DP5,
     _DP5_TABLEAU,
     SECTION,
     EventSpec,
     IntegratorConfig,
+    _dop853_coefficients,
     _dop853_norm,
-    _quartic,
+    _extra_stages,
     _rms,
     _to_section,
     integrate,
@@ -56,7 +60,7 @@ def cubic_quarter_time_oracle():
     return val, math.sqrt(a2)
 
 
-def dp5_run(rhs, start, span, cfg=None):
+def integrate_run(rhs, start, span, cfg=None):
     return integrate(rhs, start, span, cfg=cfg)
 
 
@@ -65,8 +69,13 @@ def dop853_run(rhs, start, span, cfg=None):
     return _to_section(rhs, start, span, cfg or IntegratorConfig())
 
 
+def dp5_run(rhs, start, span, cfg=None):
+    """The same run on DP5, as an underflow rerun steps it."""
+    return _to_section(rhs, start, span, cfg or IntegratorConfig(), dp5=True)
+
+
 # the typed failures are the step-size controller's, which both pairs share
-PAIR_RUNS = (dp5_run, dop853_run)
+PAIR_RUNS = (integrate_run, dop853_run, dp5_run)
 
 
 class TestIntegrate:
@@ -176,20 +185,25 @@ class TestIntegrate:
         mid = traj.sample(traj.taus)
         assert np.max(np.abs(mid - traj.states)) < 1e-9
 
-    def test_dense_coefficients_are_each_steps_quartic(self, duffing_soft):
-        # a run that ends at a terminal event, whose last step spans past it
+    def test_dense_coefficients_are_each_steps_extension(self, duffing_soft):
+        # a run that ends at a terminal event, whose last step spans past it:
+        # each step's degree-7 coefficients, built for that step alone, are
+        # those that the run builds for all steps at once
         rp, nl = duffing_soft
         rhs, cfg = cartesian_rhs(rp, nl), IntegratorConfig()
         traj = integrate(rhs, (0.0, 1.0), (0.0, 1e4), events=[SECTION], cfg=cfg, dense=True)
         assert traj.status == "terminal-event"
         dense = traj.dense
         assert len(dense.q) == len(dense.h) == len(traj.taus) - 1
+        assert dense.q.shape[-1] == 7
         for i in range(len(dense.q)):
-            t, (y0, y1) = float(traj.taus[i]), traj.states[i].tolist()
+            t, h, (y0, y1) = float(traj.taus[i]), float(dense.h[i]), traj.states[i].tolist()
             # the step's stages again, from its start and its size
-            *_, k = _DP5.step(rhs, t, float(dense.h[i]), y0, y1, *rhs(t, (y0, y1)),
-                              cfg.rel_tol, cfg.abs_tol)
-            assert np.array_equal(dense.q[i], np.reshape(_quartic(k), (2, 4)))
+            n0, n1, _, k = _DOP853_DENSE.step(rhs, t, h, y0, y1, *rhs(t, (y0, y1)),
+                                              cfg.rel_tol, cfg.abs_tol)
+            step = (h, n0, n1, *k, *_extra_stages(rhs, t, h, y0, y1, k))
+            assert np.array_equal(dense.q[i], _dop853_coefficients(traj.states[i:i + 1],
+                                                                   [step])[1][0])
 
     def test_programming_error_in_step_propagates(self):
         with pytest.raises(IndexError):
@@ -227,7 +241,7 @@ class TestIntegrate:
             with pytest.raises(StepUnderflowError, match=message):
                 run(lambda t, s: np.array([s[0] ** 2, 0.0]), start, span)
 
-    @pytest.mark.parametrize("run", PAIR_RUNS, ids=["dp5", "dop853"])
+    @pytest.mark.parametrize("run", PAIR_RUNS, ids=["integrate", "dop853", "dp5"])
     @pytest.mark.parametrize("start,span", [
         ((math.nan, 1.0), (0.0, 1.0)),
         ((0.0, math.inf), (0.0, 1.0)),
@@ -328,8 +342,8 @@ def oracle_cases(n=12, seed=7):
                            id=f"p{p:.2f}-c{'+' if c > cq else '-'}{i}")
 
 
-def scipy_rk45(rhs, start, span, cfg=IntegratorConfig(), events=(), dense=False):
-    return solve_ivp(rhs, span, list(start), method="RK45", rtol=cfg.rel_tol,
+def scipy_dop853(rhs, start, span, cfg=IntegratorConfig(), events=(), dense=False):
+    return solve_ivp(rhs, span, list(start), method="DOP853", rtol=cfg.rel_tol,
                      atol=cfg.abs_tol, events=list(events), dense_output=dense)
 
 
@@ -341,14 +355,16 @@ y_falling.terminal, y_falling.direction = True, -1
 
 
 class TestAgainstScipyRK45:
-    """The float stepper runs the arithmetic and step control of scipy's RK45,
-    which serves as the oracle at the same tolerances."""
+    """integrate runs the arithmetic and step control of scipy's DOP853, and
+    localizes events on the same seventh-order extension; scipy's DOP853
+    serves as the oracle at the same tolerances. The class keeps the name it
+    had while integrate stepped RK45's pair, so its tests keep their ids."""
 
     @pytest.mark.parametrize("rhs,nu", oracle_cases())
     def test_quarter_orbit(self, rhs, nu):
         traj = integrate(rhs, (0.0, nu), (0.0, 1e4), events=[SECTION])
         tau = traj.events[-1].tau
-        ref = scipy_rk45(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling])
+        ref = scipy_dop853(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling])
         ref_tau, ref_state = ref.t_events[0][0], ref.y_events[0][0]
         assert abs(tau - ref_tau) <= 1e-9 * ref_tau
         assert np.max(np.abs(traj.events[-1].state - ref_state)) \
@@ -361,7 +377,7 @@ class TestAgainstScipyRK45:
     def test_backward_span_and_dense_output(self, rhs, nu):
         span = (3.0, -2.0)
         traj = integrate(rhs, (0.0, nu), span, dense=True)
-        ref = scipy_rk45(rhs, (0.0, nu), span, dense=True)
+        ref = scipy_dop853(rhs, (0.0, nu), span, dense=True)
         assert traj.status == "completed" and traj.taus[-1] == span[1]
         assert np.all(np.diff(traj.taus) < 0.0)
         assert abs(len(traj.taus) - len(ref.t)) <= 0.01 * len(ref.t)
@@ -383,7 +399,7 @@ class TestAgainstScipyRK45:
         def y_axis(t, y):
             return y[1]
 
-        ref = scipy_rk45(rhs, (0.3, 0.8), (0.0, -12.0), events=[w_axis, y_axis])
+        ref = scipy_dop853(rhs, (0.3, 0.8), (0.0, -12.0), events=[w_axis, y_axis])
         expected = sorted([(t, "w=0") for t in ref.t_events[0]]
                           + [(t, "y=0") for t in ref.t_events[1]], reverse=True)
         assert len(expected) >= 6
@@ -391,6 +407,27 @@ class TestAgainstScipyRK45:
         assert max(abs(ev.tau - t) for ev, (t, _) in zip(traj.events, expected)) < 1e-9
         for ev in traj.events:
             assert abs(ev.state[0 if ev.kind == "w=0" else 1]) < 1e-10
+
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=3)))
+    def test_event_times(self, rhs, nu):
+        # every crossing of w = 0 and of the slope 1/2, either way, against
+        # scipy's events on the same orbit
+        def w_axis(t, y):
+            return y[0]
+
+        def slope(t, y):
+            return y[1] - 0.5 * y[0]
+
+        traj = integrate(rhs, (0.1 * nu, nu), (0.0, 20.0),
+                         events=[EventSpec("w=0", lambda t, s: s[0]),
+                                 EventSpec("slope", lambda t, s: s[1] - 0.5 * s[0])])
+        ref = scipy_dop853(rhs, (0.1 * nu, nu), (0.0, 20.0), events=[w_axis, slope])
+        expected = sorted([(t, "w=0") for t in ref.t_events[0]]
+                          + [(t, "slope") for t in ref.t_events[1]])
+        assert len(expected) >= 4
+        assert [ev.kind for ev in traj.events] == [k for _, k in expected]
+        for ev, (t, _) in zip(traj.events, expected):
+            assert abs(ev.tau - t) <= 1e-9 * t
 
     @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=3)))
     def test_sample_at_nodes_and_events(self, rhs, nu):
@@ -569,18 +606,38 @@ class TestDOP853SectionRun:
         params = ProblemParams(1.1034525830151343, 1.3550154520533193, -6.973864794399716)
         rhs = cartesian_rhs(reduce_params(params), reduced_nonlinearity(params))
         start, cfg = (0.0, 4.529907864737164), IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-        module, reruns = sys.modules["seplane.integrate"], []
-        monkeypatch.setattr(module, "integrate",
-                            lambda *args, **kwargs: reruns.append(args) or integrate(*args,
-                                                                                     **kwargs))
+        module, runs = sys.modules["seplane.integrate"], []
+        monkeypatch.setattr(module, "_to_section",
+                            lambda *args, **kwargs: runs.append(kwargs.get("dp5", False))
+                            or _to_section(*args, **kwargs))
         tau, traj = integrate_to_section(rhs, start, 1e4, cfg)
-        dp5 = integrate(rhs, start, (0.0, 1e4), events=[SECTION], cfg=cfg)
-        assert len(reruns) == 1
+        dp5 = _to_section(rhs, start, (0.0, 1e4), cfg, dp5=True)
+        assert runs == [False, True]
         assert tau == dp5.events[-1].tau and np.array_equal(traj.states, dp5.states)
+        # the rerun lands by Henon's step, on the crossing of the DOP853
+        # reference at a tighter tolerance
+        ref = solve_ivp(rhs, (0.0, 1e4), list(start), method="DOP853", rtol=1e-13,
+                        atol=1e-15, events=[y_falling])
+        assert tau == pytest.approx(ref.t_events[0][0], rel=1e-9)
         # with dense output the rerun's quartics are the dense output
         _, traj = integrate_to_section(rhs, start, 1e4, cfg, dense=True)
-        assert len(reruns) == 2 and traj.dense.q.shape[-1] == 4
+        assert runs == [False, True, False, True] and traj.dense.q.shape[-1] == 4
         assert np.array_equal(traj.states, dp5.states)
+        assert np.max(np.abs(traj.sample(traj.taus) - traj.states)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 37, 5000])
+    def test_coefficients_sum_as_einsum_does(self, n):
+        # the sums run term by term, as einsum's do on these shapes, so the
+        # dense output is that of the einsum form bit for bit
+        rng = np.random.default_rng(n)
+        starts, steps = rng.normal(size=(n, 2)), rng.normal(size=(n, 27)) * 10.0
+        h, q = _dop853_coefficients(starts, steps.tolist())
+        k = steps[:, 3:].reshape(-1, 12, 2)
+        dy = (steps[:, 1:3] - starts) / h[:, None]
+        nested = np.concatenate([dy[..., None], (k[:, 0] - dy)[..., None],
+                                 (2.0 * dy - (k[:, 8] + k[:, 0]))[..., None],
+                                 np.einsum("nsc,rs->ncr", k, _DOP853_D)], axis=-1)
+        assert np.array_equal(q, np.einsum("nci,ij->ncj", nested, _DOP853_POWERS))
 
     @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=13)))
     def test_dense_run_is_the_plain_run(self, rhs, nu):

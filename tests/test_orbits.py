@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from seplane.errors import DegenerateCriticalError, DomainError
+from seplane.errors import DegenerateCriticalError, DomainError, IntegrationError
 from seplane.fields import cartesian_rhs, regularized_rhs
 from seplane.integrate import EventSpec, IntegratorConfig, integrate
 from seplane.orbits import (
@@ -195,6 +195,29 @@ class TestShooting:
         orb2 = shoot_homoclinic(rp, nl, TIGHT, offset=1e-9)
         assert rel_err(orb.apex_w, orb2.apex_w) < 1e-9
         assert abs(slope_potential(orb.m_initial, rp.p, rp.b) - rp.d) < 1e-6
+
+    @pytest.mark.parametrize("p", [1.0001, 1.003, 1.02])
+    def test_near_p1_shot_keeps_the_b1_level(self, p):
+        # the saddle's eigenvalues grow like 1/(p-1) as p falls to 1, and
+        # the first step's stages overshoot the ascent to v < 0 or past the
+        # slope map's range; such a stage shrinks the step. The separatrix
+        # keeps the b = 1 first integral at 0 (the default config: 2.8e-10
+        # at most over p = 1.0001, 1.001, 1.003, 1.01, 1.02 and d = 0.5, 2)
+        rp, nl = ReducedParams(p, 2.0, 1.0, 2.0), Nonlinearity(p, 2.0)
+        orb = shoot_homoclinic(rp, nl)
+        vals = [first_integral((w, y), rp, nl) for w, y in orb.trajectory.states if w > 1e-12]
+        assert max(map(abs, vals)) < 1e-8
+        tighter = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        assert orb.apex_w == pytest.approx(shoot_homoclinic(rp, nl, tighter).apex_w, rel=1e-10)
+
+    def test_slope_map_too_flat_at_the_saddle(self):
+        # at p = 1 + 1e-5 the inverse slope map has condition 1e5 at the
+        # saddle's slope m = 5e4, so a float u fixes m only to 2.2e-11:
+        # enough for rel_tol 1e-10, not for 1e-12
+        rp, nl = ReducedParams(1.00001, 2.0, 1.0, 0.5), Nonlinearity(1.00001, 2.0)
+        assert shoot_homoclinic(rp, nl).apex_w == pytest.approx(2.12132, rel=1e-5)
+        with pytest.raises(IntegrationError, match="slope map at p=1.00001 is too flat"):
+            shoot_homoclinic(rp, nl, TIGHT)
 
     def test_degenerate_band_refused(self):
         eta, emin = slope_potential_min(3.0, 10.0)

@@ -321,6 +321,14 @@ class TestSlopeMapInverse:
         assert abs(slope_map(xi, p) - u) \
             <= 4.0 * math.ulp(u) + slope_map_deriv(xi, p) * math.ulp(xi)
 
+    def test_preimage_whose_square_overflows(self):
+        # at p = 1.001 the preimage of u = 2.017 is about 5e304: its square
+        # overflows, so the closing Newton step in xi is skipped and xi stands
+        # (it divided by a zero s^((p-2)/2) xi before)
+        xi = slope_map_inv(2.017, 1.001)
+        assert 1e304 < xi < math.inf and slope_map_inv(-2.017, 1.001) == -xi
+        assert math.log(xi) == pytest.approx(math.log(2.017) / 0.001, rel=1e-12)
+
     @pytest.mark.parametrize("p", [1.0, 1.0 + 1e-12, 1.3, 1.9, 2.0, 2.7, 4.5])
     def test_array_path_matches_scalar(self, p):
         # both paths end with the same Newton step in xi, but numpy's array

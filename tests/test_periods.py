@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from seplane import periods
-from seplane.errors import DomainError, OutOfRangeError, StepUnderflowError
+from seplane.errors import DomainError, IntegrationError, OutOfRangeError, StepUnderflowError
 from seplane.fields import p1_slope_rhs
 from seplane.integrate import EventSpec, IntegratorConfig, StageRejected, integrate
 from seplane.params import (
@@ -138,6 +138,18 @@ class TestSignChanging:
         rp, nl = duffing_soft
         s = period_sign_changing(nu, rp, nl)
         assert rel_err(s.cross_check, cubic_period_oracle(nu)) < 1e-11
+
+    def test_landing_outside_its_step_is_integration_error(self):
+        # at rel_tol = abs_tol = 1e-3 the first DOP853 step already crosses
+        # y = 0, and the Henon landing in y ends at tau = -0.30, before the
+        # step's start: a period of -1.21 where the default config gives 1.64
+        pp = ProblemParams(1.1116, 1.2952, critical_potential(1.1116, 1.2952) - 3.0)
+        rp, nl = reduce_params(pp), reduced_nonlinearity(pp)
+        nu = 0.010867997972429213
+        with pytest.raises(IntegrationError, match="left its step from tau=0.0 to"):
+            period_sign_changing(nu, rp, nl, LOOSE, method="event-timing")
+        assert period_sign_changing(nu, rp, nl, method="event-timing").period \
+            == pytest.approx(1.6398714076, rel=1e-9)
 
     def test_domain(self, duffing_soft):
         rp, nl = duffing_soft
