@@ -2,9 +2,13 @@
 
 Chart-agnostic plumbing: the stepper advances any planar rhs(t, s), which
 maps the state pair s of Python floats to the pair of its derivatives, by an
-explicit Runge-Kutta pair on floats. Two pairs share one step-size control
-(Hairer, Norsett & Wanner, Solving ODEs I, II.4), and each step is generated
-as straight-line code from its Butcher tableau at import.
+explicit Runge-Kutta pair on floats. Each step is generated as straight-line
+code from its Butcher tableau at import. Two pairs share one step-size
+control, the I-controller of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
+with safety 0.8. A step that is rejected again shrinks by the order that its
+last two estimates show, since the estimate can jump much faster than h^8
+mid-orbit and fall much slower where the field is not smooth, as at w = 0
+under |w|^(p-2) w.
 
 - Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner I, II.10), in the
   arithmetic of scipy's DOP853, runs every call: ``integrate``, which records
@@ -341,7 +345,7 @@ _P = np.array((
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 ))
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.8, 0.2, 10.0
 
 
 class StageRejected(Exception):
@@ -377,9 +381,14 @@ def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
     """The accepted steps of ``pair`` from (t, y0, y1), whose derivative is
     (f0, f1), to t1, trying h_abs first: yields (t_new, h, n0, n1, stages)
     for each and returns at t1. This is the step-size control of every run,
-    with its typed failures (Hairer, Norsett & Wanner I, II.4, in the
-    arithmetic of scipy's RungeKutta); ``var`` names the independent
-    variable in their messages."""
+    with its typed failures; ``var`` names the independent variable in their
+    messages.
+
+    An estimate err scales h by 0.8 err^(-1/order), within [0.2, 10], and an
+    accepted step does not grow right after a rejection (Hairer, Norsett &
+    Wanner I, II.4). The same step rejected again shrinks by the order
+    q = log(err1/err2) / log(h1/h2) of its last two estimates, when both are
+    finite, clamped to [1, order], instead of by the pair's order."""
     step, exponent = pair.step, -1 / pair.order
     span, t0 = abs(t1 - t), t
     direction = 1.0 if t1 > t else -1.0
@@ -409,7 +418,12 @@ def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
                                                                 _SAFETY * err ** exponent)
                     h_abs *= min(1.0, factor) if rejected else factor
                 else:
-                    h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
+                    shrink = exponent
+                    if rejected and math.isfinite(err) and math.isfinite(err_old):
+                        order = math.log(err_old / err) / math.log(h_old / h_abs)
+                        shrink = -1.0 / min(max(order, 1.0), pair.order)
+                    h_old, err_old = h_abs, err
+                    h_abs *= max(_MIN_FACTOR, _SAFETY * err ** shrink)
                     rejected = True
         except (SeplaneError, ArithmeticError, ValueError) as exc:
             # a chart-domain, overflow or math-domain error on a trial stage;

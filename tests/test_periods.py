@@ -531,6 +531,26 @@ def test_positive_walk_agrees_with_the_old_scan(case, request):
     assert lost == n_lost
 
 
+@pytest.mark.parametrize("kind,case,mu", [("positive", "center_case", 0.485937),
+                                           ("sign-changing", (1.76, 2.7, -1.0), 0.5)],
+                         ids=["center_case", "sign-changing"])
+def test_period_is_smooth_in_the_amplitude(kind, case, mu, request):
+    # over a 4e-11-relative window the period is its least-squares line to
+    # roundoff; a step control that feeds its error history back into h makes
+    # it rough there (2e-14 to 3e-12 with a PI controller). The sign-changing
+    # triple is (p, q, c_q + offset)
+    if kind == "positive":
+        rp, nl = request.getfixturevalue(case)
+    else:
+        p, q, offset = case
+        pp = ProblemParams(p, q, critical_potential(p, q) + offset)
+        rp, nl = reduce_params(pp), reduced_nonlinearity(pp)
+    x = np.linspace(-0.5, 0.5, 41)
+    t = np.array([period_sample(kind, mu * (1.0 + 4e-11 * xi), rp, nl).period for xi in x])
+    line = np.polyval(np.polyfit(x, t, 1), x)
+    assert np.max(np.abs(t - line)) <= 1e-14 * np.max(t)
+
+
 @given(st.one_of(st.just(1.0), st.floats(1.05, 4.5)), st.floats(0.1, 8.0),
        st.floats(-6.0, 40.0))
 @settings(max_examples=100, deadline=None)
