@@ -4,11 +4,13 @@ Chart-agnostic plumbing: the stepper advances any planar rhs(t, s), which
 maps the state pair s of Python floats to the pair of its derivatives, by an
 explicit Runge-Kutta pair on floats. Each step is generated as straight-line
 code from its Butcher tableau at import. Two pairs share one step-size
-control, the I-controller of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
-with safety 0.8. A step that is rejected again shrinks by the order that its
-last two estimates show, since the estimate can jump much faster than h^8
-mid-orbit and fall much slower where the field is not smooth, as at w = 0
-under |w|^(p-2) w.
+control, the I-controller of Hairer, Norsett & Wanner (Solving ODEs I, II.4).
+The section and fixed-span runs scale h with safety 0.8, and a step that is
+rejected again shrinks by the order that its last two estimates show, since
+the estimate can jump much faster than h^8 mid-orbit and fall much slower
+where the field is not smooth, as at w = 0 under |w|^(p-2) w. The recorded
+runs of ``integrate`` step as scipy's DOP853 does: safety 0.9, and every
+rejection shrinks by the pair's order.
 
 - Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner I, II.10), in the
   arithmetic of scipy's DOP853, runs every call: ``integrate``, which records
@@ -346,6 +348,7 @@ _P = np.array((
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 ))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.8, 0.2, 10.0
+_SCIPY_SAFETY = 0.9   # scipy's DOP853, which integrate's runs step as
 
 
 class StageRejected(Exception):
@@ -377,7 +380,7 @@ def _initial_step(pair, rhs, t0, y0, y1, f0, f1, t1, direction, cfg) -> float:
     return min(100 * h0, h1, span, cfg.max_step)
 
 
-def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
+def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau", as_scipy=False):
     """The accepted steps of ``pair`` from (t, y0, y1), whose derivative is
     (f0, f1), to t1, trying h_abs first: yields (t_new, h, n0, n1, stages)
     for each and returns at t1. This is the step-size control of every run,
@@ -388,8 +391,11 @@ def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
     accepted step does not grow right after a rejection (Hairer, Norsett &
     Wanner I, II.4). The same step rejected again shrinks by the order
     q = log(err1/err2) / log(h1/h2) of its last two estimates, when both are
-    finite, clamped to [1, order], instead of by the pair's order."""
+    finite, clamped to [1, order], instead of by the pair's order. With
+    ``as_scipy`` the safety is 0.9 and every rejection shrinks by the pair's
+    order, the control of scipy's RungeKutta."""
     step, exponent = pair.step, -1 / pair.order
+    safety = _SCIPY_SAFETY if as_scipy else _SAFETY
     span, t0 = abs(t1 - t), t
     direction = 1.0 if t1 > t else -1.0
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
@@ -415,15 +421,16 @@ def _steps(pair, rhs, t, y0, y1, f0, f1, t1, h_abs, cfg, var="tau"):
                 if accepted:
                     # no growth right after a rejection
                     factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
-                                                                _SAFETY * err ** exponent)
+                                                                safety * err ** exponent)
                     h_abs *= min(1.0, factor) if rejected else factor
                 else:
                     shrink = exponent
-                    if rejected and math.isfinite(err) and math.isfinite(err_old):
+                    if (rejected and not as_scipy and math.isfinite(err)
+                            and math.isfinite(err_old)):
                         order = math.log(err_old / err) / math.log(h_old / h_abs)
                         shrink = -1.0 / min(max(order, 1.0), pair.order)
                     h_old, err_old = h_abs, err
-                    h_abs *= max(_MIN_FACTOR, _SAFETY * err ** shrink)
+                    h_abs *= max(_MIN_FACTOR, safety * err ** shrink)
                     rejected = True
         except (SeplaneError, ArithmeticError, ValueError) as exc:
             # a chart-domain, overflow or math-domain error on a trial stage;
@@ -603,6 +610,12 @@ def integrate(
     calls (the start and the trial of the first step size) propagates as it
     is; a chart-domain, arithmetic or value error on a later stage becomes an
     IntegrationError.
+
+    The steps are those of scipy's DOP853 at the same tolerances, under its
+    control (_steps with ``as_scipy``), so a recorded orbit, its events and
+    its dense output are scipy's step for step. With dense output an
+    accepted step costs three calls more than a rejected one, and there the
+    section runs' control saves few calls, if any.
     """
     cfg = cfg or DEFAULT_CONFIG
     t0, t1, y_start = _planar_start(start, tau_span)
@@ -621,7 +634,8 @@ def integrate(
     status = "completed"
 
     pair = _DOP853_DENSE if dense or events else _DOP853
-    for t_new, h, n0, n1, k in _steps(pair, rhs, t0, y0, y1, f0, f1, t1, h_abs, cfg):
+    for t_new, h, n0, n1, k in _steps(pair, rhs, t0, y0, y1, f0, f1, t1, h_abs, cfg,
+                                      as_scipy=True):
         step = (h, n0, n1, *k, *_extra_stages(rhs, t, h, y0, y1, k)) if dense else None
         hits = []
         if events:
@@ -674,9 +688,10 @@ SECTION = EventSpec("y=0", lambda t, s: s[1], terminal=True, direction=-1)
 
 def _to_section(rhs, start, tau_span, cfg: IntegratorConfig, dense: bool = False,
                 dp5: bool = False) -> Trajectory:
-    """The run of integrate(rhs, start, tau_span, [SECTION], cfg, dense=dense),
-    stepped by the Dormand-Prince 8(5,3) pair, or 5(4) with ``dp5``, and
-    ended on the section by Henon's step.
+    """The run of integrate(rhs, start, tau_span, [SECTION], cfg, dense=dense)
+    under the section runs' step control (_steps), stepped by the
+    Dormand-Prince 8(5,3) pair, or 5(4) with ``dp5``, and ended on the
+    section by Henon's step.
 
     The step that brackets the section is not recorded as a node. From its
     start (tau, w, y) a DOP853 run in the independent variable y, on the

@@ -26,7 +26,7 @@ CLI_CASES = [
     ("readme-params", ["params", "-p", "2", "-q", "3", "-c", "0"], False, 0,
      "2f3f42e7dc342c46a756a599747a55c51b2f0b164893bd7829eaf1ed793435e9"),
     ("readme-homoclinic", ["orbit", "-p", "2", "-q", "3", "-c", "2", "--homoclinic"],
-     False, 0, "dd2161ffdcca790636b426aac24d2fcf7b72af790fa4f5307042cbb731f23a2d"),
+     False, 0, "8abe31fef3414136964ba0401c5f404baee6d36b027100b2d37476a84cb4e923"),
     ("readme-p1-circle", ["orbit", "-p", "1", "-q", "2", "-c", "0", "--start", "0", "2",
                           "--span", "7"], False, 0, "83be65d822ba0e6cfb7036c0dd72ae16e7a7a7377b9315a5d15cb34e15fd41f6"),
     ("readme-scan", ["period-scan", "-p", "2", "-q", "3", "-c", "0", "--kind",
@@ -39,19 +39,19 @@ CLI_CASES = [
     ("params-p1", ["params", "-p", "1", "-q", "2", "-c", "3"], False, 0, "527ce197cd2c9d44431653ebeac4827e64f070b0b074d0be5165bb2b5d171285"),
     ("params-p3", ["params", "-p", "3", "-q", "5", "-c", "30"], False, 0, "9d22420365ef54b854cdebc39aef44d3b610aff3aad1607f1331c7abbc094090"),
     ("orbit-b1", ["orbit", "-p", "1.5", "-q", "5", "-c", "0.5", "--start", "0", "1"],
-     False, 0, "fe289c68b28166976087c3d544f128abe7e6191edb6a9086ebb742fad70f2073"),
+     False, 0, "7ac95df78e3928f7513723f14091da8c0d2d65d914b7807658a1480e00909142"),
     ("orbit-p2-energy", ["orbit", "-p", "2", "-q", "3", "-c", "0", "--start", "0", "1"],
-     False, 0, "bea155fa4d328aceb4114e3eeaf6d96498821333ed8be0b7dd80daf5aae8ab46"),
+     False, 0, "9839d3ff6ee1d889b803fc94b9550be9382e03085fc40dba90aa4cebe6a89b50"),
     ("orbit-p1-off-circle", ["orbit", "-p", "1", "-q", "2", "-c", "0.5", "--start",
                              "1.2", "0", "--span", "5"], False, 0,
-     "8f5eecab7b9cf8cfaf2bdd75dbbcd5df0ca19d7e7f1f1284b4cfaa169d55a1d9"),
+     "4cf29066401fa857e6c459f8f5dba737719c9c1d235256662ab3a02842bfd8a8"),
     ("orbit-center", ["orbit", "-p", "3", "-q", "5", "-c", "30", "--start", "2", "0"],
-     False, 0, "9ec43409b6ca62bbbc310810ac96b20fd6c7007f24b848bb8168e3ba6e655c7f"),
+     False, 0, "a3144c451af86a2bcc817d3634d6fe0218b10ec277d309901ec8d5813bb2bc39"),
     ("orbit-stationary", ["orbit", "-p", "2", "-q", "3", "-c", "2", "--start", "1", "0"],
      False, 0, "ccf0cf5c940cb7a1b5fcc6adb534c63a1925922a0d547977fa92f97bfba2a17b"),
     ("orbit-homoclinic-json", ["orbit", "-p", "2.5", "-q", "4", "-c", "10",
                                "--homoclinic", "--format", "json"], False, 0,
-     "58ce9171e5ceea7fc3d0c279768dda678fc6dda449eeeca1a95c28407d72e0b4"),
+     "271a350abd60cc49662f5dc479828fc68160110e04563f2be3c981820d77fa2a"),
     ("scan-positive-json", ["period-scan", "-p", "2", "-q", "3", "-c", "2", "--kind",
                             "positive", "--grid", "0.1:0.9:8", "--format", "json"],
      False, 0, "23e2841a83a0379040185a5d1f9f0c61a088802ec24aa21d3df177fbfe94da52"),
@@ -70,7 +70,7 @@ CLI_CASES = [
 SCRIPT_CASES = {
     "mode_atlas.py": "5254f829d8eae6ca873351a9c4d18958052acec87eddb74fe5b05dcb0f04a299",
     "period_curves.py": "b0dcd0ab27882209428b95a3a1f1bbd90c619bd66f6d348de9604e6870abf8e6",
-    "phase_portraits.py": "2f08ee576bc75e2f876c09797baf80b171edc9cdce90f745ab53f8a584fa5157",
+    "phase_portraits.py": "bf582d5049643fcf1aea9de78881ff214375d9bcf47f4656c18e780fe2e2a910",
 }
 
 def tree_digest(root: Path) -> str:

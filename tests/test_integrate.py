@@ -348,8 +348,9 @@ def scipy_dop853(rhs, start, span, cfg=IntegratorConfig(), events=(), dense=Fals
                      atol=cfg.abs_tol, events=list(events), dense_output=dense)
 
 
-# scipy's DOP853 at these tolerances is the reference solution of every
-# comparison with scipy; its run at the default tolerances is the yardstick
+# scipy's DOP853 at these tolerances is the reference solution of the section
+# runs, which do not take scipy's steps; its run at the default tolerances is
+# the yardstick of their cost
 REFERENCE = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
 
 
@@ -358,14 +359,6 @@ def y_falling(t, y):
 
 
 y_falling.terminal, y_falling.direction = True, -1
-
-
-def w_axis(t, y):
-    return y[0]
-
-
-def slope_line(t, y):
-    return y[1] - 0.5 * y[0]
 
 
 def counting(rhs):
@@ -402,15 +395,6 @@ def rejections(tried) -> int:
     return sum(not err < 1.0 for _, err in tried)
 
 
-def scipy_rejections(sol) -> int:
-    """Rejected steps of a scipy DOP853 run with dense output: its start costs
-    two rhs calls, each attempt twelve and each accepted step three more."""
-    steps = len(sol.t) - 1
-    attempts, rest = divmod(sol.nfev - 2 - 3 * steps, 12)
-    assert rest == 0
-    return attempts - steps
-
-
 def landing_steps(monkeypatch):
     """The accepted steps in y of every landing from now on."""
     module = sys.modules["seplane.integrate"]
@@ -426,102 +410,51 @@ def landing_steps(monkeypatch):
     return recorded
 
 
-def quarter_points(taus, h):
-    """x = 1/4, 1/2 and 3/4 of every step from ``taus`` of size ``h``."""
-    return (taus[:, None] + h[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+def scipy_step_polynomial(rhs, t, y, h, cfg=IntegratorConfig()):
+    """scipy's DOP853 dense output on the single step of size h > 0 from
+    (t, y), which it accepts at the first try where integrate's step of the
+    same arithmetic was accepted."""
+    solver = DOP853(rhs, t, np.array(y), t + 2.0 * h, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    first_step=h)
+    solver.step()
+    assert solver.t == pytest.approx(t + h, rel=1e-15, abs=1e-300)
+    return solver.dense_output()
 
 
-def dense_error(sample, ts, ref) -> float:
-    """Largest deviation of the states ``sample(ts)``, shape (len(ts), 2), from
-    the reference run, relative to the reference's largest state."""
-    return np.max(np.abs(sample(ts) - ref.sol(ts).T)) / np.max(np.abs(ref.y))
-
-
-BACKWARD_SPAN = (3.0, -2.0)
-BACKWARD_CASES = list(oracle_cases(4, seed=11))
-EVENT_CASES = list(oracle_cases(4, seed=3))
 SECTION_CASES = list(oracle_cases())
 
 
-def event_run(rhs, nu, cfg=IntegratorConfig()):
-    """scipy's crossings of w = 0 and of the slope 1/2 from (nu/10, nu), in order."""
-    sol = scipy_dop853(rhs, (0.1 * nu, nu), (0.0, 20.0), cfg, events=[w_axis, slope_line])
-    return sorted([(t, "w=0") for t in sol.t_events[0]]
-                  + [(t, "slope") for t in sol.t_events[1]])
-
-
-def section_reference(rhs, nu, t_end):
-    """The dense reference from (0, nu) over (0, t_end), past the section."""
-    return scipy_dop853(rhs, (0.0, nu), (0.0, t_end), REFERENCE, dense=True)
-
-
-# scipy's largest error at the default tolerances over each case set, against
-# the reference: where scipy's run at the same tolerances misses an existing
-# bound, a run of the same pair under its own step control can only be asked
-# to do no worse than scipy does on the set
-@functools.cache
-def scipy_worst_error(cases: str) -> float:
-    worst = 0.0
-    if cases == "backward":
-        ts = np.linspace(*BACKWARD_SPAN, 301)
-        for case in BACKWARD_CASES:
-            rhs, nu = case.values
-            ref = scipy_dop853(rhs, (0.0, nu), BACKWARD_SPAN, REFERENCE, dense=True)
-            sol = scipy_dop853(rhs, (0.0, nu), BACKWARD_SPAN, dense=True)
-            worst = max(worst, dense_error(lambda t: sol.sol(t).T, ts, ref))
-    elif cases == "events":
-        for case in EVENT_CASES:
-            rhs, nu = case.values
-            worst = max(worst, max(abs(t - t_ref) / t_ref for (t, _), (t_ref, _)
-                                   in zip(event_run(rhs, nu), event_run(rhs, nu, REFERENCE))))
-    else:
-        for case in SECTION_CASES:
-            rhs, nu = case.values
-            sol = scipy_dop853(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling], dense=True)
-            ts = quarter_points(sol.t[:-1], np.diff(sol.t))
-            ref = section_reference(rhs, nu, 2.0 * sol.t[-1])
-            worst = max(worst, dense_error(lambda t: sol.sol(t).T, ts, ref))
-    return worst
-
-
 class TestAgainstScipyRK45:
-    """integrate steps the arithmetic of scipy's DOP853 under its own step
-    control, and localizes events on the same seventh-order extension. Its
-    states, event times and dense output are compared with scipy's DOP853 at
-    rel_tol 1e-13 and abs_tol 1e-15, and its cost with scipy's DOP853 at the
-    same tolerances. The class keeps the name it had while integrate stepped
-    RK45's pair, so its tests keep their ids."""
+    """integrate runs the arithmetic and step control of scipy's DOP853, and
+    localizes events on the same seventh-order extension; scipy's DOP853
+    serves as the oracle at the same tolerances. The class keeps the name it
+    had while integrate stepped RK45's pair, so its tests keep their ids."""
 
-    @pytest.mark.parametrize("rhs,nu", SECTION_CASES)
+    @pytest.mark.parametrize("rhs,nu", oracle_cases())
     def test_quarter_orbit(self, rhs, nu):
-        counted, calls = counting(rhs)
-        traj = integrate(counted, (0.0, nu), (0.0, 1e4), events=[SECTION])
+        traj = integrate(rhs, (0.0, nu), (0.0, 1e4), events=[SECTION])
         tau = traj.events[-1].tau
-        ref = scipy_dop853(rhs, (0.0, nu), (0.0, 1e4), REFERENCE, events=[y_falling])
+        ref = scipy_dop853(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling])
         ref_tau, ref_state = ref.t_events[0][0], ref.y_events[0][0]
         assert abs(tau - ref_tau) <= 1e-9 * ref_tau
         assert np.max(np.abs(traj.events[-1].state - ref_state)) \
             <= 1e-9 * np.max(np.abs(ref_state))
+        steps, ref_steps = len(traj.taus) - 1, len(ref.t) - 1
+        assert abs(steps - ref_steps) <= 0.01 * ref_steps
         assert abs(traj.events[-1].state[1]) < 1e-10
-        # both spend two calls on the start, twelve per attempt and three on
-        # the step that brackets the event
-        assert calls[0] <= scipy_dop853(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling]).nfev
 
-    @pytest.mark.parametrize("rhs,nu", BACKWARD_CASES)
-    def test_backward_span_and_dense_output(self, rhs, nu, monkeypatch):
-        tried = step_attempts(monkeypatch, "_DOP853_DENSE")
-        traj = integrate(rhs, (0.0, nu), BACKWARD_SPAN, dense=True)
-        ref = scipy_dop853(rhs, (0.0, nu), BACKWARD_SPAN, REFERENCE, dense=True)
-        assert traj.status == "completed" and traj.taus[-1] == BACKWARD_SPAN[1]
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=11)))
+    def test_backward_span_and_dense_output(self, rhs, nu):
+        span = (3.0, -2.0)
+        traj = integrate(rhs, (0.0, nu), span, dense=True)
+        ref = scipy_dop853(rhs, (0.0, nu), span, dense=True)
+        assert traj.status == "completed" and traj.taus[-1] == span[1]
         assert np.all(np.diff(traj.taus) < 0.0)
+        assert abs(len(traj.taus) - len(ref.t)) <= 0.01 * len(ref.t)
         scale = np.max(np.abs(ref.y))
         assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-9 * scale
-        ts = np.linspace(*BACKWARD_SPAN, 301)
-        assert dense_error(traj.sample, ts, ref) <= max(1e-9, scipy_worst_error("backward"))
-        # with dense output an accepted step costs fifteen calls and a
-        # rejected one twelve; the run rejects no more steps than scipy's
-        assert rejections(tried) <= scipy_rejections(
-            scipy_dop853(rhs, (0.0, nu), BACKWARD_SPAN, dense=True))
+        ts = np.linspace(*span, 301)
+        assert np.max(np.abs(traj.sample(ts) - ref.sol(ts).T)) <= 1e-9 * scale
 
     def test_backward_events(self, duffing_soft):
         rp, nl = duffing_soft
@@ -530,10 +463,13 @@ class TestAgainstScipyRK45:
                          events=[EventSpec("w=0", lambda t, s: s[0]),
                                  EventSpec("y=0", lambda t, s: s[1])])
 
+        def w_axis(t, y):
+            return y[0]
+
         def y_axis(t, y):
             return y[1]
 
-        ref = scipy_dop853(rhs, (0.3, 0.8), (0.0, -12.0), REFERENCE, events=[w_axis, y_axis])
+        ref = scipy_dop853(rhs, (0.3, 0.8), (0.0, -12.0), events=[w_axis, y_axis])
         expected = sorted([(t, "w=0") for t in ref.t_events[0]]
                           + [(t, "y=0") for t in ref.t_events[1]], reverse=True)
         assert len(expected) >= 6
@@ -542,21 +478,28 @@ class TestAgainstScipyRK45:
         for ev in traj.events:
             assert abs(ev.state[0 if ev.kind == "w=0" else 1]) < 1e-10
 
-    @pytest.mark.parametrize("rhs,nu", EVENT_CASES)
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=3)))
     def test_event_times(self, rhs, nu):
         # every crossing of w = 0 and of the slope 1/2, either way, against
-        # the reference's events on the same orbit
+        # scipy's events on the same orbit
+        def w_axis(t, y):
+            return y[0]
+
+        def slope(t, y):
+            return y[1] - 0.5 * y[0]
+
         traj = integrate(rhs, (0.1 * nu, nu), (0.0, 20.0),
                          events=[EventSpec("w=0", lambda t, s: s[0]),
                                  EventSpec("slope", lambda t, s: s[1] - 0.5 * s[0])])
-        expected = event_run(rhs, nu, REFERENCE)
+        ref = scipy_dop853(rhs, (0.1 * nu, nu), (0.0, 20.0), events=[w_axis, slope])
+        expected = sorted([(t, "w=0") for t in ref.t_events[0]]
+                          + [(t, "slope") for t in ref.t_events[1]])
         assert len(expected) >= 4
         assert [ev.kind for ev in traj.events] == [k for _, k in expected]
-        bound = max(1e-9, scipy_worst_error("events"))
         for ev, (t, _) in zip(traj.events, expected):
-            assert abs(ev.tau - t) <= bound * t
+            assert abs(ev.tau - t) <= 1e-9 * t
 
-    @pytest.mark.parametrize("rhs,nu", EVENT_CASES)
+    @pytest.mark.parametrize("rhs,nu", list(oracle_cases(4, seed=3)))
     def test_sample_at_nodes_and_events(self, rhs, nu):
         events = [EventSpec("w=0", lambda t, s: s[0]),
                   EventSpec("slope", lambda t, s: s[1] - 0.5 * s[0])]
@@ -572,12 +515,13 @@ class TestAgainstScipyRK45:
 
 
 class TestAgainstScipyDOP853:
-    """A section run without dense output steps the arithmetic of scipy's
-    DOP853 under its own step control and lands on the section by Henon's
-    step, scipy by root finding on its seventh-order interpolant. Its
-    crossings and dense output are compared with scipy's DOP853 at rel_tol
-    1e-13 and abs_tol 1e-15, and its cost with scipy's DOP853 at the same
-    tolerances; the single steps and the tableaux are scipy's."""
+    """A section run steps the arithmetic of scipy's DOP853 under its own step
+    control and lands on the section by Henon's step, scipy by root finding
+    on its seventh-order interpolant. Its crossing and its steps' ends are
+    compared with scipy's DOP853 at rel_tol 1e-13 and abs_tol 1e-15, its cost
+    with scipy's DOP853 at the same tolerances, and its dense output with
+    scipy's on the same steps; the single steps and the tableaux are
+    scipy's."""
 
     @pytest.mark.parametrize("rhs,nu", SECTION_CASES)
     def test_quarter_orbit(self, rhs, nu, monkeypatch):
@@ -615,17 +559,24 @@ class TestAgainstScipyDOP853:
         assert ext.d == tuple(map(tuple, DOP853.D))
 
     @pytest.mark.parametrize("rhs,nu", SECTION_CASES)
-    def test_dense_output(self, rhs, nu, monkeypatch):
-        # the seventh-order extension against the reference at x = 1/4, 1/2
-        # and 3/4 of every step, the bracketing one included. scipy's own run
-        # at the same tolerances misses 1e-10 on every case of the set
-        tried = step_attempts(monkeypatch, "_DOP853_DENSE")
-        tau, traj = integrate_to_section(rhs, (0.0, nu), 1e4, dense=True)
-        ts = quarter_points(traj.taus[:-1], traj.dense.h)
-        ref = section_reference(rhs, nu, 2.0 * tau)
-        assert dense_error(traj.sample, ts, ref) <= max(1e-10, scipy_worst_error("section"))
-        same = scipy_dop853(rhs, (0.0, nu), (0.0, 1e4), events=[y_falling], dense=True)
-        assert rejections(tried) <= scipy_rejections(same)
+    def test_dense_output(self, rhs, nu):
+        # the seventh-order extension against scipy's on each of the run's
+        # steps, the bracketing one included, at x = 1/4, 1/2 and 3/4
+        counted, calls = counting(rhs)
+        tau, traj = integrate_to_section(counted, (0.0, nu), 1e4, dense=True)
+        ref = scipy_dop853(rhs, (0.0, nu), (0.0, 2.0 * tau), REFERENCE, dense=True)
+        scale = np.max(np.abs(ref.y))
+        x = np.array([0.25, 0.5, 0.75])
+        for t, s, h in zip(traj.taus[:-1], traj.states[:-1], traj.dense.h):
+            ts = t + h * x
+            scipys = scipy_step_polynomial(rhs, t, s, h)(ts).T
+            assert np.max(np.abs(traj.sample(ts) - scipys)) <= 1e-13 * scale
+        # its nodes against the reference, as the crossing's state
+        assert np.max(np.abs(traj.states - ref.sol(traj.taus).T)) <= 1e-9 * scale
+        # the plain run's calls and three per step, the bracketing one included
+        plain, plain_calls = counting(rhs)
+        integrate_to_section(plain, (0.0, nu), 1e4)
+        assert calls[0] == plain_calls[0] + 3 * len(traj.dense.h)
 
     @pytest.mark.parametrize("pair,tableau,keep,norm", [
         (_DP5, _DP5_TABLEAU, (1, 3, 4, 5, 6, 7), _rms),
@@ -674,9 +625,9 @@ class TestAgainstScipyDOP853:
 
 
 class TestStepControl:
-    """The step-size control shrinks a rejected step by the pair's order and
-    the same step rejected again by the order that its last two estimates
-    show, both with safety 0.8, so few attempts are rejected."""
+    """The section runs' step-size control shrinks a rejected step by the
+    pair's order and the same step rejected again by the order that its last
+    two estimates show, both with safety 0.8, so few attempts are rejected."""
 
     def test_first_step_at_a_rough_start(self, monkeypatch):
         # at the start w = 0, where |w|^(p-2) w is not smooth, the estimate

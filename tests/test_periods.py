@@ -531,14 +531,22 @@ def test_positive_walk_agrees_with_the_old_scan(case, request):
     assert lost == n_lost
 
 
-@pytest.mark.parametrize("kind,case,mu", [("positive", "center_case", 0.485937),
-                                           ("sign-changing", (1.76, 2.7, -1.0), 0.5)],
-                         ids=["center_case", "sign-changing"])
+@pytest.mark.parametrize("kind,case,mu", [
+    ("positive", "center_case", 0.485937),
+    ("sign-changing", (1.76, 2.7, -1.0), 0.5),
+    pytest.param("sign-changing", (3.0, 5.0, -1.0), 0.7, marks=pytest.mark.xfail(
+        strict=True, reason="the first step's estimate, 1.7e-9 and 2 % roundoff, sets the "
+                            "second step's size: 2.8e-14 (see the FOUND line on the "
+                            "event-timing period's roughness in CHANGES.md)"))],
+    ids=["center_case", "sign-changing", "sign-changing-rough-start"])
 def test_period_is_smooth_in_the_amplitude(kind, case, mu, request):
     # over a 4e-11-relative window the period is its least-squares line to
     # roundoff; a step control that feeds its error history back into h makes
     # it rough there (2e-14 to 3e-12 with a PI controller). The sign-changing
-    # triple is (p, q, c_q + offset)
+    # triple is (p, q, c_q + offset). On (3, 5, c_q - 1) at 0.7 the first
+    # step's estimate is below 1 by so much that roundoff moves it by 2 %,
+    # and under safety 0.8 it still sets the second step's size (at 0.9 the
+    # growth cap of 10 did): the period is rough at 2.8e-14 (1.5e-15 at 0.9)
     if kind == "positive":
         rp, nl = request.getfixturevalue(case)
     else:
