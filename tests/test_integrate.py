@@ -412,8 +412,8 @@ def landing_steps(monkeypatch):
 
 def scipy_step_polynomial(rhs, t, y, h, cfg=IntegratorConfig()):
     """scipy's DOP853 dense output on the single step of size h > 0 from
-    (t, y), which it accepts at the first try where integrate's step of the
-    same arithmetic was accepted."""
+    (t, y), which it accepts at the first try where a section run's step of
+    the same arithmetic was accepted."""
     solver = DOP853(rhs, t, np.array(y), t + 2.0 * h, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                     first_step=h)
     solver.step()
