@@ -48,6 +48,90 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# A value with decimal exponent X in [-4, 16] prints under %.17g in fixed form
+# from its 17 correctly rounded digits D. It is laid out as a 48-byte record:
+# "-0.000" at bytes 0-5, D at 7-23 for the integer part or a value below 1, "."
+# at 24, D again at 27-43 for the fraction, and the row's "," or "\n" at 44. A
+# keep mask indexed by (X, sign, significant digits) picks the bytes printed.
+_CSV_CHUNK_ROWS = 2048
+_P10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])   # 10^0 .. 10^20, all exact
+_POW = np.r_[1.0 / _P10[4:0:-1], _P10[:18]]   # 10^-4 .. 10^17, correctly rounded
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split into 26-bit halves, x = hi + lo exactly."""
+    t = 134217729.0 * x   # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_P10_HI, _P10_LO = _split(_P10)
+_D = np.ogrid[:10, :10, :10, :10]   # the digits of 0 .. 9999, first to last
+_QUAD_WORDS = np.empty((10,) * 4 + (4,), np.uint8)
+for _j in range(4):
+    _QUAD_WORDS[..., _j] = _D[_j] + ord("0")
+_QUAD_WORDS = _QUAD_WORDS.view(np.uint32).ravel()
+_TRAILING_ZEROS = (_D[3] == 0) * (1 + (_D[2] == 0) * (1 + (_D[1] == 0) * (1 + (_D[0] == 0))))
+_TRAILING_ZEROS = _TRAILING_ZEROS.ravel()
+_RECORD = b"-0.000" + bytes(18) + b"." + bytes(19)   # bytes 0-43
+_TEMPLATE = np.frombuffer(_RECORD + b",\0\0\0" + _RECORD + b"\n\0\0\0", np.uint8).reshape(2, 48)
+_X, _NEG, _SIG, _COL = np.ogrid[-4:17, 0:2, 1:18, 0:48]
+_KEEP = ((_COL == 0) & (_NEG == 1)) | ((_COL >= 1) & (_COL <= 2) & (_X < 0)) \
+    | ((_COL >= 3) & (_COL <= 5) & (_COL < 2 - _X)) \
+    | ((_COL >= 7) & (_COL <= 23) & (_COL - 7 < np.where(_X < 0, _SIG, _X + 1))) \
+    | ((_COL == 24) & (_X >= 0) & (_SIG > _X + 1)) \
+    | ((_COL >= 27) & (_X >= 0) & (_COL - 27 > _X) & (_COL - 27 < _SIG)) | (_COL == 44)
+_KEEP = np.vstack((_KEEP.reshape(-1, 48), np.arange(48) == 44))   # last: a fallback's
+_KEEP_LEN = _KEEP.sum(1)
+del _D, _j, _RECORD, _X, _NEG, _SIG, _COL
+
+
+def _write_profile_csv(f, sigma: np.ndarray, omega: np.ndarray) -> None:
+    """Write the ``sigma,omega`` CSV to the binary file ``f`` in chunks of
+    _CSV_CHUNK_ROWS rows: the bytes of "%.17g,%.17g\\n" per row."""
+    f.write(b"sigma,omega\n")
+    for start in range(0, len(sigma), _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        a = np.column_stack((sigma[rows], omega[rows])).ravel()
+        m = np.abs(a)
+        x = np.searchsorted(_POW, m, "right") - 5   # 10^x <= m < 10^(x+1) in binary64
+        fallback = (x < -4) | (x > 16)   # also zeros, NaN and inf
+        m[fallback], x[fallback] = 1.0, 0
+        # D = round(m 10^(16-x)) half to even, exactly: Dekker's product gives
+        # m 10^(16-x) = p + lo, and p >= 10^16 > 2^53 is an even integer. The
+        # 17-digit strings of distinct doubles differ, so no m below a power
+        # of ten rounds up to it: D < 10^17, checked with D >= 10^16
+        e = 16 - x
+        p = m * _P10[e]
+        mh, ml = _split(m)
+        lo = ((mh * _P10_HI[e] - p) + mh * _P10_LO[e] + ml * _P10_HI[e]) + ml * _P10_LO[e]
+        d = p.astype(np.int64) + np.rint(lo).astype(np.int64)
+        fallback |= (d < 10 ** 16) | (d >= 10 ** 17)
+        d[fallback] = 10 ** 16
+        quads = []   # d's 4-digit groups, last first; d is left with d0
+        for _ in range(4):
+            d, q = np.divmod(d, 10_000)
+            quads.append(q)
+        tz = _TRAILING_ZEROS[quads[3]]
+        for q in quads[2::-1]:
+            tz = _TRAILING_ZEROS[q] + (q == 0) * tz
+        key = np.where(fallback, len(_KEEP) - 1, ((x + 4) * 2 + np.signbit(a)) * 17 + 16 - tz)
+        rec = np.empty((len(a), 48), np.uint8)
+        rec.reshape(-1, 2, 48)[:] = _TEMPLATE
+        rec[:, 7] = rec[:, 27] = d + ord("0")
+        words = rec.view(np.uint32)
+        words[:, 2:6] = words[:, 7:11] = _QUAD_WORDS[np.column_stack(quads[::-1])]
+        out = memoryview(rec[_KEEP[key]])
+        at = 0
+        if fallback.any():   # zeros, non-finite, exponent form
+            fb = np.flatnonzero(fallback)
+            for i, end in zip(fb, np.cumsum(_KEEP_LEN[key])[fb] - 1):
+                f.write(out[at:end])
+                f.write(b"%.17g" % a[i])
+                at = end
+        f.write(out[at:])
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -341,11 +425,10 @@ def cmd_solve_set(args) -> int:
             + [("family_" + fam["family"] + (f"_K{fam['K']}" if "K" in fam else ""),
                 fam["profile"]) for fam in ss.explicit_families]
         for name, prof in profiles:
-            # one formatting pass per profile, the same bytes as _fmt per value;
-            # the row floats live only inside the expression, so they are freed
-            # before the write and add nothing to peak RSS
-            (out_dir / f"{name}.csv").write_text("sigma,omega\n" + "%.17g,%.17g\n" * len(
-                prof.sigma) % tuple(np.column_stack((prof.sigma, prof.omega)).ravel().tolist()))
+            # written chunk by chunk, so no whole-file string or row floats
+            # are held; the bytes are _fmt's per value
+            with open(out_dir / f"{name}.csv", "wb") as f:
+                _write_profile_csv(f, prof.sigma, prof.omega)
     else:
         sys.stdout.write(_json_dump(doc))
     bad = [n for n in ss.notes if "failed" in n]

@@ -5,11 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
-from seplane.cli import main
+from seplane.cli import _write_profile_csv, main
 from seplane.schemas import load_schema
 
 
@@ -378,6 +383,74 @@ class TestSolveSetCommand:
         assert proc.returncode == 2
         assert f"the modes need {samples} profile samples" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def percent_csv(sigma, omega) -> bytes:
+    """The profile CSV as %.17g writes it: the reference for the writer."""
+    rows = np.column_stack((sigma, omega)).ravel().tolist()
+    return ("sigma,omega\n" + "%.17g,%.17g\n" * len(sigma) % tuple(rows)).encode()
+
+
+def written_csv(sigma, omega) -> bytes:
+    buf = io.BytesIO()
+    _write_profile_csv(buf, np.asarray(sigma, float), np.asarray(omega, float))
+    return buf.getvalue()
+
+
+def with_neighbours(values):
+    v = np.asarray(values, float)
+    return np.concatenate((np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)))
+
+
+class TestProfileCsvWriter:
+    """``solve-set`` writes profiles through a vectorized writer that must
+    give the bytes of %.17g per value, for every float and row count."""
+
+    @given(st.lists(st.tuples(st.floats(), st.floats()), max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_any_floats(self, rows):
+        sigma, omega = (np.array([r[i] for r in rows], float) for i in (0, 1))
+        assert written_csv(sigma, omega) == percent_csv(sigma, omega)
+
+    @pytest.mark.parametrize("values", [
+        with_neighbours(10.0 ** np.arange(-6, 19)),
+        with_neighbours([1e-4, 1e16, 1e17]),
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+         1.7976931348623157e308, 0.5, 1.0, 123.0, 99999999999999984.0],
+        np.arange(26215, 262144, 2) / 2.0 ** 18,   # every 17-digit tie m/2^18 in [0.1, 1)
+        # 17-digit ties j/2^(17-X) with j odd, from each decimal exponent X
+        np.concatenate([(int(10.0 ** x * 2.0 ** (17 - x)) + 1 | 1) / 2.0 ** (17 - x)
+                        + np.arange(0, 1000, 2) / 2.0 ** (17 - x) for x in range(-4, 16)]),
+    ], ids=["powers-of-ten", "form-switches", "specials", "ties-below-1", "ties"])
+    def test_edge_values(self, values):
+        v = np.asarray(values, float)
+        for sigma, omega in ((v, -v), (-v[::-1], v)):
+            assert written_csv(sigma, omega) == percent_csv(sigma, omega)
+
+    def test_ties_round_half_even(self):
+        assert written_csv([26215 / 2.0 ** 18], [-0.0]) == b"sigma,omega\n0.10000228881835938,-0\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049])
+    def test_lengths_around_a_chunk(self, n):
+        rng = np.random.default_rng(n)
+        sigma = np.linspace(0.0, 2.0 * np.pi, n)
+        omega = rng.standard_normal(n) * 10.0 ** rng.uniform(-7.0, 18.0, n)
+        assert written_csv(sigma, omega) == percent_csv(sigma, omega)
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # 421,888 rows: a 32,768-point profile of mode 6 (ROADMAP item 1);
+        # formatting the whole file at once peaks near 49 MB
+        sigma = np.linspace(0.0, 2.0 * np.pi, 421_888)
+        omega = np.sin(6.0 * sigma) * 3.7
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "p.csv", "wb") as f:
+                _write_profile_csv(f, sigma, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert (tmp_path / "p.csv").read_bytes() == percent_csv(sigma, omega)
 
 
 class TestSectorCommand:
